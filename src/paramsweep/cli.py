@@ -316,6 +316,7 @@ def save_step1(path, r1: Step1Result) -> None:
         "seed": r1.seed,
         "paths_tracked": r1.paths_tracked_step1,
         "suspected_crossings": [list(p) for p in r1.suspected_crossings],
+        "path_statuses": dict(r1.path_statuses),
         "solutions": [
             {
                 "coords": _pairs(pt),
@@ -363,6 +364,9 @@ def load_step1(path, sysm: ParamSystem) -> Step1Result:
         seed=doc["seed"],
         gamma=complex(doc["gamma"][0], doc["gamma"][1]),
         suspected_crossings=tuple(tuple(p) for p in doc["suspected_crossings"]),
+        path_statuses=tuple(sorted(
+            (k, int(v)) for k, v in doc.get("path_statuses", {}).items()
+        )),
     )
 
 

@@ -73,6 +73,9 @@ class Step1Result:
     seed: int | None
     gamma: complex
     suspected_crossings: tuple[tuple[int, int], ...] = ()
+    # Step 1 paths by PathStatus value, as sorted (value, count) pairs;
+    # empty for an artifact written before the counts were recorded
+    path_statuses: tuple[tuple[str, int], ...] = ()
 
     @property
     def n_solutions(self) -> int:
@@ -179,6 +182,16 @@ def step1(
             "with a fresh seed", len(crossings), cfg.endgame_boundary,
         )
 
+    statuses = Counter(r.status.value for r in results)
+    hard = sum(statuses[s.value] for s in HARD_FAILURES)
+    if hard:
+        log.warning(
+            "step1: %d of %d paths succeeded and %d diverged; the other %d "
+            "failed (%s)", statuses[PathStatus.SUCCESS.value], start.n_solutions,
+            statuses[PathStatus.DIVERGED.value], hard,
+            ", ".join(f"{k}:{v}" for k, v in sorted(statuses.items())),
+        )
+
     classified = classify_endpoints(results, dedup_tol=dedup_tol, real_tol=real_tol)
     solutions = _restrict_nonsingular(classified)
     if len(solutions) == 0:
@@ -193,6 +206,7 @@ def step1(
         seed=seed,
         gamma=gamma,
         suspected_crossings=crossings,
+        path_statuses=tuple(sorted(statuses.items())),
     )
 
 

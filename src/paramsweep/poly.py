@@ -397,6 +397,12 @@ class TermStructure:
     evaluation and differentiation need no per-call setup.  Summation is
     performed segment-by-segment in stored term order, which keeps results
     deterministic.
+
+    Every evaluation takes one point z of shape (N,) or a batch of B points
+    of shape (B, N), with coefficients of shape (n_terms,), shared by the
+    batch, or (B, n_terms), one row per point.  Row b of a batched result is
+    bit-identical to the result for point b alone: each row sees the same
+    multiplications and the same segment sums.
     """
 
     def __init__(self, n_vars: int, n_params: int, functions: tuple[tuple[Term, ...], ...]):
@@ -458,29 +464,38 @@ class TermStructure:
         self.max_param_deg = int(self.param_exps.max()) if self.n_terms and n_params else 0
         # stacked exponents for the fused value+Jacobian pass
         self._all_exps = np.vstack([self.var_exps, self.jac_exps])
-        # scalar fast path for univariate systems (saves numpy dispatch
-        # overhead, which dominates at this size)
-        if n_vars == 1:
-            self._exps_1d = [int(e) for e in self.var_exps[:, 0]]
-            self._jac_exps_1d = [int(e) for e in self.jac_exps[:, 0]]
-            self._jac_fac_1d = [float(f) for f in self.jac_fac]
-            self._jac_src_1d = [int(s) for s in self.jac_src]
 
-    # -- power tables
     def _var_powers(self, z: np.ndarray) -> np.ndarray:
-        pw = np.empty((self.max_var_deg + 1, self.n_vars), dtype=complex)
+        """(D+1, B, N) table of z**k for a (B, N) batch."""
+        pw = np.empty((self.max_var_deg + 1,) + z.shape, dtype=complex)
         pw[0] = 1.0
         for k in range(1, self.max_var_deg + 1):
             pw[k] = pw[k - 1] * z
         return pw
 
     def _gather_prod(self, exps: np.ndarray, pw: np.ndarray) -> np.ndarray:
-        if exps.shape[0] == 0:
-            return np.empty(0, dtype=complex)
-        m = pw[exps[:, 0], 0].copy()
+        """(K, B) monomials: row k holds z**exps[k] for every point."""
+        m = pw[exps[:, 0], :, 0]
         for j in range(1, self.n_vars):
-            m *= pw[exps[:, j], j]
+            m *= pw[exps[:, j], :, j]
         return m
+
+    def _values(self, coeffs: np.ndarray, mono: np.ndarray) -> np.ndarray:
+        """(B, N) function values from (n_terms, B) monomials."""
+        out = np.zeros((self.n_vars, mono.shape[1]), dtype=complex)
+        if self.n_terms:
+            vals = _term_major(coeffs) * mono
+            out[self.eval_fn_ids] = np.add.reduceat(vals, self.eval_starts, axis=0)
+        return out.T
+
+    def _jac_values(self, coeffs: np.ndarray, mono: np.ndarray) -> np.ndarray:
+        """(B, N, N) Jacobians from (n_jac_terms, B) monomials."""
+        n = self.n_vars
+        jac = np.zeros((n * n, mono.shape[1]), dtype=complex)
+        if len(self.jac_src):
+            vals = _term_major(coeffs)[self.jac_src] * self.jac_fac[:, None] * mono
+            jac[self.jac_cells] = np.add.reduceat(vals, self.jac_starts, axis=0)
+        return jac.T.reshape(-1, n, n)
 
     def param_factors(self, p: np.ndarray) -> np.ndarray:
         """p^param_exps per term, for instantiation."""
@@ -498,71 +513,33 @@ class TermStructure:
         return m
 
     def evaluate(self, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-        if self.n_vars == 1:
-            pw = self._powers_1d(complex(z[0]))
-            c = coeffs.tolist()
-            f = 0j
-            for k, e in enumerate(self._exps_1d):
-                f += c[k] * pw[e]
-            return np.array([f])
-        out = np.zeros(self.n_vars, dtype=complex)
-        if self.n_terms == 0:
-            return out
-        pw = self._var_powers(z)
-        vals = coeffs * self._gather_prod(self.var_exps, pw)
-        out[self.eval_fn_ids] = np.add.reduceat(vals, self.eval_starts)
-        return out
+        zb = z.reshape(-1, self.n_vars)
+        out = self._values(coeffs, self._gather_prod(self.var_exps, self._var_powers(zb)))
+        return out[0] if z.ndim == 1 else out
 
     def jacobian(self, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-        jac = np.zeros(self.n_vars * self.n_vars, dtype=complex)
-        if len(self.jac_src) == 0:
-            return jac.reshape(self.n_vars, self.n_vars)
-        pw = self._var_powers(z)
-        vals = coeffs[self.jac_src] * self.jac_fac * self._gather_prod(self.jac_exps, pw)
-        jac[self.jac_cells] = np.add.reduceat(vals, self.jac_starts)
-        return jac.reshape(self.n_vars, self.n_vars)
+        zb = z.reshape(-1, self.n_vars)
+        jac = self._jac_values(coeffs, self._gather_prod(self.jac_exps, self._var_powers(zb)))
+        return jac[0] if z.ndim == 1 else jac
 
     def eval_and_jac(
         self, eval_coeffs: np.ndarray, jac_coeffs: np.ndarray, z: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Value and Jacobian in one pass over a shared power table.
 
-        The two coefficient vectors may differ, which lets a homotopy pair
+        The two coefficient arrays may differ, which lets a homotopy pair
         dH/dt (for prediction) with the Jacobian of H at the same point.
         """
-        if self.n_vars == 1:
-            f, d = self._eval_and_jac_1d(eval_coeffs, jac_coeffs, complex(z[0]))
-            return np.array([f]), np.array([[d]])
-        out = np.zeros(self.n_vars, dtype=complex)
-        jac = np.zeros(self.n_vars * self.n_vars, dtype=complex)
-        if self.n_terms == 0:
-            return out, jac.reshape(self.n_vars, self.n_vars)
-        pw = self._var_powers(z)
-        mono = self._gather_prod(self._all_exps, pw)
-        vals = eval_coeffs * mono[: self.n_terms]
-        out[self.eval_fn_ids] = np.add.reduceat(vals, self.eval_starts)
-        if len(self.jac_src):
-            jvals = jac_coeffs[self.jac_src] * self.jac_fac * mono[self.n_terms :]
-            jac[self.jac_cells] = np.add.reduceat(jvals, self.jac_starts)
-        return out, jac.reshape(self.n_vars, self.n_vars)
+        zb = z.reshape(-1, self.n_vars)
+        mono = self._gather_prod(self._all_exps, self._var_powers(zb))
+        out = self._values(eval_coeffs, mono[: self.n_terms])
+        jac = self._jac_values(jac_coeffs, mono[self.n_terms :])
+        return (out[0], jac[0]) if z.ndim == 1 else (out, jac)
 
-    def _powers_1d(self, z: complex) -> list[complex]:
-        pw = [1.0 + 0j] * (self.max_var_deg + 1)
-        for k in range(1, self.max_var_deg + 1):
-            pw[k] = pw[k - 1] * z
-        return pw
 
-    def _eval_and_jac_1d(self, eval_coeffs, jac_coeffs, z: complex):
-        pw = self._powers_1d(z)
-        ce = eval_coeffs.tolist()
-        f = 0j
-        for k, e in enumerate(self._exps_1d):
-            f += ce[k] * pw[e]
-        cj = ce if jac_coeffs is eval_coeffs else jac_coeffs.tolist()
-        d = 0j
-        for i, e in enumerate(self._jac_exps_1d):
-            d += cj[self._jac_src_1d[i]] * self._jac_fac_1d[i] * pw[e]
-        return f, d
+def _term_major(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients as (n_terms, 1) or (n_terms, B), to scale (K, B) monomials."""
+    return coeffs.T if coeffs.ndim == 2 else coeffs[:, None]
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,4 +1,4 @@
-"""Predictor-corrector path tracking from t=1 to t=0.
+"""Lock-step batched predictor-corrector path tracking from t=1 to t=0.
 
 Euler (tangent) prediction followed by Newton correction, with adaptive
 step length: the step halves whenever correction fails and grows after a
@@ -7,6 +7,13 @@ the endpoint is then sharpened by a few Newton iterations on the target
 system itself.  There is no endgame: genuinely singular endpoints are
 flagged, not refined.
 
+All start points of one homotopy advance together as a (B, N) array.
+Each path keeps its own t, step length, success streak, attempt and step
+counts, boundary point and status; a path that finishes or fails leaves
+the active set.  Every evaluation, solve and norm is one numpy call on
+the active rows, and each row of such a call is computed exactly as it
+would be alone.
+
 All failure modes are encoded in the returned status, never raised:
 
 * ``DIVERGED``      -- the iterate's inf-norm exceeded ``max_norm``
@@ -14,8 +21,11 @@ All failure modes are encoded in the returned status, never raised:
 * ``NEWTON_FAILURE``-- the sharpened endpoint failed the residual test
 * ``MAX_STEPS``     -- attempt budget exhausted
 
-Tracking is a pure function of its inputs: identical inputs and config
-give bit-for-bit identical results.
+Batch invariance and determinism: a path's result depends only on its
+start point, the homotopy and the config, never on the other paths of the
+batch, their number or their order.  It is bit-for-bit identical to
+tracking that start alone in a batch of one, and identical inputs give
+identical results.
 """
 
 from __future__ import annotations
@@ -32,11 +42,7 @@ __all__ = [
     "TrackerConfig",
     "PathStatus",
     "PathResult",
-    "CorrectionResult",
     "ClassifiedSolutions",
-    "euler_predict",
-    "newton_correct",
-    "track_path",
     "track_many",
     "crossing_check",
     "classify_endpoints",
@@ -67,8 +73,6 @@ class TrackerConfig:
     # treat diverged paths as retry-worthy failures (off: divergence is a
     # legitimate geometric outcome, reported but not retried)
     divergence_is_failure: bool = False
-    # record the homotopy residual after every accepted step (test builds)
-    check_residuals: bool = False
 
     def __post_init__(self):
         if not (0 < self.min_step <= self.initial_step <= self.max_step < 1):
@@ -95,6 +99,15 @@ HARD_FAILURES = (PathStatus.MIN_STEP, PathStatus.NEWTON_FAILURE, PathStatus.MAX_
 
 @dataclass(frozen=True)
 class PathResult:
+    """One tracked path.
+
+    ``rejected_steps`` counts attempts whose prediction or correction
+    failed, ``newton_iters`` the corrector's Newton iterations over all
+    attempts (not the final sharpening), and ``min_dt`` the smallest step
+    length the controller attempted, before clamping to the endgame
+    boundary or t_final.
+    """
+
     status: PathStatus
     endpoint: np.ndarray | None
     steps_taken: int
@@ -103,222 +116,261 @@ class PathResult:
     condition_estimate: float
     sharpen_converged: bool = False
     boundary_point: np.ndarray | None = None
-    max_residual_after_correct: float = 0.0
+    rejected_steps: int = 0
+    newton_iters: int = 0
+    min_dt: float = np.inf
 
     @property
     def success(self) -> bool:
         return self.status is PathStatus.SUCCESS
 
 
-class CorrectionResult(tuple):
-    """(point, converged, iterations, step_norm) from Newton correction."""
-
-    __slots__ = ()
-
-    def __new__(cls, point, converged, iterations, step_norm):
-        return super().__new__(cls, (point, converged, iterations, step_norm))
-
-    point = property(lambda self: self[0])
-    converged = property(lambda self: self[1])
-    iterations = property(lambda self: self[2])
-    step_norm = property(lambda self: self[3])
+def _inf_norm(v: np.ndarray) -> np.ndarray:
+    """Row-wise inf-norm of a (B, N) array."""
+    return np.abs(v).max(axis=1)
 
 
-def _inf_norm(v: np.ndarray) -> float:
-    if v.size == 1:
-        return abs(complex(v[0]))
-    return float(np.max(np.abs(v))) if v.size else 0.0
+def _solve(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve J x = rhs for a (B, N, N) stack and (B, N) right-hand sides.
 
-
-def _solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # scalar shortcut: LAPACK dispatch overhead dominates 1x1 solves
-    if jac.shape[0] == 1:
-        d = complex(jac[0, 0])
-        if d == 0:
-            raise np.linalg.LinAlgError("singular 1x1 system")
+    Returns ``(x, ok)``; ``ok[b]`` is False where J[b] is singular, and
+    row b of x is then meaningless.  LAPACK rejects the whole stack when
+    one matrix is singular, so only then are the rows solved one by one.
+    """
+    try:
+        x = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        return x, np.ones(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    x = np.full(rhs.shape, np.nan, dtype=complex)
+    ok = np.zeros(len(rhs), dtype=bool)
+    for b in range(len(rhs)):
         try:
-            return np.array([complex(rhs[0]) / d])
-        except OverflowError as exc:
-            raise np.linalg.LinAlgError(str(exc)) from exc
-    return np.linalg.solve(jac, rhs)
+            x[b] = np.linalg.solve(jac[b], rhs[b])
+            ok[b] = True
+        except np.linalg.LinAlgError:
+            pass
+    return x, ok
 
 
-def _condition_estimate(jac: np.ndarray) -> float:
+def _condition_estimate(jac: np.ndarray) -> np.ndarray:
+    """inf-norm condition number of each matrix of a (B, N, N) stack.
+
+    Singular matrices get inf.  As in ``_solve``, the stack is split into
+    single matrices only when LAPACK rejects it.
+    """
     try:
         inv = np.linalg.inv(jac)
     except np.linalg.LinAlgError:
-        return np.inf
-    c = float(
-        np.max(np.sum(np.abs(jac), axis=1)) * np.max(np.sum(np.abs(inv), axis=1))
-    )
-    return c if np.isfinite(c) else np.inf
+        if len(jac) == 1:
+            return np.array([np.inf])
+        return np.concatenate([_condition_estimate(j[None]) for j in jac])
+    c = np.abs(jac).sum(axis=2).max(axis=1) * np.abs(inv).sum(axis=2).max(axis=1)
+    return np.where(np.isfinite(c), c, np.inf)
 
 
-def euler_predict(h: Homotopy, z: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """Tangent step: z + dz with J_z dz = -(dH/dt) * dt.
+def _euler_predict(h: Homotopy, z: np.ndarray, t: np.ndarray, dt: np.ndarray):
+    """Tangent step z + dz with J_z dz = -(dH/dt) * dt, row by row.
 
-    Raises ``numpy.linalg.LinAlgError`` on a singular Jacobian; the caller
-    shrinks the step.
+    Returns ``(predicted, ok)``; ``ok`` is False where the Jacobian is
+    singular or the prediction is not finite.
     """
-    if dt == 0:
-        return np.array(z, dtype=complex)
-    dh_dt, jac = h.tangent_data(z, t)
-    return z + _solve(jac, -dh_dt * dt)
+    dh_dt, jac = h.tangent_data(z, t[:, None])
+    delta, ok = _solve(jac, -dh_dt * dt[:, None])
+    predicted = z + delta
+    return predicted, ok & np.isfinite(predicted).all(axis=1)
 
 
-def newton_correct(
-    sys_at_t: InstantiatedSystem, z: np.ndarray, cfg: TrackerConfig
-) -> CorrectionResult:
-    """Newton iteration until the update norm drops below newton_tol.
+def _newton_correct(sys_at_t: InstantiatedSystem, z: np.ndarray, cfg: TrackerConfig):
+    """Newton iteration per row until the update norm drops below newton_tol.
 
-    A point whose residual is already below tolerance is returned
-    unchanged with zero iterations.
+    ``sys_at_t`` holds one row of coefficients per point.  Returns
+    ``(points, converged, iterations)``.  A row whose residual is already
+    below tolerance is returned unchanged with zero iterations; a singular
+    Jacobian stops a row without counting that iteration.
     """
-    z = np.array(z, dtype=complex)
-    f, jac = sys_at_t.eval_and_jac(z)
-    if _inf_norm(f) < cfg.newton_tol:
-        return CorrectionResult(z, True, 0, 0.0)
-    step_norm = np.inf
+    structure, coeffs = sys_at_t.structure, sys_at_t.coeffs
+    z = z.copy()
+    iters = np.zeros(len(z), dtype=np.intp)
+    f, jac = structure.eval_and_jac(coeffs, coeffs, z)
+    converged = _inf_norm(f) < cfg.newton_tol
+    live = np.flatnonzero(~converged)
+    f, jac = f[live], jac[live]
     for i in range(1, cfg.max_newton_iters + 1):
-        try:
-            delta = _solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return CorrectionResult(z, False, i - 1, step_norm)
-        z_new = z + delta
-        if not np.all(np.isfinite(z_new)):
-            return CorrectionResult(z, False, i, np.inf)
-        z = z_new
-        step_norm = _inf_norm(delta)
-        if step_norm < cfg.newton_tol:
-            return CorrectionResult(z, True, i, step_norm)
-        if i < cfg.max_newton_iters:
-            f, jac = sys_at_t.eval_and_jac(z)
-    return CorrectionResult(z, False, cfg.max_newton_iters, step_norm)
+        if not live.size:
+            break
+        delta, ok = _solve(jac, -f)
+        iters[live] = i
+        if not ok.all():
+            iters[live[~ok]] = i - 1
+        z_new = z[live] + delta
+        fin = ok & np.isfinite(z_new).all(axis=1)
+        live = live[fin]
+        z[live] = z_new[fin]
+        done = _inf_norm(delta[fin]) < cfg.newton_tol
+        converged[live[done]] = True
+        live = live[~done]
+        if i < cfg.max_newton_iters and live.size:
+            f, jac = structure.eval_and_jac(coeffs[live], coeffs[live], z[live])
+    return z, converged, iters
 
 
-def _sharpen(
-    target: InstantiatedSystem, z: np.ndarray, cfg: TrackerConfig
-) -> tuple[np.ndarray, bool]:
-    """Final Newton polish on the target system; never raises."""
-    converged = False
+def _sharpen(target: InstantiatedSystem, z: np.ndarray, cfg: TrackerConfig):
+    """Final Newton polish of each row on the target system; never raises.
+
+    Returns ``(points, converged)``.
+    """
+    z = z.copy()
+    converged = np.zeros(len(z), dtype=bool)
+    live = np.arange(len(z))
     for _ in range(cfg.sharpen_iters):
-        f, jac = target.eval_and_jac(z)
-        if _inf_norm(f) == 0.0:
-            converged = True
+        if not live.size:
             break
-        try:
-            delta = _solve(jac, -f)
-        except np.linalg.LinAlgError:
-            break
-        z_new = z + delta
-        if not np.all(np.isfinite(z_new)):
-            break
-        z = z_new
-        if _inf_norm(delta) < cfg.newton_tol:
-            converged = True
-            break
+        f, jac = target.eval_and_jac(z[live])
+        exact = _inf_norm(f) == 0.0
+        converged[live[exact]] = True
+        live, f, jac = live[~exact], f[~exact], jac[~exact]
+        delta, ok = _solve(jac, -f)
+        z_new = z[live] + delta
+        fin = ok & np.isfinite(z_new).all(axis=1)
+        live = live[fin]
+        z[live] = z_new[fin]
+        done = _inf_norm(delta[fin]) < cfg.newton_tol
+        converged[live[done]] = True
+        live = live[~done]
     return z, converged
 
 
-def track_path(h: Homotopy, start: np.ndarray, cfg: TrackerConfig) -> PathResult:
-    """Track one solution of H(., 1) = 0 to t = 0."""
-    z = np.array(start, dtype=complex)
-    t = 1.0
-    dt = cfg.initial_step
-    steps = 0
-    attempts = 0
-    streak = 0
-    boundary_point = None
-    max_resid = 0.0
+def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
+    """Track every solution of H(., 1) = 0 in ``starts`` to t = 0, in lock-step.
 
-    def fail(status: PathStatus, t_now: float) -> PathResult:
-        return PathResult(
-            status=status,
-            endpoint=None,
-            steps_taken=steps,
-            t_at_failure=t_now,
-            final_residual=np.inf,
-            condition_estimate=np.inf,
-            boundary_point=boundary_point,
-            max_residual_after_correct=max_resid,
-        )
+    Returns one PathResult per start, in start order.
+    """
+    z = np.array([np.asarray(s, dtype=complex) for s in starts]).reshape(-1, h.n_vars)
+    n = len(z)
+    if n == 0:
+        return []
+    t = np.ones(n)
+    dt = np.full(n, cfg.initial_step)
+    steps = np.zeros(n, dtype=np.intp)
+    attempts = np.zeros(n, dtype=np.intp)
+    streak = np.zeros(n, dtype=np.intp)
+    newton_iters = np.zeros(n, dtype=np.intp)
+    min_dt = np.full(n, cfg.initial_step)
+    boundary = np.full(z.shape, np.nan, dtype=complex)
+    has_boundary = np.zeros(n, dtype=bool)
+    status: list[PathStatus | None] = [None] * n
+    t_fail: list[float | None] = [None] * n
 
-    while t > cfg.t_final:
-        if attempts >= cfg.max_steps:
-            return fail(PathStatus.MAX_STEPS, t)
-        attempts += 1
+    def fail(rows, why: PathStatus) -> None:
+        for b in rows:
+            status[b] = why
+            t_fail[b] = float(t[b])
+
+    eb, tf = cfg.endgame_boundary, cfg.t_final
+    act = np.arange(n)
+    while act.size:
+        over = attempts[act] >= cfg.max_steps
+        fail(act[over], PathStatus.MAX_STEPS)
+        act = act[~over]
+        if not act.size:
+            break
+        attempts[act] += 1
+        t_a, dt_a = t[act], dt[act]
 
         # clamp so the path lands exactly on the endgame boundary (for
         # crossing checks) and exactly on t_final (loop exit); the
         # boundary check comes first so a large step cannot jump past it
-        t_next = t - dt
-        if t > cfg.endgame_boundary and t_next < cfg.endgame_boundary:
-            t_next = cfg.endgame_boundary
-        elif t_next < cfg.t_final:
-            t_next = cfg.t_final
+        t_next = t_a - dt_a
+        t_next = np.where(
+            (t_a > eb) & (t_next < eb), eb, np.where(t_next < tf, tf, t_next)
+        )
 
-        ok = False
-        try:
-            predicted = euler_predict(h, z, t, t_next - t)
-        except np.linalg.LinAlgError:
-            predicted = None
-        if predicted is not None and np.all(np.isfinite(predicted)):
-            corr = newton_correct(h.at(t_next), predicted, cfg)
-            ok = corr.converged
+        predicted, ok = _euler_predict(h, z[act], t_a, t_next - t_a)
+        rows = np.flatnonzero(ok)
+        corrected, converged, iters = _newton_correct(
+            h.at(t_next[rows, None]), predicted[rows], cfg
+        )
+        newton_iters[act[rows]] += iters
+        ok[rows] = converged
 
-        if not ok:
-            streak = 0
-            dt = dt * cfg.step_decrease_factor
-            if dt < cfg.min_step:
-                return fail(PathStatus.MIN_STEP, t)
-            continue
+        retry = act[~ok]
+        if retry.size:
+            streak[retry] = 0
+            dt_retry = dt_a[~ok] * cfg.step_decrease_factor
+            dt[retry] = dt_retry
+            under = dt_retry < cfg.min_step
+            fail(retry[under], PathStatus.MIN_STEP)
+            retry, dt_retry = retry[~under], dt_retry[~under]
+            min_dt[retry] = np.minimum(min_dt[retry], dt_retry)
 
-        z = corr.point
-        t = t_next
-        steps += 1
-        streak += 1
+        good = act[ok]
+        z[good] = corrected[converged]
+        t[good] = t_next[ok]
+        steps[good] += 1
+        streak[good] += 1
+        z_norm = _inf_norm(z[good])
+        blown = ~np.isfinite(z_norm) | (z_norm > cfg.max_norm)
+        fail(good[blown], PathStatus.DIVERGED)
+        good = good[~blown]
+        on_boundary = good[t[good] == eb]
+        boundary[on_boundary] = z[on_boundary]
+        has_boundary[on_boundary] = True
+        grow = good[streak[good] >= cfg.consecutive_successes_to_grow]
+        dt[grow] = np.minimum(dt[grow] * cfg.step_increase_factor, cfg.max_step)
+        streak[grow] = 0
 
-        z_norm = _inf_norm(z)
-        if not np.isfinite(z_norm) or z_norm > cfg.max_norm:
-            return fail(PathStatus.DIVERGED, t)
-        if cfg.check_residuals:
-            max_resid = max(max_resid, _inf_norm(h.evaluate(z, t)))
-        if t == cfg.endgame_boundary:
-            boundary_point = z.copy()
-        if streak >= cfg.consecutive_successes_to_grow:
-            dt = min(dt * cfg.step_increase_factor, cfg.max_step)
-            streak = 0
+        act = np.concatenate([retry, good[t[good] > tf]])
+        act.sort()
 
-    target = h.at(0.0)
-    z, sharpen_converged = _sharpen(target, z, cfg)
-    residual = _inf_norm(target.evaluate(z))
-    if not (np.all(np.isfinite(z)) and residual < 10 * cfg.newton_tol):
-        return fail(PathStatus.NEWTON_FAILURE, cfg.t_final)
-    return PathResult(
-        status=PathStatus.SUCCESS,
-        endpoint=z,
-        steps_taken=steps,
-        t_at_failure=None,
-        final_residual=residual,
-        condition_estimate=_condition_estimate(target.jacobian(z)),
-        sharpen_converged=sharpen_converged,
-        boundary_point=boundary_point,
-        max_residual_after_correct=max_resid,
-    )
+    done = np.array([b for b in range(n) if status[b] is None], dtype=np.intp)
+    residual = np.full(n, np.inf)
+    condition = np.full(n, np.inf)
+    sharpened = np.zeros(n, dtype=bool)
+    if done.size:
+        target = h.at(0.0)
+        z[done], sharpened[done] = _sharpen(target, z[done], cfg)
+        f, jac = target.eval_and_jac(z[done])
+        residual[done] = _inf_norm(f)
+        passed = np.isfinite(z[done]).all(axis=1) & (residual[done] < 10 * cfg.newton_tol)
+        fail(done[~passed], PathStatus.NEWTON_FAILURE)
+        condition[done[passed]] = _condition_estimate(jac[passed])
+        for b in done[passed]:
+            status[b] = PathStatus.SUCCESS
 
-
-def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
-    return [track_path(h, s, cfg) for s in starts]
+    results = []
+    for b in range(n):
+        ok = status[b] is PathStatus.SUCCESS
+        results.append(
+            PathResult(
+                status=status[b],
+                endpoint=z[b].copy() if ok else None,
+                steps_taken=int(steps[b]),
+                t_at_failure=None if ok else t_fail[b],
+                final_residual=float(residual[b]) if ok else np.inf,
+                condition_estimate=float(condition[b]) if ok else np.inf,
+                sharpen_converged=bool(sharpened[b]) if ok else False,
+                boundary_point=boundary[b].copy() if has_boundary[b] else None,
+                rejected_steps=int(attempts[b] - steps[b]),
+                newton_iters=int(newton_iters[b]),
+                min_dt=float(min_dt[b]),
+            )
+        )
+    return results
 
 
 def crossing_check(points, tol: float) -> list[tuple[int, int]]:
-    """Index pairs closer than tol in the inf-norm (suspected crossings)."""
-    pairs = []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if _inf_norm(np.asarray(points[i]) - np.asarray(points[j])) < tol:
-                pairs.append((i, j))
-    return pairs
+    """Index pairs (i < j, in row-major order) closer than tol in the
+    inf-norm: suspected crossings, or endpoints to merge."""
+    n = len(points)
+    if n < 2:
+        return []
+    p = np.array([np.asarray(q, dtype=complex) for q in points]).reshape(n, -1)
+    dist = np.zeros((n, n))
+    for k in range(p.shape[1]):
+        np.maximum(dist, np.abs(p[:, None, k] - p[None, :, k]), out=dist)
+    i, j = np.nonzero(np.triu(dist < tol, k=1))
+    return list(zip(i.tolist(), j.tolist()))
 
 
 @dataclass(frozen=True)
@@ -361,11 +413,8 @@ def classify_endpoints(
             a = parent[a]
         return a
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            di = _inf_norm(good[i].endpoint - good[j].endpoint)
-            if di < dedup_tol:
-                parent[find(i)] = find(j)
+    for i, j in crossing_check([r.endpoint for r in good], dedup_tol):
+        parent[find(i)] = find(j)
 
     clusters: dict[int, list[int]] = {}
     for i in range(n):

@@ -222,6 +222,21 @@ def test_solve_step1_only_and_reuse(tmp_path, caplog):
     assert np.array_equal(header.p0, r1.p0)
 
 
+def test_load_step1_without_path_statuses(tmp_path):
+    inp = _write_input(tmp_path)
+    out = tmp_path / "run"
+    assert main(["solve", inp, "--out", str(out), "--step1-only"]) == 0
+    doc = json.loads((out / "step1.json").read_text())
+    assert doc["path_statuses"] == {"success": 6}
+    # an artifact written before the counts were recorded still loads
+    del doc["path_statuses"]
+    (out / "step1.json").write_text(json.dumps(doc))
+    sysm = parse_input_file(CUBE_INPUT).system
+    r1 = load_step1(out / "step1.json", sysm)
+    assert r1.path_statuses == ()
+    assert r1.n_solutions == 6
+
+
 def test_solve_reads_stdin(tmp_path, monkeypatch):
     import io
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,22 @@ def test_step1_cube(cube_system):
         [r ** (1 / 6) * np.exp(1j * (phi + 2 * np.pi * k) / 6)] for k in range(6)
     ]
     assert set_distance(r1.solutions.distinct, expected) < 1e-8
+
+
+def test_step1_path_statuses_account_for_every_path(monks_system):
+    r1 = step1(monks_system, CFG, np.random.default_rng(11))
+    counts = dict(r1.path_statuses)
+    assert sum(counts.values()) == r1.paths_tracked_step1 == 81
+    assert counts["success"] >= r1.n_solutions
+
+
+def test_step1_warns_on_unexplained_shortfall(quad_system, caplog):
+    # a one-attempt budget stops every path with MAX_STEPS, not divergence
+    with caplog.at_level(logging.WARNING, logger="paramsweep"):
+        with pytest.raises(Step1Empty):
+            step1(quad_system, TrackerConfig(max_steps=1), np.random.default_rng(17))
+    assert "0 of 2 paths succeeded" in caplog.text
+    assert "max_steps:2" in caplog.text
 
 
 def test_step1_user_supplied_p0(quad_system):

@@ -1,19 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from paramsweep.poly import instantiate, parse_system
+from paramsweep.poly import InstantiatedSystem, instantiate, parse_system
 from paramsweep.startsys import build_homotopy, random_gamma, total_degree_start
 from paramsweep.tracker import (
     PathStatus,
     TrackerConfig,
+    _euler_predict,
+    _newton_correct,
     classify_endpoints,
     crossing_check,
-    euler_predict,
-    newton_correct,
     track_many,
-    track_path,
 )
-from conftest import set_distance
+from conftest import MONKS_TEXT, set_distance
 
 QUAD = parse_system("variable z; parameter p; function f; f = z^2 - p;")
 
@@ -25,16 +26,34 @@ def _quad_homotopy(p_target=4.0, p_source=1.0):
     )
 
 
+def _predict(h, z, t, dt):
+    """The batched predictor on a batch of one point."""
+    z, ok = _euler_predict(h, np.array([z]), np.array([t]), np.array([dt]))
+    return z[0], bool(ok[0])
+
+
+def _correct(sys, z, cfg):
+    """The batched corrector on a batch of one point."""
+    one = InstantiatedSystem(sys.structure, sys.coeffs[None, :])
+    z, converged, iters = _newton_correct(one, np.array([z]), cfg)
+    return z[0], bool(converged[0]), int(iters[0])
+
+
+def _track_one(h, start, cfg):
+    return track_many(h, [start], cfg)[0]
+
+
 def test_euler_predict_hand_value():
     h = _quad_homotopy()
-    z = euler_predict(h, np.array([1.0 + 0j]), t=1.0, dt=-0.5)
+    z, ok = _predict(h, np.array([1.0 + 0j]), t=1.0, dt=-0.5)
+    assert ok
     assert z[0] == pytest.approx(1.75)
 
 
 def test_euler_predict_zero_dt():
     h = _quad_homotopy()
     z0 = np.array([1.0 + 0j])
-    assert np.array_equal(euler_predict(h, z0, 1.0, 0.0), z0)
+    assert np.array_equal(_predict(h, z0, 1.0, 0.0)[0], z0)
 
 
 def test_euler_predict_exact_for_linear_homotopy():
@@ -44,45 +63,45 @@ def test_euler_predict_exact_for_linear_homotopy():
         instantiate(lin, np.array([4.0 + 0j])),
         instantiate(lin, np.array([1.0 + 0j])),
     )
-    z = euler_predict(h, np.array([1.0 + 0j]), t=1.0, dt=-0.4)
+    z, _ = _predict(h, np.array([1.0 + 0j]), t=1.0, dt=-0.4)
     assert abs(h.evaluate(z, 0.6)[0]) < 1e-12
 
 
-def test_euler_predict_singular_jacobian_raises():
+def test_euler_predict_singular_jacobian_flagged():
     h = _quad_homotopy()
-    with pytest.raises(np.linalg.LinAlgError):
-        euler_predict(h, np.array([0j]), 1.0, -0.1)
+    _, ok = _predict(h, np.array([0j]), 1.0, -0.1)
+    assert not ok
 
 
 def test_newton_correct_first_iterate_and_convergence():
     target = instantiate(QUAD, np.array([2.5 + 0j]))
-    one = newton_correct(target, np.array([1.75 + 0j]), TrackerConfig(max_newton_iters=1))
-    assert one.point[0] == pytest.approx(1.5892857142857142)
-    assert not one.converged
-    full = newton_correct(target, np.array([1.75 + 0j]), TrackerConfig(max_newton_iters=8))
-    assert full.converged
-    assert full.point[0] == pytest.approx(1.5811388300841898, abs=1e-10)
+    z, converged, _ = _correct(target, np.array([1.75 + 0j]), TrackerConfig(max_newton_iters=1))
+    assert z[0] == pytest.approx(1.5892857142857142)
+    assert not converged
+    z, converged, _ = _correct(target, np.array([1.75 + 0j]), TrackerConfig(max_newton_iters=8))
+    assert converged
+    assert z[0] == pytest.approx(1.5811388300841898, abs=1e-10)
 
 
 def test_newton_correct_exact_root_unchanged():
     target = instantiate(QUAD, np.array([4.0 + 0j]))
-    res = newton_correct(target, np.array([2.0 + 0j]), TrackerConfig())
-    assert res.converged
-    assert res.iterations == 0
-    assert res.point[0] == 2.0 + 0j
+    z, converged, iters = _correct(target, np.array([2.0 + 0j]), TrackerConfig())
+    assert converged
+    assert iters == 0
+    assert z[0] == 2.0 + 0j
 
 
 def test_newton_correct_double_root_fails():
     target = instantiate(QUAD, np.array([0j]))  # z^2
-    res = newton_correct(target, np.array([1.0 + 0j]), TrackerConfig(max_newton_iters=3))
-    assert not res.converged
+    _, converged, _ = _correct(target, np.array([1.0 + 0j]), TrackerConfig(max_newton_iters=3))
+    assert not converged
 
 
 def test_track_path_both_roots():
     h = _quad_homotopy()
     cfg = TrackerConfig()
-    up = track_path(h, np.array([1.0 + 0j]), cfg)
-    down = track_path(h, np.array([-1.0 + 0j]), cfg)
+    up = _track_one(h, np.array([1.0 + 0j]), cfg)
+    down = _track_one(h, np.array([-1.0 + 0j]), cfg)
     assert up.status is PathStatus.SUCCESS
     assert down.status is PathStatus.SUCCESS
     assert abs(up.endpoint[0] - 2.0) < 1e-8
@@ -110,7 +129,7 @@ def test_track_path_divergence():
         instantiate(lin, np.array([0j])),
         instantiate(lin, np.array([1.0 + 0j])),
     )
-    res = track_path(h, np.array([1.0 + 0j]), TrackerConfig())
+    res = _track_one(h, np.array([1.0 + 0j]), TrackerConfig())
     assert res.status in (PathStatus.DIVERGED, PathStatus.MIN_STEP)
     if res.status is PathStatus.DIVERGED:
         assert 0 < res.t_at_failure <= 1
@@ -120,8 +139,8 @@ def test_track_path_divergence():
 def test_track_path_deterministic_bitwise():
     h = _quad_homotopy(p_target=2.0 + 1.5j, p_source=0.3 - 0.2j)
     cfg = TrackerConfig()
-    a = track_path(h, np.array([1.0 + 0j]), cfg)
-    b = track_path(h, np.array([1.0 + 0j]), cfg)
+    a = _track_one(h, np.array([1.0 + 0j]), cfg)
+    b = _track_one(h, np.array([1.0 + 0j]), cfg)
     assert a.status == b.status
     assert a.steps_taken == b.steps_taken
     assert np.array_equal(a.endpoint, b.endpoint)
@@ -130,19 +149,98 @@ def test_track_path_deterministic_bitwise():
 
 
 def test_residual_bounded_after_corrections():
+    # the boundary point is a corrected iterate, so it lies on the path
     h = _quad_homotopy(p_target=3.0 + 0.5j)
-    cfg = TrackerConfig(check_residuals=True)
-    res = track_path(h, np.array([1.0 + 0j]), cfg)
+    cfg = TrackerConfig()
+    res = _track_one(h, np.array([1.0 + 0j]), cfg)
     assert res.status is PathStatus.SUCCESS
-    assert res.max_residual_after_correct < 100 * cfg.newton_tol
+    assert abs(h.evaluate(res.boundary_point, cfg.endgame_boundary)[0]) < 100 * cfg.newton_tol
 
 
 def test_boundary_point_recorded():
     h = _quad_homotopy()
-    res = track_path(h, np.array([1.0 + 0j]), TrackerConfig())
+    res = _track_one(h, np.array([1.0 + 0j]), TrackerConfig())
     assert res.boundary_point is not None
     # on the path z(t) = sqrt(4 - 3t), at the endgame boundary t = 0.1
     assert abs(res.boundary_point[0] - np.sqrt(4 - 3 * 0.1)) < 1e-8
+
+
+def _same_result(a, b):
+    """Field-by-field, bit-for-bit equality of two PathResults."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if x is None or y is None or not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+# p*z^3 + z^2 - q from (p, q) = (0.8+0.6i, 1-0.5i) to (0, 4): two roots
+# reach +-2 and the third goes to infinity; at z = 0 the Jacobian
+# 3p z^2 + 2z vanishes, so every prediction from there fails
+CUBIC = parse_system("variable z; parameter p, q; function f; f = p*z^3 + z^2 - q;")
+
+
+def test_batch_invariance_mixed_batch():
+    p, q = 0.8 + 0.6j, 1.0 - 0.5j
+    h = build_homotopy(
+        instantiate(CUBIC, np.array([0j, 4.0 + 0j])),
+        instantiate(CUBIC, np.array([p, q])),
+    )
+    roots = np.roots([p, 1.0, 0.0, -q])
+    starts = [np.array([r], dtype=complex) for r in roots] + [np.array([0j])]
+    cfg = TrackerConfig()
+    batch = track_many(h, starts, cfg)
+    statuses = [r.status for r in batch]
+    assert statuses.count(PathStatus.SUCCESS) == 2
+    assert statuses.count(PathStatus.DIVERGED) == 1
+    assert statuses[-1] is PathStatus.MIN_STEP  # the singular start
+    for start, got in zip(starts, batch):
+        assert _same_result(got, _track_one(h, start, cfg))
+    # a budget that the converging paths fit in but the diverging one not
+    tight = TrackerConfig(max_steps=40)
+    batch = track_many(h, starts, tight)
+    statuses = [r.status for r in batch]
+    assert statuses.count(PathStatus.SUCCESS) == 2
+    assert statuses.count(PathStatus.MAX_STEPS) == 1
+    assert statuses[-1] is PathStatus.MIN_STEP
+    for start, got in zip(starts, batch):
+        assert _same_result(got, _track_one(h, start, tight))
+
+
+def test_batch_order_invariance_wave_amplitude():
+    sysm = parse_system(MONKS_TEXT)
+    rng = np.random.default_rng(3)
+    start = total_degree_start([3, 3, 3, 3])
+    h = build_homotopy(
+        instantiate(sysm, np.array([2.0 + 0.5j, 5.0 - 0.3j, 3.0 + 0.2j])),
+        start,
+        random_gamma(rng),
+    )
+    starts = start.solutions()[::9]
+    cfg = TrackerConfig()
+    forward = track_many(h, starts, cfg)
+    backward = track_many(h, starts[::-1], cfg)[::-1]
+    assert all(_same_result(a, b) for a, b in zip(forward, backward))
+    assert _same_result(forward[4], _track_one(h, starts[4], cfg))
+
+
+def test_per_path_counters():
+    h = _quad_homotopy()
+    cfg = TrackerConfig()
+    good, stuck = track_many(h, [np.array([1.0 + 0j]), np.array([0j])], cfg)
+    assert good.status is PathStatus.SUCCESS
+    assert good.newton_iters >= 1
+    assert good.min_dt <= cfg.initial_step
+    # every attempt from z = 0 fails on the singular Jacobian, halving dt
+    # from 0.1 until it drops below min_step
+    assert stuck.status is PathStatus.MIN_STEP
+    assert stuck.steps_taken == 0 and stuck.newton_iters == 0
+    halvings = int(np.ceil(np.log2(cfg.initial_step / cfg.min_step)))
+    assert stuck.rejected_steps == halvings
+    assert stuck.min_dt == cfg.initial_step * 0.5 ** (halvings - 1)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -194,9 +292,25 @@ def test_classify_sixth_roots_of_unity():
     assert cls.n_real == 2  # only +1 and -1 are real
 
 
+def test_classify_merges_transitive_chain():
+    # a~b and b~c within dedup_tol, a and c not: union-find merges all three
+    h = _quad_homotopy()
+    base = _track_one(h, np.array([1.0 + 0j]), TrackerConfig())
+    chain = [
+        dataclasses.replace(base, endpoint=base.endpoint + shift, final_residual=res)
+        for shift, res in ((0.0, 3e-16), (0.7e-6, 1e-16), (1.4e-6, 2e-16))
+    ]
+    assert crossing_check([r.endpoint for r in chain], 1e-6) == [(0, 1), (1, 2)]
+    cls = classify_endpoints(chain, dedup_tol=1e-6)
+    assert len(cls) == 1
+    assert cls.multiplicities == (3,)
+    assert cls.singular_flags == (True,)
+    assert np.array_equal(cls.distinct[0], chain[1].endpoint)
+
+
 def test_classify_merges_nearby_endpoints():
     h = _quad_homotopy()
-    base = track_path(h, np.array([1.0 + 0j]), TrackerConfig())
+    base = _track_one(h, np.array([1.0 + 0j]), TrackerConfig())
     shifted = type(base)(
         status=base.status,
         endpoint=base.endpoint + 1e-10,
