@@ -29,7 +29,6 @@ __all__ = [
     "PointRecord",
     "serialize_record",
     "parse_records",
-    "record_from_point_result",
     "point_result_from_record",
     "write_collected",
     "read_collected",
@@ -66,8 +65,9 @@ def _floats(vec: np.ndarray) -> str:
 
 
 def _complexes(tokens: list[str]) -> np.ndarray:
-    vals = [float(t) for t in tokens]
-    return np.array(vals[0::2]) + 1j * np.array(vals[1::2])
+    # a view keeps each (re, im) pair as written; re + 1j*im would turn
+    # an imaginary -0.0 into 0.0 and an infinite one into a nan real part
+    return np.array([float(t) for t in tokens]).view(complex)
 
 
 def _kinds_str(kinds) -> str:
@@ -180,37 +180,6 @@ def parse_records(text: str, tolerate_truncation: bool = False) -> list[PointRec
         )
         i += 1 + nsols
     return records
-
-
-def record_from_point_result(pr: PointResult, round_no: int = 0) -> PointRecord:
-    sols = tuple(
-        SolutionRecord(
-            coords=np.asarray(c, dtype=complex),
-            singular=s,
-            real=r,
-            multiplicity=m,
-            residual=res,
-        )
-        for c, s, r, m, res in zip(
-            pr.solutions.distinct,
-            pr.solutions.singular_flags,
-            pr.solutions.real_flags,
-            pr.solutions.multiplicities,
-            pr.solutions.residuals,
-        )
-    )
-    return PointRecord(
-        index=pr.index,
-        round=round_no,
-        status=pr.status.value,
-        retries=pr.retries_used,
-        failures=pr.path_failures,
-        diverged=pr.diverged_paths,
-        kinds=pr.failure_kinds,
-        params=pr.p,
-        solutions=sols,
-        note=pr.note,
-    )
 
 
 def point_result_from_record(rec: PointRecord) -> PointResult:

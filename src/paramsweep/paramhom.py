@@ -11,12 +11,16 @@ retried, since they normally reflect genuine geometry of the target.
 The path accounting is the whole economy of the method: a sweep of k
 points costs m + k*l paths (one generic solve of m paths plus l paths per
 point) instead of k*m for repeated one-off solves.
+
+This module holds the retry policy, ``sweep_with_runner``, which decides
+each point's status from per-point summaries; the solutions never pass
+through it.  ``scheduler.run_parallel`` is the sweep entry point: it
+supplies the round runner and builds the results from the spill files.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,7 +55,6 @@ __all__ = [
     "step1",
     "verify_step1",
     "step2_single",
-    "run_sweep",
     "parameter_sweep_path_count",
     "repeated_homotopy_path_count",
 ]
@@ -285,45 +288,42 @@ def step2_single(
     )
 
 
-class _Attempt(NamedTuple):
-    outcome: Step2Outcome
+class PointSummary(NamedTuple):
+    """A round runner's report on one solved point.
+
+    The solutions themselves are in the spill record of (index, round);
+    this is all the retry policy needs.
+    """
+
+    index: int
+    round: int
+    failures: int
+    diverged: int
+    failure_kinds: tuple[tuple[str, int], ...]
+    paths_tracked: int
     track_seconds: float
     serialize_seconds: float
 
 
-# A round runner solves a set of targets from a common start point.  The
-# serial implementation below just loops; the scheduler substitutes a
-# parallel one with the same contract.
+class PointVerdict(NamedTuple):
+    """The coordinator's decision on one point.
+
+    ``round`` names the attempt that stands, whose spill record holds the
+    solutions; it is None for a point whose worker crashed.
+    """
+
+    index: int
+    p: np.ndarray
+    status: PointStatus
+    retries_used: int
+    note: str
+    round: int | None
+
+
+# A round runner solves a set of targets from a common start point and
+# maps each index to its PointSummary, or to a diagnostic string when the
+# worker solving it crashed.
 RoundRunner = Callable[[int, list[int], np.ndarray, ClassifiedSolutions], dict]
-
-
-def _serial_round_runner(
-    sys: ParamSystem,
-    points: Sequence[np.ndarray],
-    cfg: TrackerConfig,
-    dedup_tol: float,
-    real_tol: float,
-    fault: FaultInjection | None,
-) -> RoundRunner:
-    def run(round_no: int, indices: list[int], from_point, from_solutions) -> dict:
-        out: dict[int, _Attempt] = {}
-        for idx in indices:
-            inject = fault is not None and round_no == 0 and idx in fault.indices
-            t0 = time.perf_counter()
-            outcome = step2_single(
-                sys,
-                from_point,
-                from_solutions,
-                points[idx],
-                cfg,
-                dedup_tol,
-                real_tol,
-                force_first_failure=inject,
-            )
-            out[idx] = _Attempt(outcome, time.perf_counter() - t0, 0.0)
-        return out
-
-    return run
 
 
 def sweep_with_runner(
@@ -336,36 +336,41 @@ def sweep_with_runner(
     round_runner: RoundRunner,
     dedup_tol: float = DEFAULT_DEDUP_TOL,
     real_tol: float = DEFAULT_REAL_TOL,
-) -> SweepResult:
-    """Shared sweep skeleton: the initial pass plus the mitigation loop.
+) -> tuple[list[PointVerdict], int, list[TimingRecord]]:
+    """The retry policy: the initial pass plus the mitigation loop.
 
     The random p' draws happen here, on the coordinating side, so the
     result is independent of how the round runner schedules its work.
+    Returns the verdict per point, the total path count and the timings.
     """
     n_points = len(points)
     total_paths = r1.paths_tracked_step1
-    attempts: dict[int, Step2Outcome] = {}
+    summaries: dict[int, PointSummary] = {}
     retries = dict.fromkeys(range(n_points), 0)
     notes = dict.fromkeys(range(n_points), "")
     timings: list[TimingRecord] = []
 
     def absorb(result_map: dict) -> None:
         nonlocal total_paths
-        for idx, att in result_map.items():
-            if isinstance(att.outcome, str):  # crash diagnostic from runner
-                notes[idx] = att.outcome
-                attempts[idx] = _empty_outcome(len(r1.solutions))
+        for idx, res in result_map.items():
+            if isinstance(res, str):  # crash diagnostic from runner
+                notes[idx] = res
+                summaries.pop(idx, None)
+                timings.append(TimingRecord(idx, 0.0, 0.0))
             else:
-                attempts[idx] = att.outcome
-            total_paths += attempts[idx].paths_tracked
-            timings.append(TimingRecord(idx, att.track_seconds, att.serialize_seconds))
+                summaries[idx] = res
+                total_paths += res.paths_tracked
+                timings.append(TimingRecord(idx, res.track_seconds, res.serialize_seconds))
+
+    def retry_targets(indices) -> list[int]:
+        # a point whose batch crashed twice is reported, not retried
+        return [i for i in indices if not notes[i] and summaries[i].failures > 0]
 
     absorb(round_runner(0, list(range(n_points)), r1.p0, r1.solutions))
-    failed = {i for i in range(n_points) if attempts[i].failures > 0 or notes[i]}
-    crashed = {i for i in range(n_points) if notes[i]}
+    targets = retry_targets(range(n_points))
 
     k = 0
-    while failed - crashed and k < max_retries:
+    while targets and k < max_retries:
         p_prime = random_parameter_point(sys.n_params, rng)
         prime = step2_single(sys, r1.p0, r1.solutions, p_prime, cfg, dedup_tol, real_tol)
         total_paths += prime.paths_tracked
@@ -377,82 +382,31 @@ def sweep_with_runner(
                 k,
             )
             continue
-        targets = sorted(failed - crashed)
-        result_map = round_runner(k, targets, p_prime, s_prime)
         for idx in targets:
-            old = attempts.get(idx)
             retries[idx] += 1
-            if old is not None:
-                log.debug(
-                    "retry %d of point %d: replacing %d solutions with %d",
-                    k, idx, len(old.solutions), len(result_map[idx].outcome.solutions)
-                    if not isinstance(result_map[idx].outcome, str)
-                    else -1,
-                )
-        absorb(result_map)
-        failed = {i for i in targets if attempts[i].failures > 0 or notes[i]}
-        crashed |= {i for i in targets if notes[i]}
+        absorb(round_runner(k, targets, p_prime, s_prime))
+        targets = retry_targets(targets)
 
-    results = []
-    unresolved = []
+    verdicts = []
     for i in range(n_points):
-        out = attempts[i]
-        if i in failed or i in crashed or out.failures > 0:
+        summary = summaries.get(i)
+        if summary is None or summary.failures > 0:
             status = PointStatus.UNRESOLVED
-            unresolved.append(i)
-        elif out.diverged > 0:
+        elif summary.diverged > 0:
             status = PointStatus.HAD_FAILURES
         else:
             status = PointStatus.COMPLETE
-        results.append(
-            PointResult(
+        verdicts.append(
+            PointVerdict(
                 index=i,
                 p=np.asarray(points[i], dtype=complex),
-                solutions=out.solutions,
                 status=status,
                 retries_used=retries[i],
-                path_failures=out.failures,
-                diverged_paths=out.diverged,
-                failure_kinds=out.failure_kinds,
                 note=notes[i],
+                round=None if summary is None else summary.round,
             )
         )
-    return SweepResult(
-        point_results=results,
-        total_paths_tracked=total_paths,
-        unresolved_indices=unresolved,
-        timings=timings,
-    )
-
-
-def _empty_outcome(n_paths: int) -> Step2Outcome:
-    return Step2Outcome(
-        solutions=ClassifiedSolutions((), (), (), (), (), 0),
-        failures=n_paths,
-        diverged=0,
-        paths_tracked=0,
-        failure_kinds=(),
-    )
-
-
-def run_sweep(
-    sys: ParamSystem,
-    r1: Step1Result,
-    points: Sequence[np.ndarray],
-    cfg: TrackerConfig,
-    max_retries: int,
-    rng: np.random.Generator,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-    real_tol: float = DEFAULT_REAL_TOL,
-    fault_injection: FaultInjection | None = None,
-) -> SweepResult:
-    """Serial sweep over the given parameter points."""
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    runner = _serial_round_runner(sys, points, cfg, dedup_tol, real_tol, fault_injection)
-    return sweep_with_runner(
-        sys, r1, points, cfg, max_retries, rng, runner, dedup_tol, real_tol
-    )
+    return verdicts, total_paths, timings
 
 
 def parameter_sweep_path_count(m: int, k: int, l: int) -> int:

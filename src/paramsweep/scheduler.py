@@ -1,4 +1,4 @@
-"""Head-worker parallel execution of the Step 2 sweep.
+"""Head-worker execution of the Step 2 sweep: the one round runner.
 
 A single coordinator hands batches of parameter points to worker
 processes on demand (a worker asks for more by reporting its finished
@@ -7,16 +7,20 @@ kill messages once the queue drains.  Workers solve their batch points
 via ``step2_single``, serialize each result record, and append it to an
 in-memory buffer that is flushed to a per-worker spill file
 ``step2_worker<k>.part`` whenever it exceeds the configured threshold
-(64 MB by default).  After the sweep the coordinator merges the spill
-files into the collected data file and deletes them.
+(64 MB by default), and always before the batch is reported done.  The
+report carries a compact summary per point (failure counts, paths
+tracked, timings), which is all the retry policy
+(``paramhom.sweep_with_runner``) needs: the spill files are the only
+store of the solutions.  After the sweep the coordinator merges the
+spill files into the collected data file, newest round first, builds
+the sweep's point results from the merged records, and deletes the spill
+files.  With one worker no process is started, and the coordinator runs
+each batch itself through the same batch function.
 
 A crashed worker's in-flight batch is requeued once to a replacement
 worker; if it crashes again, its points are marked Unresolved with a
 diagnostic note.  All random draws happen at the coordinator, so the
 solution sets are independent of worker count and scheduling order.
-
-``workers=1`` runs the same batch/buffer/spill code path in-process and
-serves as the deterministic serial baseline.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import queue as queue_mod
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,17 +41,19 @@ from paramsweep.datafile import (
     PointRecord,
     SolutionRecord,
     parse_records,
-    record_from_point_result,
+    point_result_from_record,
     serialize_record,
     write_collected,
 )
 from paramsweep.paramhom import (
     FaultInjection,
+    PointStatus,
+    PointSummary,
+    PointVerdict,
     Step1Result,
     Step2Outcome,
     SweepResult,
     TimingRecord,
-    _Attempt,
     step2_single,
     sweep_with_runner,
 )
@@ -154,49 +160,72 @@ def _attempt_record(
     )
 
 
-def _solve_and_spill(
-    sysm: ParamSystem,
-    cfg: TrackerConfig,
-    dedup_tol: float,
-    real_tol: float,
-    fault: FaultInjection | None,
-    round_no: int,
-    idx: int,
-    target: np.ndarray,
+@dataclass(frozen=True)
+class _Job:
+    """What solving any batch of the sweep needs, besides its round's start."""
+
+    sysm: ParamSystem
+    cfg: TrackerConfig
+    dedup_tol: float
+    real_tol: float
+    fault: FaultInjection | None
+    crash_indices: frozenset
+
+
+def _run_batch(
+    job: _Job,
+    batch: WorkBatch,
     from_point: np.ndarray,
-    starts,
+    starts: list,
     buf: ResultBuffer,
     sink,
-) -> tuple[Step2Outcome, float, float]:
-    inject = fault is not None and round_no == 0 and idx in fault.indices
-    t0 = time.perf_counter()
-    outcome = step2_single(
-        sysm,
-        from_point,
-        starts,
-        target,
-        cfg,
-        dedup_tol,
-        real_tol,
-        force_first_failure=inject,
-    )
-    t_track = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    data = serialize_record(_attempt_record(idx, round_no, target, outcome)).encode()
-    if buf.append(data):
-        flush_buffer(buf, sink)
-    t_ser = time.perf_counter() - t0
-    return outcome, t_track, t_ser
+) -> list[PointSummary]:
+    """Solve one batch, spill a record per point and summarize each point.
+
+    The buffer is flushed before returning, because the coordinator takes
+    a reported batch as stored: a worker that crashes later must not take
+    the records of its finished batches with it.
+    """
+    summaries = []
+    for idx, target in zip(batch.indices, batch.points):
+        if batch.round_no == 0 and idx in job.crash_indices:
+            os._exit(13)  # test hook: simulated worker crash
+        inject = job.fault is not None and batch.round_no == 0 and idx in job.fault.indices
+        t0 = time.perf_counter()
+        outcome = step2_single(
+            job.sysm,
+            from_point,
+            starts,
+            target,
+            job.cfg,
+            job.dedup_tol,
+            job.real_tol,
+            force_first_failure=inject,
+        )
+        t_track = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        data = serialize_record(_attempt_record(idx, batch.round_no, target, outcome)).encode()
+        if buf.append(data):
+            flush_buffer(buf, sink)
+        summaries.append(
+            PointSummary(
+                index=idx,
+                round=batch.round_no,
+                failures=outcome.failures,
+                diverged=outcome.diverged,
+                failure_kinds=outcome.failure_kinds,
+                paths_tracked=outcome.paths_tracked,
+                track_seconds=t_track,
+                serialize_seconds=time.perf_counter() - t0,
+            )
+        )
+    flush_buffer(buf, sink)
+    return summaries
 
 
 def _worker_main(
     wid: int,
-    sysm: ParamSystem,
-    cfg: TrackerConfig,
-    dedup_tol: float,
-    real_tol: float,
-    fault: FaultInjection | None,
-    crash_indices: frozenset,
+    job: _Job,
     part_path: str,
     buffer_threshold: int,
     inbox,
@@ -211,80 +240,48 @@ def _worker_main(
             msg = inbox.get()
             kind = msg[0]
             if kind == "kill":
-                flush_buffer(buf, sink)
                 outbox.put(("bye", wid))
                 return
             if kind == "round":
-                _, _round_no, from_point, starts = msg
+                _, from_point, starts = msg
                 continue
-            batch: WorkBatch = msg[1]
-            payload = []
-            for idx, target in zip(batch.indices, batch.points):
-                if batch.round_no == 0 and idx in crash_indices:
-                    os._exit(13)  # test hook: simulated worker crash
-                try:
-                    outcome, t_track, t_ser = _solve_and_spill(
-                        sysm, cfg, dedup_tol, real_tol, fault,
-                        batch.round_no, idx, target, from_point, starts, buf, sink,
-                    )
-                except OSError as exc:
-                    outbox.put(("fatal", wid, f"spill write failed: {exc}"))
-                    os._exit(3)
-                payload.append((idx, outcome, t_track, t_ser))
-            outbox.put(("done", wid, batch.round_no, payload))
+            try:
+                summaries = _run_batch(job, msg[1], from_point, starts, buf, sink)
+            except OSError as exc:
+                outbox.put(("fatal", wid, f"spill write failed: {exc}"))
+                os._exit(3)
+            outbox.put(("done", wid, summaries))
 
 
-class _InlinePool:
-    """Single-worker path: same batching, buffering, and spill files."""
-
-    def __init__(self, sysm, cfg, dedup_tol, real_tol, fault, part_dir,
-                 buffer_threshold, batch_size, points):
-        _limit_blas_threads()
-        self._solve_args = (sysm, cfg, dedup_tol, real_tol, fault)
-        self._points = points
-        self._batch_size = batch_size
-        self._buf = ResultBuffer(threshold=buffer_threshold)
-        self._sink = open(os.path.join(part_dir, "step2_worker0.part"), "ab")
-
-    def run_round(self, round_no, indices, from_point, from_solutions) -> dict:
-        starts = list(from_solutions.distinct)
-        size = self._batch_size or default_batch_size(len(indices), 1)
-        results: dict[int, _Attempt] = {}
-        indices = list(indices)
-        for lo in range(0, len(indices), size):
-            for idx in indices[lo : lo + size]:
-                outcome, t_track, t_ser = _solve_and_spill(
-                    *self._solve_args, round_no, idx, self._points[idx],
-                    from_point, starts, self._buf, self._sink,
-                )
-                results[idx] = _Attempt(outcome, t_track, t_ser)
-        return results
-
-    def shutdown(self):
-        if self._sink.closed:
-            return
-        try:
-            flush_buffer(self._buf, self._sink)
-        finally:
-            self._sink.close()
+def _part_path(part_dir: str, wid: int | str) -> str:
+    return os.path.join(part_dir, f"step2_worker{wid}.part")
 
 
-class _ProcessPool:
-    """Coordinator side of the head-worker protocol."""
+class _Pool:
+    """Coordinator side of the head-worker protocol.
 
-    def __init__(self, sysm, cfg, dedup_tol, real_tol, fault, crash_indices,
-                 n_workers, part_dir, buffer_threshold, batch_size, points):
-        methods = mp.get_all_start_methods()
-        self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-        self._worker_args = (sysm, cfg, dedup_tol, real_tol, fault, crash_indices)
+    With one worker no process is started: each batch runs here, through
+    the same ``_run_batch`` and into spill file 0.
+    """
+
+    def __init__(self, job, n_workers, part_dir, buffer_threshold, batch_size, points):
+        self._job = job
         self._part_dir = part_dir
         self._buffer_threshold = buffer_threshold
         self._batch_size = batch_size
         self._points = points
         self._n_target = n_workers
-        self._outbox = self._ctx.Queue()
         self._workers: dict[int, tuple] = {}  # wid -> (process, inbox)
         self._next_wid = 0
+        self._sink = None
+        if n_workers == 1:
+            _limit_blas_threads()
+            self._buf = ResultBuffer(threshold=buffer_threshold)
+            self._sink = open(_part_path(part_dir, 0), "ab")
+            return
+        methods = mp.get_all_start_methods()
+        self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+        self._outbox = self._ctx.Queue()
         for _ in range(n_workers):
             self._spawn()
 
@@ -292,11 +289,10 @@ class _ProcessPool:
         wid = self._next_wid
         self._next_wid += 1
         inbox = self._ctx.Queue()
-        part = os.path.join(self._part_dir, f"step2_worker{wid}.part")
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, *self._worker_args, part, self._buffer_threshold,
-                  inbox, self._outbox),
+            args=(wid, self._job, _part_path(self._part_dir, wid),
+                  self._buffer_threshold, inbox, self._outbox),
             daemon=True,
         )
         proc.start()
@@ -305,10 +301,6 @@ class _ProcessPool:
 
     def run_round(self, round_no, indices, from_point, from_solutions) -> dict:
         starts = list(from_solutions.distinct)
-        context = ("round", round_no, from_point, starts)
-        for _, inbox in self._workers.values():
-            inbox.put(context)
-
         size = self._batch_size or default_batch_size(len(indices), self._n_target)
         indices = list(indices)
         batches: deque[WorkBatch] = deque(
@@ -319,9 +311,20 @@ class _ProcessPool:
             )
             for lo in range(0, len(indices), size)
         )
+        results: dict[int, PointSummary | str] = {}
+        if self._sink is not None:
+            for batch in batches:
+                for summary in _run_batch(
+                    self._job, batch, from_point, starts, self._buf, self._sink
+                ):
+                    results[summary.index] = summary
+            return results
+
+        context = ("round", from_point, starts)
+        for _, inbox in self._workers.values():
+            inbox.put(context)
         dispatch_counts: dict[tuple, int] = {}
         in_flight: dict[int, WorkBatch] = {}
-        results: dict[int, _Attempt] = {}
         idle = list(self._workers)
 
         def dispatch():
@@ -347,7 +350,7 @@ class _ProcessPool:
                         f"(exit code {proc.exitcode})"
                     )
                     for idx in batch.indices:
-                        results[idx] = _Attempt(diag, 0.0, 0.0)
+                        results[idx] = diag
                 else:
                     batches.appendleft(batch)
                 new_wid = self._spawn()
@@ -364,9 +367,9 @@ class _ProcessPool:
                 continue
             kind = msg[0]
             if kind == "done":
-                _, wid, _rnd, payload = msg
-                for idx, outcome, t_track, t_ser in payload:
-                    results[idx] = _Attempt(outcome, t_track, t_ser)
+                _, wid, summaries = msg
+                for summary in summaries:
+                    results[summary.index] = summary
                 if wid in in_flight:
                     del in_flight[wid]
                 idle.append(wid)
@@ -378,6 +381,9 @@ class _ProcessPool:
         return results
 
     def shutdown(self):
+        if self._sink is not None:
+            self._sink.close()
+            return
         for _, inbox in self._workers.values():
             try:
                 inbox.put(("kill",))
@@ -396,12 +402,17 @@ def _merge_part_files(
     sysm: ParamSystem,
     r1: Step1Result,
     max_retries: int,
-    sweep: SweepResult,
+    verdicts: list[PointVerdict],
     collected_name: str,
     source: str,
-) -> str:
-    """Fold the spill files into one collected data file, newest round wins."""
-    parts = sorted(glob.glob(os.path.join(out_dir, "step2_worker*.part")))
+) -> list[PointRecord]:
+    """Fold the spill files into one collected data file and return its records.
+
+    Per point, the spill record of the newest round wins, under the status,
+    retry count and note the coordinator decided.  A point whose worker
+    crashed gets no solutions and counts every path as failed.
+    """
+    parts = sorted(glob.glob(_part_path(out_dir, "*")))
     latest: dict[int, PointRecord] = {}
     for path in parts:
         with open(path) as f:
@@ -410,18 +421,35 @@ def _merge_part_files(
                 if cur is None or rec.round > cur.round:
                     latest[rec.index] = rec
     final = []
-    for pr in sweep.point_results:
-        spill = latest.get(pr.index)
-        if spill is not None and not pr.note:
-            if len(spill.solutions) != len(pr.solutions.distinct):
-                raise RuntimeError(
-                    f"spill file and in-memory results disagree at point {pr.index}"
+    for v in verdicts:
+        spill = latest.get(v.index)
+        if v.round is None:
+            final.append(
+                PointRecord(
+                    index=v.index,
+                    round=spill.round if spill else 0,
+                    status=v.status.value,
+                    retries=v.retries_used,
+                    failures=len(r1.solutions),
+                    diverged=0,
+                    kinds=(),
+                    params=v.p,
+                    solutions=(),
+                    note=v.note,
                 )
-        final.append(record_from_point_result(pr, round_no=spill.round if spill else 0))
+            )
+        elif spill is None or spill.round != v.round:
+            raise RuntimeError(
+                f"spill files hold no round {v.round} record of point {v.index}"
+            )
+        else:
+            final.append(
+                replace(spill, status=v.status.value, retries=v.retries_used, note=v.note)
+            )
     header = CollectedHeader(
         n_vars=sysm.n_vars,
         n_params=sysm.n_params,
-        n_points=len(sweep.point_results),
+        n_points=len(verdicts),
         step1_paths=r1.paths_tracked_step1,
         seed=r1.seed,
         max_retries=max_retries,
@@ -429,11 +457,10 @@ def _merge_part_files(
         source=source,
         param_names=sysm.param_names,
     )
-    out_path = os.path.join(out_dir, collected_name)
-    write_collected(out_path, header, final)
+    write_collected(os.path.join(out_dir, collected_name), header, final)
     for path in parts:
         os.remove(path)
-    return out_path
+    return final
 
 
 def run_parallel(
@@ -453,15 +480,21 @@ def run_parallel(
     crash_injection: frozenset = frozenset(),
     source: str = "mesh",
 ) -> SweepResult:
-    """Parallel sweep with the same semantics (and results) as run_sweep.
+    """Step 2 sweep over the given parameter points, with ``workers``
+    processes, or in this process when ``workers`` is 1.
 
-    When ``out_dir`` is given, the per-worker spill files are merged there
-    into ``collected.dat`` and removed.  ``crash_injection`` (test hook)
-    simulates a worker crash at the given point indices and requires
-    ``workers >= 2``.
+    The point results are read back from the merged spill files.  When
+    ``out_dir`` is given, the merged ``collected.dat`` is left there;
+    otherwise the sweep works in a temporary directory.
+    ``crash_injection`` (test hook) simulates a worker crash at the given
+    point indices and requires ``workers >= 2``.
     """
     if workers < 1:
         raise ValueError("need at least one worker")
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     if crash_injection and workers < 2:
         raise ValueError("crash injection requires at least two workers")
     points = [np.asarray(p, dtype=complex) for p in points]
@@ -473,39 +506,37 @@ def run_parallel(
     else:
         os.makedirs(out_dir, exist_ok=True)
         part_dir = str(out_dir)
+    # spill files of an earlier, aborted sweep would be merged into this one
+    for path in glob.glob(_part_path(part_dir, "*")):
+        os.remove(path)
 
-    if workers == 1:
-        pool = _InlinePool(
-            sysm, cfg, dedup_tol, real_tol, fault_injection,
-            part_dir, buffer_threshold, batch_size, points,
-        )
-    else:
-        pool = _ProcessPool(
-            sysm, cfg, dedup_tol, real_tol, fault_injection, crash_injection,
-            workers, part_dir, buffer_threshold, batch_size, points,
-        )
+    job = _Job(sysm, cfg, dedup_tol, real_tol, fault_injection, crash_injection)
+    pool = _Pool(job, workers, part_dir, buffer_threshold, batch_size, points)
     try:
-        sweep = sweep_with_runner(
-            sysm, r1, points, cfg, max_retries, rng, pool.run_round,
-            dedup_tol, real_tol,
-        )
-        pool.shutdown()  # includes each worker's final drain flush
-        if out_dir is not None:
-            _merge_part_files(
-                out_dir, sysm, r1, max_retries, sweep, COLLECTED_NAME, source
+        try:
+            verdicts, total_paths, timings = sweep_with_runner(
+                sysm, r1, points, cfg, max_retries, rng, pool.run_round,
+                dedup_tol, real_tol,
             )
+        finally:
+            pool.shutdown()
+        records = _merge_part_files(
+            part_dir, sysm, r1, max_retries, verdicts, COLLECTED_NAME, source
+        )
     except Exception as exc:
         if out_dir is not None:
-            marker = os.path.join(part_dir, PARTIAL_MARKER)
-            with open(marker, "w") as f:
+            with open(os.path.join(part_dir, PARTIAL_MARKER), "w") as f:
                 f.write(f"sweep aborted: {exc}\n")
-        try:
-            pool.shutdown()
-        except Exception:
-            pass
+        raise
+    finally:
         if tmp is not None:
             tmp.cleanup()
-        raise
-    if tmp is not None:
-        tmp.cleanup()
-    return sweep
+    point_results = [point_result_from_record(rec) for rec in records]
+    return SweepResult(
+        point_results=point_results,
+        total_paths_tracked=total_paths,
+        unresolved_indices=[
+            pr.index for pr in point_results if pr.status is PointStatus.UNRESOLVED
+        ],
+        timings=timings,
+    )

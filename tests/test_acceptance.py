@@ -25,7 +25,6 @@ from paramsweep.paramhom import (
     parameter_sweep_path_count,
     random_parameter_point,
     repeated_homotopy_path_count,
-    run_sweep,
     step1,
 )
 from paramsweep.poly import parse_system, variable_degrees
@@ -69,8 +68,9 @@ def test_criterion_2_univariate_oracle():
             rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
             for _ in range(50)
         ]
-        sweep = run_sweep(
-            sysd, r1, [np.array([c]) for c in cs], CFG, max_retries=0, rng=rng
+        sweep = run_parallel(
+            sysd, r1, [np.array([c]) for c in cs], CFG, max_retries=0, workers=1,
+            rng=rng,
         )
         for c, pr in zip(cs, sweep.point_results):
             assert pr.status is PointStatus.COMPLETE
@@ -114,7 +114,7 @@ def test_criterion_4_path_count_accounting():
     rng = np.random.default_rng(4)
     r1 = step1(sysq, CFG, rng)
     points = [random_parameter_point(1, rng) + 0.5 for _ in range(100)]
-    sweep = run_sweep(sysq, r1, points, CFG, max_retries=0, rng=rng)
+    sweep = run_parallel(sysq, r1, points, CFG, max_retries=0, workers=1, rng=rng)
     clean = not sweep.unresolved_indices and all(
         pr.path_failures == 0 for pr in sweep.point_results
     )
@@ -174,8 +174,8 @@ def test_criterion_5_cube_sweep(tmp_path):
         and injected.point_results[i].retries_used >= 1
         for i in (4, 11, 17)
     )
-    refused = run_sweep(
-        sysc, r1, list(points.points)[:5], CFG, max_retries=0,
+    refused = run_parallel(
+        sysc, r1, list(points.points)[:5], CFG, max_retries=0, workers=1,
         rng=np.random.default_rng(51), fault_injection=FaultInjection.at(2),
     )
     unresolved_ok = (
@@ -202,8 +202,8 @@ def test_criterion_6_mitigation_loop_semantics():
         rng = np.random.default_rng(6)
         r1 = step1(sysq, CFG, rng, seed=6)
         points = [random_parameter_point(1, rng) + 0.25 for _ in range(50)]
-        return run_sweep(
-            sysq, r1, points, CFG, max_retries=2, rng=rng,
+        return run_parallel(
+            sysq, r1, points, CFG, max_retries=2, workers=1, rng=rng,
             fault_injection=FaultInjection(frozenset(hit)),
         )
 
@@ -272,7 +272,7 @@ def test_criterion_8_generic_constancy():
     rng = np.random.default_rng(8)
     r1 = step1(sysz, CFG, rng)
     points = [random_parameter_point(1, rng) for _ in range(200)]
-    sweep = run_sweep(sysz, r1, points, CFG, max_retries=0, rng=rng)
+    sweep = run_parallel(sysz, r1, points, CFG, max_retries=0, workers=1, rng=rng)
     ok = all(
         pr.status is PointStatus.COMPLETE
         and len(pr.solutions) == 3

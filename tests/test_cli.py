@@ -14,7 +14,8 @@ from paramsweep.cli import (
 )
 from paramsweep.datafile import read_collected
 from paramsweep.mesh import MeshSpec, Range
-from paramsweep.paramhom import PointStatus, run_sweep, step1
+from paramsweep.paramhom import PointStatus, step1
+from paramsweep.scheduler import run_parallel
 from paramsweep.tracker import TrackerConfig
 
 CUBE_INPUT = """
@@ -172,6 +173,25 @@ def test_solve_missing_input_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-retries", "-1"], "max_retries must be >= 0"),
+        (["--batch-size", "-2", "--workers", "1"], "batch_size must be >= 1"),
+        (["--batch-size", "-2", "--workers", "2"], "batch_size must be >= 1"),
+    ],
+)
+def test_solve_rejects_bad_sweep_settings(tmp_path, capsys, caplog, flags, message):
+    inp = _write_input(tmp_path)
+    out = tmp_path / "bad"
+    with caplog.at_level(logging.ERROR, logger="paramsweep"):
+        code = main(["solve", inp, "--out", str(out), *flags])
+    assert code == 1
+    assert message in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "collected.dat").exists()
+
+
 def test_solve_exit_2_on_unresolved(tmp_path):
     inp = _write_input(tmp_path)
     out = tmp_path / "run2"
@@ -292,8 +312,8 @@ def test_failure_report_lists_singular_endpoint_without_retry(tmp_path, quad_sys
     # singular, but the point itself completes without retries
     rng = np.random.default_rng(5)
     r1 = step1(quad_system, TrackerConfig(), rng)
-    sweep = run_sweep(
-        quad_system, r1, [np.array([0j])], TrackerConfig(), 2, rng
+    sweep = run_parallel(
+        quad_system, r1, [np.array([0j])], TrackerConfig(), 2, workers=1, rng=rng
     )
     pr = sweep.point_results[0]
     assert pr.retries_used == 0
@@ -306,8 +326,8 @@ def test_cube_discriminant_target_reported_not_retried(cube_system, tmp_path):
     rng = np.random.default_rng(9)
     cfg = TrackerConfig()
     r1 = step1(cube_system, cfg, rng)
-    sweep = run_sweep(
-        cube_system, r1, [np.array([1.0 + 0j, 0j])], cfg, 3, rng
+    sweep = run_parallel(
+        cube_system, r1, [np.array([1.0 + 0j, 0j])], cfg, 3, workers=1, rng=rng
     )
     pr = sweep.point_results[0]
     assert pr.retries_used == 0

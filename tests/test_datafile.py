@@ -8,12 +8,10 @@ from paramsweep.datafile import (
     parse_records,
     point_result_from_record,
     read_collected,
-    record_from_point_result,
     serialize_record,
     write_collected,
 )
-from paramsweep.paramhom import PointResult, PointStatus
-from paramsweep.tracker import ClassifiedSolutions
+from paramsweep.paramhom import PointStatus
 
 
 def _sample_record(idx=3, note=""):
@@ -77,28 +75,32 @@ def test_truncated_tail_dropped_when_tolerated():
 
 
 def test_point_result_conversion_roundtrip():
-    pr = PointResult(
-        index=7,
-        p=np.array([0.1 + 0.9j]),
-        solutions=ClassifiedSolutions(
-            distinct=(np.array([2.0 + 0j]), np.array([-2.0 + 0j])),
-            singular_flags=(False, False),
-            real_flags=(True, True),
-            residuals=(1e-14, 2e-14),
-            multiplicities=(1, 1),
-            n_real=2,
-        ),
-        status=PointStatus.COMPLETE,
-        retries_used=0,
-        path_failures=0,
-        diverged_paths=0,
+    rec = _sample_record(idx=7, note="requeued once")
+    back = point_result_from_record(parse_records(serialize_record(rec))[0])
+    assert back.index == rec.index
+    assert back.status is PointStatus.COMPLETE
+    assert (back.retries_used, back.path_failures, back.diverged_paths) == (1, 0, 2)
+    assert back.failure_kinds == rec.kinds
+    assert back.note == rec.note
+    assert back.solutions.n_real == 1
+    assert back.solutions.singular_flags == (False, True)
+    assert back.solutions.multiplicities == (1, 2)
+    assert np.array_equal(back.solutions.distinct[0], rec.solutions[0].coords)
+    assert np.array_equal(back.p, rec.params)
+
+
+def test_complex_values_roundtrip_bit_for_bit():
+    coords = np.array([complex(1.5, -0.0), complex(-0.0, np.inf), complex(2.0, np.nan)])
+    rec = PointRecord(
+        index=0, round=0, status="attempt", retries=0, failures=0, diverged=0,
+        kinds=(), params=coords[:1],
+        solutions=(SolutionRecord(coords, False, False, 1, 1e-12),),
     )
-    back = point_result_from_record(record_from_point_result(pr))
-    assert back.index == pr.index
-    assert back.status is pr.status
-    assert back.solutions.n_real == 2
-    assert np.array_equal(back.solutions.distinct[0], pr.solutions.distinct[0])
-    assert np.array_equal(back.p, pr.p)
+    text = serialize_record(rec)
+    back = parse_records(text)[0]
+    assert serialize_record(back) == text
+    assert np.signbit(back.params[0].imag)
+    assert np.isinf(back.solutions[0].coords[1].imag)
 
 
 def test_collected_file_roundtrip(tmp_path):

@@ -10,12 +10,12 @@ from paramsweep.paramhom import (
     parameter_sweep_path_count,
     random_parameter_point,
     repeated_homotopy_path_count,
-    run_sweep,
     step1,
     step2_single,
     verify_step1,
 )
 from paramsweep.poly import parse_system
+from paramsweep.scheduler import run_parallel
 from paramsweep.tracker import TrackerConfig
 from conftest import set_distance
 
@@ -175,7 +175,7 @@ def test_run_sweep_three_points_accounting(quad_system):
     rng = np.random.default_rng(43)
     r1 = step1(quad_system, CFG, rng)
     points = [np.array([complex(v)]) for v in (1.0, 2.0, 3.0)]
-    sweep = run_sweep(quad_system, r1, points, CFG, max_retries=0, rng=rng)
+    sweep = run_parallel(quad_system, r1, points, CFG, max_retries=0, workers=1, rng=rng)
     assert [pr.status for pr in sweep.point_results] == [PointStatus.COMPLETE] * 3
     for pr, v in zip(sweep.point_results, (1.0, 2.0, 3.0)):
         assert set_distance(pr.solutions.distinct, [[np.sqrt(v)], [-np.sqrt(v)]]) < 1e-8
@@ -188,12 +188,13 @@ def test_run_sweep_injected_failure_resolved(quad_system):
     rng = np.random.default_rng(47)
     r1 = step1(quad_system, CFG, rng)
     points = [np.array([complex(v)]) for v in (1.0, 2.0, 3.0)]
-    sweep = run_sweep(
+    sweep = run_parallel(
         quad_system,
         r1,
         points,
         CFG,
         max_retries=2,
+        workers=1,
         rng=rng,
         fault_injection=FaultInjection.at(1),
     )
@@ -211,12 +212,13 @@ def test_run_sweep_unresolved_after_k_rounds(quad_system):
     rng = np.random.default_rng(53)
     r1 = step1(quad_system, CFG, rng)
     points = [np.array([1.0 + 0j])]
-    sweep = run_sweep(
+    sweep = run_parallel(
         quad_system,
         r1,
         points,
         CFG,
         max_retries=0,
+        workers=1,
         rng=rng,
         fault_injection=FaultInjection.at(0),
     )
@@ -231,7 +233,7 @@ def test_run_sweep_retry_bound_respected(quad_system):
     r1 = step1(quad_system, CFG, rng)
     points = [np.array([complex(v)]) for v in (1.0, 4.0)]
     for k in (0, 1, 3):
-        sweep = run_sweep(quad_system, r1, points, CFG, max_retries=k, rng=np.random.default_rng(7))
+        sweep = run_parallel(quad_system, r1, points, CFG, max_retries=k, workers=1, rng=np.random.default_rng(7))
         assert all(pr.retries_used <= k for pr in sweep.point_results)
 
 

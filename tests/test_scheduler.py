@@ -8,7 +8,6 @@ from paramsweep.mesh import MeshSpec, Range, generate_mesh
 from paramsweep.paramhom import (
     FaultInjection,
     PointStatus,
-    run_sweep,
     step1,
 )
 from paramsweep.scheduler import (
@@ -41,7 +40,9 @@ def test_worker_count_invariance(quad_setup):
             rng=np.random.default_rng(1),
         )
         runs[workers] = sweep
-    serial = run_sweep(sysq, r1, points, CFG, max_retries=0, rng=np.random.default_rng(1))
+    serial = run_parallel(
+        sysq, r1, points, CFG, max_retries=0, workers=1, rng=np.random.default_rng(1)
+    )
     for workers, sweep in runs.items():
         assert sweep.total_paths_tracked == serial.total_paths_tracked
         for pr_p, pr_s in zip(sweep.point_results, serial.point_results):
@@ -90,14 +91,14 @@ def test_collected_file_deterministic_for_single_worker(quad_setup, tmp_path):
 def test_collected_file_matches_across_worker_counts(quad_setup, tmp_path):
     sysq, r1, points = quad_setup
     blobs = []
-    for workers in (1, 2):
+    for workers in (1, 2, 4):
         out = tmp_path / f"w{workers}"
         run_parallel(
             sysq, r1, points, CFG, max_retries=0, workers=workers,
             rng=np.random.default_rng(1), out_dir=str(out),
         )
         blobs.append((out / "collected.dat").read_bytes())
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_mitigation_parallel_resolves_injected_failures(quad_setup):
@@ -133,6 +134,47 @@ def test_crash_requeue_then_unresolved(quad_setup, tmp_path):
     # merged output still contains one record per point
     _, records = read_collected(out / "collected.dat")
     assert len(records) == len(points)
+
+
+def test_crash_keeps_records_of_reported_batches(quad_setup, tmp_path):
+    # the last index is dispatched last, after both workers have reported
+    # one-point batches; the crashing worker's records of those batches
+    # must reach collected.dat from its spill file
+    sysq, r1, points = quad_setup
+    last = len(points) - 1
+    runs = {}
+    for name, crash in (("clean", frozenset()), ("crash", frozenset({last}))):
+        out = tmp_path / name
+        run_parallel(
+            sysq, r1, points, CFG, max_retries=0, workers=2,
+            rng=np.random.default_rng(1), batch_size=1, out_dir=str(out),
+            crash_injection=crash,
+        )
+        runs[name] = (out / "collected.dat").read_text()
+    clean = runs["clean"].split("\nP ")[1:]
+    crashed = runs["crash"].split("\nP ")[1:]
+    assert len(clean) == len(crashed) == len(points)
+    assert crashed[:last] == clean[:last]
+    assert "crash" in crashed[last]
+
+
+def test_stale_spill_files_are_not_merged(quad_setup, tmp_path):
+    sysq, r1, points = quad_setup
+    blobs = []
+    for sub in ("fresh", "stale"):
+        out = tmp_path / sub
+        out.mkdir()
+        if sub == "stale":
+            # an earlier, aborted sweep with other results left this behind
+            (out / "step2_worker0.part").write_text(
+                "P 0 5 attempt 0 0 0 - 0 9.0 0.0\n"
+            )
+        run_parallel(
+            sysq, r1, points, CFG, max_retries=0, workers=1,
+            rng=np.random.default_rng(1), out_dir=str(out),
+        )
+        blobs.append((out / "collected.dat").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_crash_injection_needs_two_workers(quad_setup):
