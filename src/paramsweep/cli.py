@@ -23,8 +23,10 @@ CONFIG accepts every TrackerConfig field plus the sweep settings ``seed``,
 ``workers``, ``max_retries``, ``batch_size``, ``buffer_mb``,
 ``verify_step1``, ``dedup_tol``, ``real_tol``, an inline start point
 ``p0: re im re im ...;`` and ``param_file: <path>;`` as the alternative to
-a MESH section (exactly one of the two must be present).  Command-line
-flags override CONFIG values.  ``%`` and ``#`` start comments.
+a MESH section (exactly one of the two must be present).  Booleans take
+1/0/true/false/yes/no/on/off in any case, and parameter values must be
+finite.  Command-line flags override CONFIG values.  ``%`` and ``#``
+start comments.
 
 A run directory receives::
 
@@ -34,6 +36,9 @@ A run directory receives::
     failure_report.txt  failed/retried/degenerate points
     timing_summary.txt  per-point wall-clock records
     real_counts.csv     grid export (mesh runs with --export-csv)
+
+``solve`` writes the exports from the sweep it holds; ``export`` writes
+the same bytes from ``collected.dat``.
 
 Exit codes: 0 success, 2 when any point is Unresolved, 1 on fatal errors.
 """
@@ -49,22 +54,19 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from paramsweep.datafile import (
-    CollectedHeader,
-    PointRecord,
-    read_collected,
-)
+from paramsweep.datafile import CollectedHeader, read_collected
 from paramsweep.mesh import (
     Fixed,
     MeshSpec,
     PointList,
     Range,
+    finite_float,
     generate_mesh,
-    index_to_multi,
     load_param_file,
 )
 from paramsweep.paramhom import (
     FaultInjection,
+    PointResult,
     PointStatus,
     Step1Result,
     SweepResult,
@@ -104,6 +106,10 @@ _SWEEP_KEYS = {
     "real_tol",
     "p0",
     "param_file",
+}
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
 }
 
 
@@ -178,8 +184,24 @@ def _parse_config_body(start: int, lines: list[str]) -> dict:
         key = key.strip().lower()
         if key not in _TRACKER_FIELDS and key not in _SWEEP_KEYS:
             raise InputError(f"line {lineno}: unknown config key {key!r}")
-        config[key] = value.strip()
+        value = value.strip()
+        if key == "p0":
+            try:
+                value = [finite_float(t) for t in value.split()]
+            except ValueError as exc:
+                raise InputError(f"line {lineno}: p0: {exc}") from exc
+        config[key] = value
     return config
+
+
+def _parse_bool(key: str, value: str) -> bool:
+    try:
+        return _BOOLEANS[value.strip().lower()]
+    except KeyError:
+        raise InputError(
+            f"config key {key!r} must be one of 1/0/true/false/yes/no/on/off, "
+            f"got {value!r}"
+        ) from None
 
 
 def _parse_mesh_body(
@@ -207,12 +229,14 @@ def _parse_mesh_body(
                     raise InputError(
                         f"line {lineno}: range needs '<min> <max> <count>'"
                     )
-                axes[name] = Range(float(toks[2]), float(toks[3]), int(toks[4]))
+                axes[name] = Range(
+                    finite_float(toks[2]), finite_float(toks[3]), int(toks[4])
+                )
             elif kind == "fixed":
                 if len(toks) not in (3, 4):
                     raise InputError(f"line {lineno}: fixed needs '<re> [<im>]'")
-                im = float(toks[3]) if len(toks) == 4 else 0.0
-                axes[name] = Fixed(complex(float(toks[2]), im))
+                im = finite_float(toks[3]) if len(toks) == 4 else 0.0
+                axes[name] = Fixed(complex(finite_float(toks[2]), im))
             else:
                 raise InputError(f"line {lineno}: expected 'range' or 'fixed'")
         except ValueError as exc:
@@ -237,13 +261,13 @@ def parse_input_file(text: str) -> InputFile:
 
     p0 = None
     if "p0" in config:
-        vals = [float(t) for t in config.pop("p0").split()]
+        vals = config.pop("p0")
         if len(vals) != 2 * system.n_params:
             raise InputError(
                 f"p0 needs {2 * system.n_params} numbers (re/im per parameter), "
                 f"got {len(vals)}"
             )
-        p0 = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
+        p0 = np.array(vals).view(complex)
 
     param_file = config.pop("param_file", None)
     mesh = None
@@ -266,7 +290,7 @@ def _build_tracker_config(config: dict, args) -> TrackerConfig:
             continue
         current = getattr(TrackerConfig, key)
         if isinstance(current, bool):
-            kwargs[key] = value.strip() in ("1", "true", "yes", "on")
+            kwargs[key] = _parse_bool(key, value)
         elif isinstance(current, int):
             kwargs[key] = int(value)
         else:
@@ -376,35 +400,29 @@ def load_step1(path, sysm: ParamSystem) -> Step1Result:
 
 
 def export_real_count_grid(
-    header: CollectedHeader,
-    records: list[PointRecord],
-    mesh: MeshSpec,
-    axes: tuple[int, ...] | None = None,
+    header: CollectedHeader, results: list[PointResult], mesh: MeshSpec
 ) -> str:
     """CSV of real-solution counts over the mesh, one row per grid point."""
     if header.source != "mesh":
         raise InputError("collected data came from a point file; no grid shape")
-    if mesh.size != len(records):
+    if mesh.size != len(results):
         raise InputError(
-            f"mesh has {mesh.size} points but collected data has {len(records)}"
+            f"mesh has {mesh.size} points but collected data has {len(results)}"
         )
-    if axes is None:
-        axes = tuple(
-            j for j, ax in enumerate(mesh.axes) if isinstance(ax, Range)
-        ) or tuple(range(mesh.n_params))
+    axes = tuple(
+        j for j, ax in enumerate(mesh.axes) if isinstance(ax, Range)
+    ) or tuple(range(mesh.n_params))
     names = header.param_names or tuple(f"p{j}" for j in range(mesh.n_params))
     out = [",".join([names[j] for j in axes] + ["n_solutions", "n_real", "status"])]
-    for idx, rec in enumerate(sorted(records, key=lambda r: r.index)):
-        index_to_multi(mesh, idx)  # bounds check: record count matches grid
-        coords = [repr(float(rec.params[j].real)) for j in axes]
-        n_real = sum(1 for s in rec.solutions if s.real)
-        out.append(
-            ",".join(coords + [str(len(rec.solutions)), str(n_real), rec.status])
-        )
+    for pr in sorted(results, key=lambda r: r.index):
+        coords = [repr(float(pr.p[j].real)) for j in axes]
+        out.append(",".join(coords + [
+            str(len(pr.solutions)), str(pr.solutions.n_real), pr.status.value,
+        ]))
     return "\n".join(out) + "\n"
 
 
-def export_solutions_json(header: CollectedHeader, records: list[PointRecord]) -> str:
+def export_solutions_json(header: CollectedHeader, results: list[PointResult]) -> str:
     """Full dump: every point, every solution as [re, im] arrays."""
     doc = {
         "version": 1,
@@ -419,25 +437,31 @@ def export_solutions_json(header: CollectedHeader, records: list[PointRecord]) -
         "p0": _pairs(header.p0),
         "points": [
             {
-                "index": rec.index,
-                "params": _pairs(rec.params),
-                "status": rec.status,
-                "retries": rec.retries,
-                "path_failures": rec.failures,
-                "diverged": rec.diverged,
-                "note": rec.note,
+                "index": pr.index,
+                "params": _pairs(pr.p),
+                "status": pr.status.value,
+                "retries": pr.retries_used,
+                "path_failures": pr.path_failures,
+                "diverged": pr.diverged_paths,
+                "note": pr.note,
                 "solutions": [
                     {
-                        "coords": _pairs(s.coords),
-                        "singular": s.singular,
-                        "real": s.real,
-                        "multiplicity": s.multiplicity,
-                        "residual": None if np.isinf(s.residual) else s.residual,
+                        "coords": _pairs(coords),
+                        "singular": bool(singular),
+                        "real": bool(real),
+                        "multiplicity": int(mult),
+                        "residual": None if np.isinf(res) else float(res),
                     }
-                    for s in rec.solutions
+                    for coords, singular, real, mult, res in zip(
+                        pr.solutions.distinct,
+                        pr.solutions.singular_flags,
+                        pr.solutions.real_flags,
+                        pr.solutions.multiplicities,
+                        pr.solutions.residuals,
+                    )
                 ],
             }
-            for rec in sorted(records, key=lambda r: r.index)
+            for pr in sorted(results, key=lambda r: r.index)
         ],
     }
     return json.dumps(doc, indent=1)
@@ -538,6 +562,8 @@ def _load_points(inp: InputFile, base_dir: str) -> PointList:
 def cmd_solve(args) -> int:
     text = _read_text(args.input)
     inp = parse_input_file(text)
+    if args.export_csv and inp.mesh is None:
+        raise InputError("--export-csv requires a MESH run")
     sysm = inp.system
     base_dir = os.path.dirname(os.path.abspath(args.input)) if args.input != "-" else "."
 
@@ -549,8 +575,8 @@ def cmd_solve(args) -> int:
     buffer_mb = _sweep_setting(inp.config, args, "buffer_mb", float, None)
     dedup_tol = _sweep_setting(inp.config, args, "dedup_tol", float, DEFAULT_DEDUP_TOL)
     real_tol = _sweep_setting(inp.config, args, "real_tol", float, DEFAULT_REAL_TOL)
-    do_verify = args.verify_step1 or inp.config.get("verify_step1", "0") in (
-        "1", "true", "yes", "on",
+    do_verify = args.verify_step1 or _parse_bool(
+        "verify_step1", inp.config.get("verify_step1", "0")
     )
     buffer_threshold = (
         DEFAULT_BUFFER_THRESHOLD if buffer_mb is None else int(buffer_mb * 2**20)
@@ -607,19 +633,15 @@ def cmd_solve(args) -> int:
         fault_injection=fault, source=points.source,
     )
 
-    header, records = read_collected(os.path.join(out_dir, "collected.dat"))
     with open(os.path.join(out_dir, "solutions.json"), "w") as f:
-        f.write(export_solutions_json(header, records))
+        f.write(export_solutions_json(sweep.header, sweep.point_results))
     with open(os.path.join(out_dir, "failure_report.txt"), "w") as f:
         f.write(write_failure_report(sweep))
     with open(os.path.join(out_dir, "timing_summary.txt"), "w") as f:
         f.write(write_timing_summary(sweep))
     if args.export_csv:
-        if inp.mesh is None:
-            log.error("--export-csv requires a MESH run")
-            return 1
         with open(os.path.join(out_dir, "real_counts.csv"), "w") as f:
-            f.write(export_real_count_grid(header, records, inp.mesh))
+            f.write(export_real_count_grid(sweep.header, sweep.point_results, inp.mesh))
 
     n_unresolved = len(sweep.unresolved_indices)
     log.info(

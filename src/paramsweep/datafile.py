@@ -1,8 +1,10 @@
 """Line-oriented text format for sweep records.
 
 One format serves both the per-worker spill files and the final collected
-data file.  Floats are written with ``repr``, so reading a file back
-reproduces every value exactly.
+data file, and each record is one ``paramhom.PointResult``: the worker
+writes the attempt it solved, the merge writes the result that stands,
+and both read back as ``PointResult``s.  Floats are written with
+``repr``, so reading a file back reproduces every value exactly.
 
 Record layout (one parameter point per record)::
 
@@ -25,39 +27,13 @@ from paramsweep.paramhom import PointResult, PointStatus
 from paramsweep.tracker import ClassifiedSolutions
 
 __all__ = [
-    "SolutionRecord",
-    "PointRecord",
     "serialize_record",
     "parse_records",
-    "point_result_from_record",
     "write_collected",
     "read_collected",
 ]
 
 FORMAT_HEADER = "# paramsweep collected v1"
-
-
-@dataclass(frozen=True)
-class SolutionRecord:
-    coords: np.ndarray
-    singular: bool
-    real: bool
-    multiplicity: int
-    residual: float
-
-
-@dataclass(frozen=True)
-class PointRecord:
-    index: int
-    round: int
-    status: str
-    retries: int
-    failures: int
-    diverged: int
-    kinds: tuple[tuple[str, int], ...]
-    params: np.ndarray
-    solutions: tuple[SolutionRecord, ...]
-    note: str = ""
 
 
 def _floats(vec: np.ndarray) -> str:
@@ -86,25 +62,28 @@ def _parse_kinds(tok: str) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
-def serialize_record(rec: PointRecord) -> str:
+def serialize_record(pr: PointResult) -> str:
+    sols = pr.solutions
     lines = [
-        f"P {rec.index} {rec.round} {rec.status} {rec.retries} {rec.failures} "
-        f"{rec.diverged} {_kinds_str(rec.kinds)} {len(rec.solutions)} "
-        f"{_floats(rec.params)}"
+        f"P {pr.index} {pr.round} {pr.status.value} {pr.retries_used} "
+        f"{pr.path_failures} {pr.diverged_paths} {_kinds_str(pr.failure_kinds)} "
+        f"{len(sols)} {_floats(pr.p)}"
     ]
-    for s in rec.solutions:
+    for coords, singular, real, mult, res in zip(
+        sols.distinct, sols.singular_flags, sols.real_flags,
+        sols.multiplicities, sols.residuals,
+    ):
         lines.append(
-            f"S {int(s.singular)} {int(s.real)} {s.multiplicity} "
-            f"{float(s.residual)!r} {_floats(s.coords)}"
+            f"S {int(singular)} {int(real)} {mult} {float(res)!r} {_floats(coords)}"
         )
-    if rec.note:
-        lines.append(f"D {rec.index} {rec.note}")
+    if pr.note:
+        lines.append(f"D {pr.index} {pr.note}")
     return "\n".join(lines) + "\n"
 
 
-def parse_records(text: str, tolerate_truncation: bool = False) -> list[PointRecord]:
+def parse_records(text: str, tolerate_truncation: bool = False) -> list[PointResult]:
     """Parse concatenated records; optionally drop a truncated tail."""
-    records: list[PointRecord] = []
+    records: list[PointResult] = []
     lines = text.splitlines()
     i = 0
 
@@ -129,7 +108,7 @@ def parse_records(text: str, tolerate_truncation: bool = False) -> list[PointRec
         toks = line.split()
         try:
             index, rnd = int(toks[1]), int(toks[2])
-            status = toks[3]
+            status = PointStatus(toks[3])
             retries, failures, diverged = int(toks[4]), int(toks[5]), int(toks[6])
             kinds = _parse_kinds(toks[7])
             nsols = int(toks[8])
@@ -138,7 +117,7 @@ def parse_records(text: str, tolerate_truncation: bool = False) -> list[PointRec
             if tolerate_truncation and i + 1 >= len(lines):
                 break
             raise bad(f"malformed point record: {exc}", i) from exc
-        sols = []
+        rows = []  # (coords, singular, real, residual, multiplicity)
         truncated = False
         for k in range(nsols):
             j = i + 1 + k
@@ -147,15 +126,13 @@ def parse_records(text: str, tolerate_truncation: bool = False) -> list[PointRec
                 break
             stoks = lines[j].split()
             try:
-                sols.append(
-                    SolutionRecord(
-                        coords=_complexes(stoks[5:]),
-                        singular=bool(int(stoks[1])),
-                        real=bool(int(stoks[2])),
-                        multiplicity=int(stoks[3]),
-                        residual=float(stoks[4]),
-                    )
-                )
+                rows.append((
+                    _complexes(stoks[5:]),
+                    bool(int(stoks[1])),
+                    bool(int(stoks[2])),
+                    float(stoks[4]),
+                    int(stoks[3]),
+                ))
             except (IndexError, ValueError) as exc:
                 if tolerate_truncation and j + 1 >= len(lines):
                     truncated = True
@@ -165,44 +142,24 @@ def parse_records(text: str, tolerate_truncation: bool = False) -> list[PointRec
             if tolerate_truncation:
                 break
             raise bad(f"record for point {index} is truncated", i)
+        distinct, singular, real, residuals, mults = tuple(zip(*rows)) or ((),) * 5
         records.append(
-            PointRecord(
+            PointResult(
                 index=index,
-                round=rnd,
+                p=params,
+                solutions=ClassifiedSolutions(
+                    distinct, singular, real, residuals, mults, n_real=sum(real)
+                ),
                 status=status,
-                retries=retries,
-                failures=failures,
-                diverged=diverged,
-                kinds=kinds,
-                params=params,
-                solutions=tuple(sols),
+                retries_used=retries,
+                path_failures=failures,
+                diverged_paths=diverged,
+                failure_kinds=kinds,
+                round=rnd,
             )
         )
         i += 1 + nsols
     return records
-
-
-def point_result_from_record(rec: PointRecord) -> PointResult:
-    real_flags = tuple(s.real for s in rec.solutions)
-    cls = ClassifiedSolutions(
-        distinct=tuple(s.coords for s in rec.solutions),
-        singular_flags=tuple(s.singular for s in rec.solutions),
-        real_flags=real_flags,
-        residuals=tuple(s.residual for s in rec.solutions),
-        multiplicities=tuple(s.multiplicity for s in rec.solutions),
-        n_real=sum(real_flags),
-    )
-    return PointResult(
-        index=rec.index,
-        p=rec.params,
-        solutions=cls,
-        status=PointStatus(rec.status),
-        retries_used=rec.retries,
-        path_failures=rec.failures,
-        diverged_paths=rec.diverged,
-        failure_kinds=rec.kinds,
-        note=rec.note,
-    )
 
 
 @dataclass(frozen=True)
@@ -218,7 +175,7 @@ class CollectedHeader:
     param_names: tuple[str, ...] = ()
 
 
-def write_collected(path, header: CollectedHeader, records) -> None:
+def write_collected(path, header: CollectedHeader, records: list[PointResult]) -> None:
     names = header.param_names or tuple(
         f"p{i}" for i in range(header.n_params)
     )
@@ -236,7 +193,7 @@ def write_collected(path, header: CollectedHeader, records) -> None:
             f.write(serialize_record(rec))
 
 
-def read_collected(path) -> tuple[CollectedHeader, list[PointRecord]]:
+def read_collected(path) -> tuple[CollectedHeader, list[PointResult]]:
     with open(path) as f:
         text = f.read()
     lines = text.splitlines()

@@ -11,11 +11,13 @@ point per line::
 
     0.5 0.0   1.0 -1.0      % point (0.5, 1-1j)
 
-Blank lines and lines starting with ``%`` or ``#`` are skipped.
+Blank lines and lines starting with ``%`` or ``#`` are skipped.  Every
+value must be finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,7 @@ __all__ = [
     "multi_to_index",
     "load_param_file",
     "format_param_file",
+    "finite_float",
 ]
 
 
@@ -126,6 +129,14 @@ def multi_to_index(spec: MeshSpec, multi) -> int:
     return index
 
 
+def finite_float(tok: str) -> float:
+    """``float(tok)``, refusing nan and the infinities."""
+    val = float(tok)
+    if not math.isfinite(val):
+        raise ValueError(f"non-finite value {tok!r}")
+    return val
+
+
 def load_param_file(text: str, n_params: int | None = None) -> PointList:
     """Parse whitespace-separated re/im pairs, one point per line."""
     points = []
@@ -146,10 +157,12 @@ def load_param_file(text: str, n_params: int | None = None) -> PointList:
                 f"line {lineno}: expected {2 * n_params} values, got {len(tokens)}"
             )
         try:
-            vals = [float(tok) for tok in tokens]
+            vals = [finite_float(tok) for tok in tokens]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-        points.append(np.array(vals[0::2]) + 1j * np.array(vals[1::2]))
+        # a float view keeps each (re, im) pair as written; re + 1j*im
+        # would turn an imaginary -0.0 into 0.0
+        points.append(np.array(vals).view(complex))
     if not points:
         raise ValueError("parameter file contains no points")
     return PointList(points=tuple(points), source="file")

@@ -12,10 +12,14 @@ The path accounting is the whole economy of the method: a sweep of k
 points costs m + k*l paths (one generic solve of m paths plus l paths per
 point) instead of k*m for repeated one-off solves.
 
-This module holds the retry policy, ``sweep_with_runner``, which decides
-each point's status from per-point summaries; the solutions never pass
-through it.  ``scheduler.run_parallel`` is the sweep entry point: it
-supplies the round runner and builds the results from the spill files.
+A solved point is a ``PointResult`` from the worker that solves it to the
+exports: the spill record, the collected data file and the sweep's
+results all hold it.  ``attempt_status`` is the rule that gives an
+attempt its status.  The retry policy, ``sweep_with_runner``, sees only
+per-point summaries, never the solutions, and decides what a spill record
+cannot know: the retries, the note and the round that stands.
+``scheduler.run_parallel`` is the sweep entry point: it supplies the
+round runner and reads the results back from the spill files.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,11 +47,15 @@ from paramsweep.tracker import (
     track_many,
 )
 
+if TYPE_CHECKING:
+    from paramsweep.datafile import CollectedHeader
+
 __all__ = [
     "Step1Empty",
     "Step1Result",
     "PointStatus",
     "PointResult",
+    "attempt_status",
     "TimingRecord",
     "SweepResult",
     "FaultInjection",
@@ -93,6 +101,8 @@ class PointStatus(Enum):
 
 @dataclass(frozen=True)
 class PointResult:
+    """One attempt at one point, and once merged, the point's result."""
+
     index: int
     p: np.ndarray
     solutions: ClassifiedSolutions
@@ -102,6 +112,17 @@ class PointResult:
     diverged_paths: int
     failure_kinds: tuple[tuple[str, int], ...] = ()
     note: str = ""
+    round: int = 0  # the retry round of the attempt
+
+
+def attempt_status(failures: int, diverged: int) -> PointStatus:
+    """Hard path failures leave a point Unresolved; divergent paths alone
+    make it HadFailures."""
+    if failures > 0:
+        return PointStatus.UNRESOLVED
+    if diverged > 0:
+        return PointStatus.HAD_FAILURES
+    return PointStatus.COMPLETE
 
 
 class TimingRecord(NamedTuple):
@@ -115,6 +136,7 @@ class SweepResult:
     point_results: list[PointResult]
     total_paths_tracked: int
     unresolved_indices: list[int]
+    header: CollectedHeader  # of the collected data file
     timings: list[TimingRecord] = field(default_factory=list)
 
 
@@ -299,22 +321,19 @@ class PointSummary(NamedTuple):
     round: int
     failures: int
     diverged: int
-    failure_kinds: tuple[tuple[str, int], ...]
     paths_tracked: int
     track_seconds: float
     serialize_seconds: float
 
 
 class PointVerdict(NamedTuple):
-    """The coordinator's decision on one point.
+    """What the coordinator adds to the spill record of one point.
 
     ``round`` names the attempt that stands, whose spill record holds the
-    solutions; it is None for a point whose worker crashed.
+    solutions and the status; it is None for a point whose worker crashed.
     """
 
     index: int
-    p: np.ndarray
-    status: PointStatus
     retries_used: int
     note: str
     round: int | None
@@ -364,7 +383,11 @@ def sweep_with_runner(
 
     def retry_targets(indices) -> list[int]:
         # a point whose batch crashed twice is reported, not retried
-        return [i for i in indices if not notes[i] and summaries[i].failures > 0]
+        return [
+            i for i in indices if not notes[i] and attempt_status(
+                summaries[i].failures, summaries[i].diverged
+            ) is PointStatus.UNRESOLVED
+        ]
 
     absorb(round_runner(0, list(range(n_points)), r1.p0, r1.solutions))
     targets = retry_targets(range(n_points))
@@ -387,25 +410,10 @@ def sweep_with_runner(
         absorb(round_runner(k, targets, p_prime, s_prime))
         targets = retry_targets(targets)
 
-    verdicts = []
-    for i in range(n_points):
-        summary = summaries.get(i)
-        if summary is None or summary.failures > 0:
-            status = PointStatus.UNRESOLVED
-        elif summary.diverged > 0:
-            status = PointStatus.HAD_FAILURES
-        else:
-            status = PointStatus.COMPLETE
-        verdicts.append(
-            PointVerdict(
-                index=i,
-                p=np.asarray(points[i], dtype=complex),
-                status=status,
-                retries_used=retries[i],
-                note=notes[i],
-                round=None if summary is None else summary.round,
-            )
-        )
+    verdicts = [
+        PointVerdict(i, retries[i], notes[i], summaries[i].round if i in summaries else None)
+        for i in range(n_points)
+    ]
     return verdicts, total_paths, timings
 
 

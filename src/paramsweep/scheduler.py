@@ -4,18 +4,20 @@ A single coordinator hands batches of parameter points to worker
 processes on demand (a worker asks for more by reporting its finished
 batch), broadcasts each round's start context to every worker, and sends
 kill messages once the queue drains.  Workers solve their batch points
-via ``step2_single``, serialize each result record, and append it to an
-in-memory buffer that is flushed to a per-worker spill file
+via ``step2_single``, serialize each attempt as a ``PointResult`` record
+with the status it earns (``paramhom.attempt_status``), and append it to
+an in-memory buffer that is flushed to a per-worker spill file
 ``step2_worker<k>.part`` whenever it exceeds the configured threshold
 (64 MB by default), and always before the batch is reported done.  The
 report carries a compact summary per point (failure counts, paths
 tracked, timings), which is all the retry policy
 (``paramhom.sweep_with_runner``) needs: the spill files are the only
 store of the solutions.  After the sweep the coordinator merges the
-spill files into the collected data file, newest round first, builds
-the sweep's point results from the merged records, and deletes the spill
-files.  With one worker no process is started, and the coordinator runs
-each batch itself through the same batch function.
+spill files into the collected data file, the standing round of each
+point under the retries and note the policy decided, keeps the merged
+records as the sweep's point results, and deletes the spill files.
+With one worker no process is started, and the coordinator runs each
+batch itself through the same batch function.
 
 A crashed worker's in-flight batch is requeued once to a replacement
 worker; if it crashes again, its points are marked Unresolved with a
@@ -38,27 +40,30 @@ import numpy as np
 
 from paramsweep.datafile import (
     CollectedHeader,
-    PointRecord,
-    SolutionRecord,
     parse_records,
-    point_result_from_record,
     serialize_record,
     write_collected,
 )
 from paramsweep.paramhom import (
     FaultInjection,
+    PointResult,
     PointStatus,
     PointSummary,
     PointVerdict,
     Step1Result,
-    Step2Outcome,
     SweepResult,
     TimingRecord,
+    attempt_status,
     step2_single,
     sweep_with_runner,
 )
 from paramsweep.poly import ParamSystem
-from paramsweep.tracker import DEFAULT_DEDUP_TOL, DEFAULT_REAL_TOL, TrackerConfig
+from paramsweep.tracker import (
+    DEFAULT_DEDUP_TOL,
+    DEFAULT_REAL_TOL,
+    ClassifiedSolutions,
+    TrackerConfig,
+)
 
 __all__ = [
     "WorkBatch",
@@ -134,32 +139,6 @@ def default_batch_size(n_points: int, workers: int) -> int:
     return max(1, n_points // (8 * workers))
 
 
-def _attempt_record(
-    idx: int, round_no: int, target: np.ndarray, outcome: Step2Outcome
-) -> PointRecord:
-    sols = tuple(
-        SolutionRecord(coords=c, singular=s, real=r, multiplicity=m, residual=res)
-        for c, s, r, m, res in zip(
-            outcome.solutions.distinct,
-            outcome.solutions.singular_flags,
-            outcome.solutions.real_flags,
-            outcome.solutions.multiplicities,
-            outcome.solutions.residuals,
-        )
-    )
-    return PointRecord(
-        index=idx,
-        round=round_no,
-        status="attempt",
-        retries=0,
-        failures=outcome.failures,
-        diverged=outcome.diverged,
-        kinds=outcome.failure_kinds,
-        params=np.asarray(target, dtype=complex),
-        solutions=sols,
-    )
-
-
 @dataclass(frozen=True)
 class _Job:
     """What solving any batch of the sweep needs, besides its round's start."""
@@ -204,8 +183,18 @@ def _run_batch(
         )
         t_track = time.perf_counter() - t0
         t0 = time.perf_counter()
-        data = serialize_record(_attempt_record(idx, batch.round_no, target, outcome)).encode()
-        if buf.append(data):
+        attempt = PointResult(
+            index=idx,
+            p=target,
+            solutions=outcome.solutions,
+            status=attempt_status(outcome.failures, outcome.diverged),
+            retries_used=0,
+            path_failures=outcome.failures,
+            diverged_paths=outcome.diverged,
+            failure_kinds=outcome.failure_kinds,
+            round=batch.round_no,
+        )
+        if buf.append(serialize_record(attempt).encode()):
             flush_buffer(buf, sink)
         summaries.append(
             PointSummary(
@@ -213,7 +202,6 @@ def _run_batch(
                 round=batch.round_no,
                 failures=outcome.failures,
                 diverged=outcome.diverged,
-                failure_kinds=outcome.failure_kinds,
                 paths_tracked=outcome.paths_tracked,
                 track_seconds=t_track,
                 serialize_seconds=time.perf_counter() - t0,
@@ -398,22 +386,20 @@ class _Pool:
 
 
 def _merge_part_files(
-    out_dir: str,
-    sysm: ParamSystem,
-    r1: Step1Result,
-    max_retries: int,
+    part_dir: str,
+    header: CollectedHeader,
+    points: list[np.ndarray],
+    n_starts: int,
     verdicts: list[PointVerdict],
-    collected_name: str,
-    source: str,
-) -> list[PointRecord]:
+) -> list[PointResult]:
     """Fold the spill files into one collected data file and return its records.
 
-    Per point, the spill record of the newest round wins, under the status,
-    retry count and note the coordinator decided.  A point whose worker
-    crashed gets no solutions and counts every path as failed.
+    Per point, the spill record of the newest round wins, with the retry
+    count and note the coordinator decided.  A point whose worker crashed
+    is Unresolved, with no solutions and all ``n_starts`` paths failed.
     """
-    parts = sorted(glob.glob(_part_path(out_dir, "*")))
-    latest: dict[int, PointRecord] = {}
+    parts = sorted(glob.glob(_part_path(part_dir, "*")))
+    latest: dict[int, PointResult] = {}
     for path in parts:
         with open(path) as f:
             for rec in parse_records(f.read(), tolerate_truncation=True):
@@ -425,17 +411,16 @@ def _merge_part_files(
         spill = latest.get(v.index)
         if v.round is None:
             final.append(
-                PointRecord(
+                PointResult(
                     index=v.index,
-                    round=spill.round if spill else 0,
-                    status=v.status.value,
-                    retries=v.retries_used,
-                    failures=len(r1.solutions),
-                    diverged=0,
-                    kinds=(),
-                    params=v.p,
-                    solutions=(),
+                    p=points[v.index],
+                    solutions=ClassifiedSolutions((), (), (), (), ()),
+                    status=PointStatus.UNRESOLVED,
+                    retries_used=v.retries_used,
+                    path_failures=n_starts,
+                    diverged_paths=0,
                     note=v.note,
+                    round=spill.round if spill else 0,
                 )
             )
         elif spill is None or spill.round != v.round:
@@ -443,21 +428,8 @@ def _merge_part_files(
                 f"spill files hold no round {v.round} record of point {v.index}"
             )
         else:
-            final.append(
-                replace(spill, status=v.status.value, retries=v.retries_used, note=v.note)
-            )
-    header = CollectedHeader(
-        n_vars=sysm.n_vars,
-        n_params=sysm.n_params,
-        n_points=len(verdicts),
-        step1_paths=r1.paths_tracked_step1,
-        seed=r1.seed,
-        max_retries=max_retries,
-        p0=r1.p0,
-        source=source,
-        param_names=sysm.param_names,
-    )
-    write_collected(os.path.join(out_dir, collected_name), header, final)
+            final.append(replace(spill, retries_used=v.retries_used, note=v.note))
+    write_collected(os.path.join(part_dir, COLLECTED_NAME), header, final)
     for path in parts:
         os.remove(path)
     return final
@@ -483,7 +455,8 @@ def run_parallel(
     """Step 2 sweep over the given parameter points, with ``workers``
     processes, or in this process when ``workers`` is 1.
 
-    The point results are read back from the merged spill files.  When
+    The point results are read back from the merged spill files, and
+    ``SweepResult.header`` is the header of the collected data file.  When
     ``out_dir`` is given, the merged ``collected.dat`` is left there;
     otherwise the sweep works in a temporary directory.
     ``crash_injection`` (test hook) simulates a worker crash at the given
@@ -506,9 +479,25 @@ def run_parallel(
     else:
         os.makedirs(out_dir, exist_ok=True)
         part_dir = str(out_dir)
-    # spill files of an earlier, aborted sweep would be merged into this one
-    for path in glob.glob(_part_path(part_dir, "*")):
+    # an earlier, aborted sweep left these: its spill files would be merged
+    # into this sweep, and its marker would mark this sweep partial
+    marker = os.path.join(part_dir, PARTIAL_MARKER)
+    stale = glob.glob(_part_path(part_dir, "*"))
+    if os.path.exists(marker):
+        stale.append(marker)
+    for path in stale:
         os.remove(path)
+    header = CollectedHeader(
+        n_vars=sysm.n_vars,
+        n_params=sysm.n_params,
+        n_points=len(points),
+        step1_paths=r1.paths_tracked_step1,
+        seed=r1.seed,
+        max_retries=max_retries,
+        p0=r1.p0,
+        source=source,
+        param_names=sysm.param_names,
+    )
 
     job = _Job(sysm, cfg, dedup_tol, real_tol, fault_injection, crash_injection)
     pool = _Pool(job, workers, part_dir, buffer_threshold, batch_size, points)
@@ -520,23 +509,23 @@ def run_parallel(
             )
         finally:
             pool.shutdown()
-        records = _merge_part_files(
-            part_dir, sysm, r1, max_retries, verdicts, COLLECTED_NAME, source
+        point_results = _merge_part_files(
+            part_dir, header, points, len(r1.solutions), verdicts
         )
     except Exception as exc:
         if out_dir is not None:
-            with open(os.path.join(part_dir, PARTIAL_MARKER), "w") as f:
+            with open(marker, "w") as f:
                 f.write(f"sweep aborted: {exc}\n")
         raise
     finally:
         if tmp is not None:
             tmp.cleanup()
-    point_results = [point_result_from_record(rec) for rec in records]
     return SweepResult(
         point_results=point_results,
         total_paths_tracked=total_paths,
         unresolved_indices=[
             pr.index for pr in point_results if pr.status is PointStatus.UNRESOLVED
         ],
+        header=header,
         timings=timings,
     )

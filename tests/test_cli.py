@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 
@@ -6,6 +7,7 @@ import pytest
 
 from paramsweep.cli import (
     InputError,
+    _build_tracker_config,
     export_real_count_grid,
     load_step1,
     main,
@@ -111,6 +113,44 @@ def test_parse_input_system_errors_report_file_lines():
     assert "line 12" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["ture", "True2", "", "2"])
+def test_config_booleans_reject_anything_else(tmp_path, caplog, value):
+    text = CUBE_INPUT.replace("seed: 7;", f"seed: 7;\n  divergence_is_failure: {value};")
+    out = tmp_path / "run"
+    with caplog.at_level(logging.ERROR, logger="paramsweep"):
+        assert main(["solve", _write_input(tmp_path, text), "--out", str(out)]) == 1
+    assert "'divergence_is_failure'" in caplog.text
+    assert not (out / "step1.json").exists()
+    text = CUBE_INPUT.replace("seed: 7;", f"seed: 7;\n  verify_step1: {value};")
+    caplog.clear()
+    with caplog.at_level(logging.ERROR, logger="paramsweep"):
+        assert main(["solve", _write_input(tmp_path, text), "--out", str(out)]) == 1
+    assert "'verify_step1'" in caplog.text
+
+
+def test_config_booleans_accept_any_case(tmp_path, caplog):
+    text = CUBE_INPUT.replace("seed: 7;", "seed: 7;\n  verify_step1: True;")
+    out = tmp_path / "run"
+    with caplog.at_level(logging.INFO, logger="paramsweep"):
+        code = main(["solve", _write_input(tmp_path, text), "--out", str(out), "--step1-only"])
+    assert code == 0
+    assert "step1: 6 solutions, verified" in caplog.text
+    for value, expected in (("ON", True), ("Yes", True), ("off", False), ("FALSE", False)):
+        cfg = _build_tracker_config({"divergence_is_failure": value}, argparse.Namespace())
+        assert cfg.divergence_is_failure is expected
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("seed: 7;", "seed: 7;\n  p0: 0.1 nan 0.3 0.4;", 5),
+    ("x range -1.5 1.5 5;", "x range -inf 1.5 5;", 16),
+    ("y range -1.5 1.5 5;", "y range -1.5 NaN 5;", 17),
+    ("y range -1.5 1.5 5;", "y fixed 0.5 inf;", 17),
+])
+def test_parse_input_rejects_non_finite_values(old, new, line):
+    with pytest.raises(InputError, match=f"line {line}: .*non-finite"):
+        parse_input_file(CUBE_INPUT.replace(old, new))
+
+
 def test_parse_input_inline_p0():
     text = CUBE_INPUT.replace("seed: 7;", "seed: 7;\n  p0: 0.1 0.2 0.3 0.4;")
     inp = parse_input_file(text)
@@ -163,8 +203,8 @@ def test_solve_end_to_end(tmp_path, caplog):
     # JSON round-trips the collected values exactly
     for rec, jpt in zip(records, sol_doc["points"]):
         assert rec.index == jpt["index"]
-        for s, js in zip(rec.solutions, jpt["solutions"]):
-            for c, (re, im) in zip(s.coords, js["coords"]):
+        for coords, js in zip(rec.solutions.distinct, jpt["solutions"]):
+            for c, (re, im) in zip(coords, js["coords"]):
                 assert c == complex(re, im)
 
 
@@ -201,7 +241,7 @@ def test_solve_exit_2_on_unresolved(tmp_path):
     ])
     assert code == 2
     _, records = read_collected(out / "collected.dat")
-    assert records[3].status == "Unresolved"
+    assert records[3].status is PointStatus.UNRESOLVED
     report = (out / "failure_report.txt").read_text()
     assert "unresolved points:" in report
     assert "point 3" in report
@@ -293,10 +333,27 @@ def test_solve_with_param_file(tmp_path):
         )
 
 
+def test_solve_export_csv_with_param_file_solves_nothing(tmp_path, caplog):
+    (tmp_path / "pts.txt").write_text("0.0 0.0 0.0 0.0\n")
+    text = CUBE_INPUT.replace("seed: 7;", "seed: 7;\n  param_file: pts.txt;")
+    inp = _write_input(tmp_path, text=text[: text.index("MESH")], name="filecube.input")
+    out = tmp_path / "file_run"
+    with caplog.at_level(logging.INFO, logger="paramsweep"):
+        code = main(["solve", inp, "--out", str(out), "--export-csv"])
+    assert code == 1
+    assert "--export-csv requires a MESH run" in caplog.text
+    assert "step1:" not in caplog.text
+    assert not out.exists()
+
+
 def test_export_subcommand(tmp_path):
+    # solve exports the sweep it holds, export reads collected.dat: the
+    # two must write the same bytes
     inp = _write_input(tmp_path)
     out = tmp_path / "run4"
-    assert main(["solve", inp, "--out", str(out)]) == 0
+    assert main([
+        "solve", inp, "--out", str(out), "--export-csv", "--inject-failure-at", "3",
+    ]) == 0
     csv_path = tmp_path / "again.csv"
     json_path = tmp_path / "again.json"
     code = main([
@@ -305,6 +362,8 @@ def test_export_subcommand(tmp_path):
     assert code == 0
     assert csv_path.read_text().startswith("x,y,n_solutions")
     assert json.loads(json_path.read_text())["n_points"] == 25
+    assert csv_path.read_bytes() == (out / "real_counts.csv").read_bytes()
+    assert json_path.read_bytes() == (out / "solutions.json").read_bytes()
 
 
 def test_failure_report_lists_singular_endpoint_without_retry(tmp_path, quad_system):

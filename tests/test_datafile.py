@@ -3,44 +3,34 @@ import pytest
 
 from paramsweep.datafile import (
     CollectedHeader,
-    PointRecord,
-    SolutionRecord,
     parse_records,
-    point_result_from_record,
     read_collected,
     serialize_record,
     write_collected,
 )
-from paramsweep.paramhom import PointStatus
+from paramsweep.paramhom import PointResult, PointStatus
+from paramsweep.tracker import ClassifiedSolutions
 
 
 def _sample_record(idx=3, note=""):
-    return PointRecord(
+    return PointResult(
         index=idx,
-        round=1,
-        status="Complete",
-        retries=1,
-        failures=0,
-        diverged=2,
-        kinds=(("diverged", 2),),
-        params=np.array([0.5 - 0.25j, 1.0 + 0j]),
-        solutions=(
-            SolutionRecord(
-                coords=np.array([1.234567890123456e-3 + 1j]),
-                singular=False,
-                real=False,
-                multiplicity=1,
-                residual=3.2e-12,
-            ),
-            SolutionRecord(
-                coords=np.array([-1.0 + 0j]),
-                singular=True,
-                real=True,
-                multiplicity=2,
-                residual=float("inf"),
-            ),
+        p=np.array([0.5 - 0.25j, 1.0 + 0j]),
+        solutions=ClassifiedSolutions(
+            distinct=(np.array([1.234567890123456e-3 + 1j]), np.array([-1.0 + 0j])),
+            singular_flags=(False, True),
+            real_flags=(False, True),
+            residuals=(3.2e-12, float("inf")),
+            multiplicities=(1, 2),
+            n_real=1,
         ),
+        status=PointStatus.HAD_FAILURES,
+        retries_used=1,
+        path_failures=0,
+        diverged_paths=2,
+        failure_kinds=(("diverged", 2),),
         note=note,
+        round=1,
     )
 
 
@@ -49,20 +39,16 @@ def test_record_roundtrip_exact():
     back = parse_records(serialize_record(rec))
     assert len(back) == 1
     b = back[0]
-    assert b.index == rec.index and b.round == rec.round
-    assert b.status == rec.status and b.kinds == rec.kinds
-    assert np.array_equal(b.params, rec.params)
-    assert b.note == rec.note
-    for sa, sb in zip(rec.solutions, b.solutions):
-        assert np.array_equal(sa.coords, sb.coords)
-        assert sa.residual == sb.residual or (
-            np.isinf(sa.residual) and np.isinf(sb.residual)
-        )
-        assert (sa.singular, sa.real, sa.multiplicity) == (
-            sb.singular,
-            sb.real,
-            sb.multiplicity,
-        )
+    assert (b.index, b.round, b.status, b.note) == (rec.index, rec.round, rec.status, rec.note)
+    assert (b.retries_used, b.path_failures, b.diverged_paths) == (1, 0, 2)
+    assert b.failure_kinds == rec.failure_kinds
+    assert np.array_equal(b.p, rec.p)
+    sa, sb = rec.solutions, b.solutions
+    assert all(np.array_equal(x, y) for x, y in zip(sa.distinct, sb.distinct))
+    assert sb.residuals == sa.residuals  # inf == inf
+    assert (sb.singular_flags, sb.real_flags, sb.multiplicities, sb.n_real) == (
+        sa.singular_flags, sa.real_flags, sa.multiplicities, sa.n_real,
+    )
 
 
 def test_truncated_tail_dropped_when_tolerated():
@@ -74,33 +60,18 @@ def test_truncated_tail_dropped_when_tolerated():
         parse_records(cut)
 
 
-def test_point_result_conversion_roundtrip():
-    rec = _sample_record(idx=7, note="requeued once")
-    back = point_result_from_record(parse_records(serialize_record(rec))[0])
-    assert back.index == rec.index
-    assert back.status is PointStatus.COMPLETE
-    assert (back.retries_used, back.path_failures, back.diverged_paths) == (1, 0, 2)
-    assert back.failure_kinds == rec.kinds
-    assert back.note == rec.note
-    assert back.solutions.n_real == 1
-    assert back.solutions.singular_flags == (False, True)
-    assert back.solutions.multiplicities == (1, 2)
-    assert np.array_equal(back.solutions.distinct[0], rec.solutions[0].coords)
-    assert np.array_equal(back.p, rec.params)
-
-
 def test_complex_values_roundtrip_bit_for_bit():
     coords = np.array([complex(1.5, -0.0), complex(-0.0, np.inf), complex(2.0, np.nan)])
-    rec = PointRecord(
-        index=0, round=0, status="attempt", retries=0, failures=0, diverged=0,
-        kinds=(), params=coords[:1],
-        solutions=(SolutionRecord(coords, False, False, 1, 1e-12),),
+    rec = PointResult(
+        index=0, p=coords[:1],
+        solutions=ClassifiedSolutions((coords,), (False,), (False,), (1e-12,), (1,)),
+        status=PointStatus.COMPLETE, retries_used=0, path_failures=0, diverged_paths=0,
     )
     text = serialize_record(rec)
     back = parse_records(text)[0]
     assert serialize_record(back) == text
-    assert np.signbit(back.params[0].imag)
-    assert np.isinf(back.solutions[0].coords[1].imag)
+    assert np.signbit(back.p[0].imag)
+    assert np.isinf(back.solutions.distinct[0][1].imag)
 
 
 def test_collected_file_roundtrip(tmp_path):

@@ -107,10 +107,19 @@ def test_load_param_file_bad_number():
 def test_param_file_roundtrip():
     rng = np.random.default_rng(5)
     pts = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(7)]
+    pts.append(np.array([complex(1.0, -0.0), complex(-0.0, 0.0), complex(0.5, -0.0)]))
     back = load_param_file(format_param_file(pts))
-    assert len(back) == 7
+    assert len(back) == 8
     for a, b in zip(pts, back.points):
-        assert np.max(np.abs(a - b)) < 1e-15
+        # bit for bit, so the sign of a zero survives too
+        assert a.tobytes() == b.tobytes()
+    assert np.signbit(back.points[7][0].imag)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_load_param_file_rejects_non_finite(value):
+    with pytest.raises(ValueError, match=f"line 2: non-finite value '{value}'"):
+        load_param_file(f"1 0 2 0\n1 0 {value} 0\n")
 
 
 @settings(max_examples=40, deadline=None)

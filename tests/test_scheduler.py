@@ -167,7 +167,7 @@ def test_stale_spill_files_are_not_merged(quad_setup, tmp_path):
         if sub == "stale":
             # an earlier, aborted sweep with other results left this behind
             (out / "step2_worker0.part").write_text(
-                "P 0 5 attempt 0 0 0 - 0 9.0 0.0\n"
+                "P 0 5 Complete 0 0 0 - 0 9.0 0.0\n"
             )
         run_parallel(
             sysq, r1, points, CFG, max_retries=0, workers=1,
@@ -230,6 +230,14 @@ def test_flush_failure_aborts_sweep(quad_setup, tmp_path, monkeypatch):
             rng=np.random.default_rng(1), out_dir=str(out), buffer_threshold=1,
         )
     assert (out / "PARTIAL_OUTPUT").exists()
+    # a successful re-run into the same directory is not partial
+    monkeypatch.undo()
+    run_parallel(
+        sysq, r1, points, CFG, max_retries=0, workers=1,
+        rng=np.random.default_rng(1), out_dir=str(out),
+    )
+    assert not (out / "PARTIAL_OUTPUT").exists()
+    assert (out / "collected.dat").exists()
 
 
 def test_work_batch_validation():
