@@ -20,12 +20,12 @@ Input files are Bertini-style section blocks::
     END;
 
 CONFIG accepts every TrackerConfig field plus the sweep settings ``seed``,
-``workers``, ``max_retries``, ``batch_size``, ``buffer_mb``,
-``verify_step1``, ``dedup_tol``, ``real_tol``, an inline start point
-``p0: re im re im ...;`` and ``param_file: <path>;`` as the alternative to
-a MESH section (exactly one of the two must be present).  Booleans take
-1/0/true/false/yes/no/on/off in any case, and parameter values must be
-finite.  Command-line flags override CONFIG values.  ``%`` and ``#``
+``workers``, ``max_retries``, ``batch_size``, ``verify_step1``, an inline
+start point ``p0: re im re im ...;`` and ``param_file: <path>;`` as the
+alternative to a MESH section (exactly one of the two must be present).
+Booleans take 1/0/true/false/yes/no/on/off in any case; numbers must parse
+as their field's type, and floats and parameter values must be finite.
+Command-line flags override CONFIG values.  ``%`` and ``#``
 start comments.
 
 A run directory receives::
@@ -75,13 +75,8 @@ from paramsweep.paramhom import (
     verify_step1,
 )
 from paramsweep.poly import ParamSystem, ParseError, parse_system
-from paramsweep.scheduler import DEFAULT_BUFFER_THRESHOLD, run_parallel
-from paramsweep.tracker import (
-    ClassifiedSolutions,
-    DEFAULT_DEDUP_TOL,
-    DEFAULT_REAL_TOL,
-    TrackerConfig,
-)
+from paramsweep.scheduler import run_parallel
+from paramsweep.tracker import ClassifiedSolutions, TrackerConfig
 
 __all__ = [
     "InputFile",
@@ -100,10 +95,7 @@ _SWEEP_KEYS = {
     "workers",
     "max_retries",
     "batch_size",
-    "buffer_mb",
     "verify_step1",
-    "dedup_tol",
-    "real_tol",
     "p0",
     "param_file",
 }
@@ -204,6 +196,16 @@ def _parse_bool(key: str, value: str) -> bool:
         ) from None
 
 
+def _parse_number(key: str, value: str, cast):
+    try:
+        return cast(value)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise InputError(
+            f"config key {key!r} must be {kind}, got {value!r}"
+        ) from None
+
+
 def _parse_mesh_body(
     start: int, lines: list[str], param_names: tuple[str, ...]
 ) -> MeshSpec:
@@ -291,10 +293,8 @@ def _build_tracker_config(config: dict, args) -> TrackerConfig:
         current = getattr(TrackerConfig, key)
         if isinstance(current, bool):
             kwargs[key] = _parse_bool(key, value)
-        elif isinstance(current, int):
-            kwargs[key] = int(value)
         else:
-            kwargs[key] = float(value)
+            kwargs[key] = _parse_number(key, value, type(current))
     for flag, key in (
         ("max_norm", "max_norm"),
         ("min_step", "min_step"),
@@ -314,7 +314,7 @@ def _sweep_setting(config: dict, args, key: str, cast, default):
     if cli_val is not None:
         return cli_val
     if key in config:
-        return cast(config[key])
+        return _parse_number(key, config[key], cast)
     return default
 
 
@@ -528,7 +528,8 @@ def write_failure_report(sweep: SweepResult) -> str:
 
 def write_timing_summary(sweep: SweepResult) -> str:
     lines = ["index track_seconds serialize_seconds"]
-    for rec in sweep.timings:
+    # stable: the retry rounds of one index stay in round order
+    for rec in sorted(sweep.timings, key=lambda r: r.index):
         lines.append(f"{rec.index} {rec.track_seconds:.6f} {rec.serialize_seconds:.6f}")
     total_track = sum(r.track_seconds for r in sweep.timings)
     total_ser = sum(r.serialize_seconds for r in sweep.timings)
@@ -566,20 +567,16 @@ def cmd_solve(args) -> int:
         raise InputError("--export-csv requires a MESH run")
     sysm = inp.system
     base_dir = os.path.dirname(os.path.abspath(args.input)) if args.input != "-" else "."
+    # a bad point file fails here, before the generic solve
+    points = _load_points(inp, base_dir)
 
     cfg = _build_tracker_config(inp.config, args)
     seed = _sweep_setting(inp.config, args, "seed", int, 0)
     workers = _sweep_setting(inp.config, args, "workers", int, 1)
     max_retries = _sweep_setting(inp.config, args, "max_retries", int, 2)
     batch_size = _sweep_setting(inp.config, args, "batch_size", int, None)
-    buffer_mb = _sweep_setting(inp.config, args, "buffer_mb", float, None)
-    dedup_tol = _sweep_setting(inp.config, args, "dedup_tol", float, DEFAULT_DEDUP_TOL)
-    real_tol = _sweep_setting(inp.config, args, "real_tol", float, DEFAULT_REAL_TOL)
     do_verify = args.verify_step1 or _parse_bool(
         "verify_step1", inp.config.get("verify_step1", "0")
-    )
-    buffer_threshold = (
-        DEFAULT_BUFFER_THRESHOLD if buffer_mb is None else int(buffer_mb * 2**20)
     )
 
     out_dir = args.out or os.environ.get("SWEEP_OUT_DIR")
@@ -601,8 +598,7 @@ def cmd_solve(args) -> int:
         r1 = load_step1(os.path.join(args.reuse_step1, "step1.json"), sysm)
         log.info("step1: reusing %d solutions from %s", r1.n_solutions, args.reuse_step1)
     else:
-        r1 = step1(sysm, cfg, rng, p0_override=p0_override, seed=seed,
-                   dedup_tol=dedup_tol, real_tol=real_tol)
+        r1 = step1(sysm, cfg, rng, p0_override=p0_override, seed=seed)
         log.info("step1: %d solutions from %d paths", r1.n_solutions,
                  r1.paths_tracked_step1)
     save_step1(os.path.join(out_dir, "step1.json"), r1)
@@ -619,7 +615,6 @@ def cmd_solve(args) -> int:
         log.info("step1 artifact written to %s", out_dir)
         return 0
 
-    points = _load_points(inp, base_dir)
     fault = None
     if args.inject_failure_at:
         fault = FaultInjection(
@@ -628,9 +623,8 @@ def cmd_solve(args) -> int:
 
     sweep = run_parallel(
         sysm, r1, list(points.points), cfg, max_retries, workers, rng,
-        batch_size=batch_size, buffer_threshold=buffer_threshold,
-        out_dir=out_dir, dedup_tol=dedup_tol, real_tol=real_tol,
-        fault_injection=fault, source=points.source,
+        batch_size=batch_size, out_dir=out_dir, fault_injection=fault,
+        source=points.source,
     )
 
     with open(os.path.join(out_dir, "solutions.json"), "w") as f:
@@ -688,8 +682,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="smallest allowed t step")
     solve.add_argument("--newton-tol", type=float, dest="newton_tol",
                        help="Newton convergence tolerance")
-    solve.add_argument("--buffer-mb", type=float, dest="buffer_mb",
-                       help="result buffer threshold in MB (default 64)")
     solve.add_argument("--batch-size", type=int, dest="batch_size",
                        help="points per work batch")
     solve.add_argument("--p0", help="file with one start parameter point "

@@ -83,6 +83,9 @@ def serialize_record(pr: PointResult) -> str:
 
 def parse_records(text: str, tolerate_truncation: bool = False) -> list[PointResult]:
     """Parse concatenated records; optionally drop a truncated tail."""
+    if tolerate_truncation:
+        # a crashed writer can stop inside a number, which still parses
+        text = text[: text.rfind("\n") + 1]
     records: list[PointResult] = []
     lines = text.splitlines()
     i = 0

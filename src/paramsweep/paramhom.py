@@ -37,8 +37,6 @@ from paramsweep.startsys import build_homotopy, random_gamma, total_degree_start
 from paramsweep.tracker import (
     HARD_FAILURES,
     ClassifiedSolutions,
-    DEFAULT_DEDUP_TOL,
-    DEFAULT_REAL_TOL,
     PathResult,
     PathStatus,
     TrackerConfig,
@@ -179,8 +177,6 @@ def step1(
     rng: np.random.Generator,
     p0_override: np.ndarray | None = None,
     seed: int | None = None,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-    real_tol: float = DEFAULT_REAL_TOL,
 ) -> Step1Result:
     """Generic solve at a random (or user-chosen) complex start point.
 
@@ -217,8 +213,7 @@ def step1(
             ", ".join(f"{k}:{v}" for k, v in sorted(statuses.items())),
         )
 
-    classified = classify_endpoints(results, dedup_tol=dedup_tol, real_tol=real_tol)
-    solutions = _restrict_nonsingular(classified)
+    solutions = _restrict_nonsingular(classify_endpoints(results))
     if len(solutions) == 0:
         raise Step1Empty(
             "generic solve found no nonsingular finite solutions; "
@@ -283,8 +278,6 @@ def step2_single(
     from_solutions,
     target: np.ndarray,
     cfg: TrackerConfig,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-    real_tol: float = DEFAULT_REAL_TOL,
     force_first_failure: bool = False,
 ) -> Step2Outcome:
     """One parameter homotopy run: from_point -> target, |S| paths."""
@@ -300,9 +293,8 @@ def step2_single(
     kinds = Counter(r.status.value for r in hard)
     if diverged:
         kinds[PathStatus.DIVERGED.value] = len(diverged)
-    classified = classify_endpoints(results, dedup_tol=dedup_tol, real_tol=real_tol)
     return Step2Outcome(
-        solutions=classified,
+        solutions=classify_endpoints(results),
         failures=failures,
         diverged=len(diverged),
         paths_tracked=len(starts),
@@ -353,8 +345,6 @@ def sweep_with_runner(
     max_retries: int,
     rng: np.random.Generator,
     round_runner: RoundRunner,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-    real_tol: float = DEFAULT_REAL_TOL,
 ) -> tuple[list[PointVerdict], int, list[TimingRecord]]:
     """The retry policy: the initial pass plus the mitigation loop.
 
@@ -395,7 +385,7 @@ def sweep_with_runner(
     k = 0
     while targets and k < max_retries:
         p_prime = random_parameter_point(sys.n_params, rng)
-        prime = step2_single(sys, r1.p0, r1.solutions, p_prime, cfg, dedup_tol, real_tol)
+        prime = step2_single(sys, r1.p0, r1.solutions, p_prime, cfg)
         total_paths += prime.paths_tracked
         k += 1
         s_prime = _restrict_nonsingular(prime.solutions)

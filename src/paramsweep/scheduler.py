@@ -5,17 +5,16 @@ processes on demand (a worker asks for more by reporting its finished
 batch), broadcasts each round's start context to every worker, and sends
 kill messages once the queue drains.  Workers solve their batch points
 via ``step2_single``, serialize each attempt as a ``PointResult`` record
-with the status it earns (``paramhom.attempt_status``), and append it to
-an in-memory buffer that is flushed to a per-worker spill file
-``step2_worker<k>.part`` whenever it exceeds the configured threshold
-(64 MB by default), and always before the batch is reported done.  The
-report carries a compact summary per point (failure counts, paths
-tracked, timings), which is all the retry policy
-(``paramhom.sweep_with_runner``) needs: the spill files are the only
-store of the solutions.  After the sweep the coordinator merges the
-spill files into the collected data file, the standing round of each
-point under the retries and note the policy decided, keeps the merged
-records as the sweep's point results, and deletes the spill files.
+with the status it earns (``paramhom.attempt_status``), and write it
+straight to a per-worker spill file ``step2_worker<k>.part``; the file's
+own buffer is flushed before the batch is reported done.  The report
+carries a compact summary per point (failure counts, paths tracked,
+timings), which is all the retry policy (``paramhom.sweep_with_runner``)
+needs: the spill files are the only store of the solutions.  After the
+sweep the coordinator merges the spill files into the collected data
+file, the standing round of each point under the retries and note the
+policy decided, keeps the merged records as the sweep's point results,
+and deletes the spill files.
 With one worker no process is started, and the coordinator runs each
 batch itself through the same batch function.
 
@@ -34,7 +33,7 @@ import queue as queue_mod
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,23 +57,15 @@ from paramsweep.paramhom import (
     sweep_with_runner,
 )
 from paramsweep.poly import ParamSystem
-from paramsweep.tracker import (
-    DEFAULT_DEDUP_TOL,
-    DEFAULT_REAL_TOL,
-    ClassifiedSolutions,
-    TrackerConfig,
-)
+from paramsweep.tracker import ClassifiedSolutions, TrackerConfig
 
 __all__ = [
     "WorkBatch",
-    "ResultBuffer",
-    "flush_buffer",
     "default_batch_size",
     "run_parallel",
     "TimingRecord",
 ]
 
-DEFAULT_BUFFER_THRESHOLD = 64 * 2**20  # bytes
 COLLECTED_NAME = "collected.dat"
 PARTIAL_MARKER = "PARTIAL_OUTPUT"
 
@@ -112,29 +103,6 @@ class WorkBatch:
             raise ValueError("batch indices and points differ in length")
 
 
-@dataclass
-class ResultBuffer:
-    threshold: int = DEFAULT_BUFFER_THRESHOLD
-    pending: list[bytes] = field(default_factory=list)
-    nbytes: int = 0
-
-    def append(self, data: bytes) -> bool:
-        """Queue serialized data; True when the threshold is reached."""
-        self.pending.append(data)
-        self.nbytes += len(data)
-        return self.nbytes >= self.threshold
-
-
-def flush_buffer(buf: ResultBuffer, sink) -> None:
-    """Append all pending bytes to sink in one write, then reset."""
-    if not buf.pending:
-        return
-    sink.write(b"".join(buf.pending))
-    sink.flush()
-    buf.pending.clear()
-    buf.nbytes = 0
-
-
 def default_batch_size(n_points: int, workers: int) -> int:
     return max(1, n_points // (8 * workers))
 
@@ -145,8 +113,6 @@ class _Job:
 
     sysm: ParamSystem
     cfg: TrackerConfig
-    dedup_tol: float
-    real_tol: float
     fault: FaultInjection | None
     crash_indices: frozenset
 
@@ -156,14 +122,13 @@ def _run_batch(
     batch: WorkBatch,
     from_point: np.ndarray,
     starts: list,
-    buf: ResultBuffer,
     sink,
 ) -> list[PointSummary]:
     """Solve one batch, spill a record per point and summarize each point.
 
-    The buffer is flushed before returning, because the coordinator takes
-    a reported batch as stored: a worker that crashes later must not take
-    the records of its finished batches with it.
+    The spill file is flushed before returning, because the coordinator
+    takes a reported batch as stored: a worker that crashes later must not
+    take the records of its finished batches with it.
     """
     summaries = []
     for idx, target in zip(batch.indices, batch.points):
@@ -172,14 +137,7 @@ def _run_batch(
         inject = job.fault is not None and batch.round_no == 0 and idx in job.fault.indices
         t0 = time.perf_counter()
         outcome = step2_single(
-            job.sysm,
-            from_point,
-            starts,
-            target,
-            job.cfg,
-            job.dedup_tol,
-            job.real_tol,
-            force_first_failure=inject,
+            job.sysm, from_point, starts, target, job.cfg, force_first_failure=inject
         )
         t_track = time.perf_counter() - t0
         t0 = time.perf_counter()
@@ -194,8 +152,7 @@ def _run_batch(
             failure_kinds=outcome.failure_kinds,
             round=batch.round_no,
         )
-        if buf.append(serialize_record(attempt).encode()):
-            flush_buffer(buf, sink)
+        sink.write(serialize_record(attempt).encode())
         summaries.append(
             PointSummary(
                 index=idx,
@@ -207,7 +164,7 @@ def _run_batch(
                 serialize_seconds=time.perf_counter() - t0,
             )
         )
-    flush_buffer(buf, sink)
+    sink.flush()
     return summaries
 
 
@@ -215,12 +172,10 @@ def _worker_main(
     wid: int,
     job: _Job,
     part_path: str,
-    buffer_threshold: int,
     inbox,
     outbox,
 ):
     _limit_blas_threads()
-    buf = ResultBuffer(threshold=buffer_threshold)
     from_point = None
     starts = None
     with open(part_path, "ab") as sink:
@@ -234,7 +189,7 @@ def _worker_main(
                 _, from_point, starts = msg
                 continue
             try:
-                summaries = _run_batch(job, msg[1], from_point, starts, buf, sink)
+                summaries = _run_batch(job, msg[1], from_point, starts, sink)
             except OSError as exc:
                 outbox.put(("fatal", wid, f"spill write failed: {exc}"))
                 os._exit(3)
@@ -252,10 +207,9 @@ class _Pool:
     the same ``_run_batch`` and into spill file 0.
     """
 
-    def __init__(self, job, n_workers, part_dir, buffer_threshold, batch_size, points):
+    def __init__(self, job, n_workers, part_dir, batch_size, points):
         self._job = job
         self._part_dir = part_dir
-        self._buffer_threshold = buffer_threshold
         self._batch_size = batch_size
         self._points = points
         self._n_target = n_workers
@@ -264,7 +218,6 @@ class _Pool:
         self._sink = None
         if n_workers == 1:
             _limit_blas_threads()
-            self._buf = ResultBuffer(threshold=buffer_threshold)
             self._sink = open(_part_path(part_dir, 0), "ab")
             return
         methods = mp.get_all_start_methods()
@@ -279,8 +232,7 @@ class _Pool:
         inbox = self._ctx.Queue()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, self._job, _part_path(self._part_dir, wid),
-                  self._buffer_threshold, inbox, self._outbox),
+            args=(wid, self._job, _part_path(self._part_dir, wid), inbox, self._outbox),
             daemon=True,
         )
         proc.start()
@@ -302,9 +254,7 @@ class _Pool:
         results: dict[int, PointSummary | str] = {}
         if self._sink is not None:
             for batch in batches:
-                for summary in _run_batch(
-                    self._job, batch, from_point, starts, self._buf, self._sink
-                ):
+                for summary in _run_batch(self._job, batch, from_point, starts, self._sink):
                     results[summary.index] = summary
             return results
 
@@ -395,7 +345,10 @@ def _merge_part_files(
     """Fold the spill files into one collected data file and return its records.
 
     Per point, the spill record of the newest round wins, with the retry
-    count and note the coordinator decided.  A point whose worker crashed
+    count and note the coordinator decided.  A crashed worker may have
+    written some records of its last batch: a requeued batch writes the
+    same records again, since the tracker is deterministic, and a record
+    the crash cut short is dropped.  A point whose worker crashed
     is Unresolved, with no solutions and all ``n_starts`` paths failed.
     """
     parts = sorted(glob.glob(_part_path(part_dir, "*")))
@@ -444,10 +397,7 @@ def run_parallel(
     workers: int,
     rng: np.random.Generator,
     batch_size: int | None = None,
-    buffer_threshold: int = DEFAULT_BUFFER_THRESHOLD,
     out_dir: str | None = None,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-    real_tol: float = DEFAULT_REAL_TOL,
     fault_injection: FaultInjection | None = None,
     crash_injection: frozenset = frozenset(),
     source: str = "mesh",
@@ -499,13 +449,12 @@ def run_parallel(
         param_names=sysm.param_names,
     )
 
-    job = _Job(sysm, cfg, dedup_tol, real_tol, fault_injection, crash_injection)
-    pool = _Pool(job, workers, part_dir, buffer_threshold, batch_size, points)
+    job = _Job(sysm, cfg, fault_injection, crash_injection)
+    pool = _Pool(job, workers, part_dir, batch_size, points)
     try:
         try:
             verdicts, total_paths, timings = sweep_with_runner(
-                sysm, r1, points, cfg, max_retries, rng, pool.run_round,
-                dedup_tol, real_tol,
+                sysm, r1, points, cfg, max_retries, rng, pool.run_round
             )
         finally:
             pool.shutdown()

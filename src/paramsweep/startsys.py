@@ -6,7 +6,7 @@ source system,
 
     H(z, t) = target(z) * (1 - t) + source(z) * t * gamma,
 
-so H(., 1) = gamma * source and H(., 0) = target.  For parameter-kind
+so H(., 1) = gamma * source and H(., 0) = target.  For parameter
 homotopies (both endpoints instantiations of the same family) gamma is
 fixed at exactly 1; the randomness of the start parameter point already
 provides genericity.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from paramsweep.poly import InstantiatedSystem, Term, TermStructure
 
 __all__ = [
     "StartSystem",
-    "HomotopyKind",
     "Homotopy",
     "total_degree_start",
     "random_gamma",
@@ -91,11 +89,6 @@ def random_gamma(rng: np.random.Generator) -> complex:
     return complex(np.cos(theta), np.sin(theta))
 
 
-class HomotopyKind(Enum):
-    TOTAL_DEGREE = "total_degree"
-    PARAMETER = "parameter"
-
-
 class Homotopy:
     """H(z, t) = target(z)*(1-t) + source(z)*t*gamma on a shared structure.
 
@@ -103,21 +96,13 @@ class Homotopy:
     """
 
     def __init__(
-        self,
-        kind: HomotopyKind,
-        target: InstantiatedSystem,
-        source: InstantiatedSystem,
-        gamma: complex,
+        self, target: InstantiatedSystem, source: InstantiatedSystem, gamma: complex
     ):
         if target.n_vars != source.n_vars:
             raise ValueError(
                 f"dimension mismatch: target has {target.n_vars} variables, "
                 f"source has {source.n_vars}"
             )
-        self.kind = kind
-        self.gamma = complex(gamma)
-        self.target = target
-        self.source = source
         if target.structure is source.structure:
             self._struct = target.structure
             c_a = target.coeffs
@@ -132,7 +117,7 @@ class Homotopy:
             c_b[idx_b] = source.coeffs
         self._c_target = c_a
         # c(t) = c_target + t * c_dt reproduces (1-t)*target + t*gamma*source
-        self._c_dt = self.gamma * c_b - c_a
+        self._c_dt = complex(gamma) * c_b - c_a
 
     @property
     def n_vars(self) -> int:
@@ -144,16 +129,6 @@ class Homotopy:
     def at(self, t: float) -> InstantiatedSystem:
         """The frozen system H(., t), usable for Newton correction."""
         return InstantiatedSystem(self._struct, self.coeffs_at(t))
-
-    def evaluate(self, z: np.ndarray, t: float) -> np.ndarray:
-        return self._struct.evaluate(self.coeffs_at(t), z)
-
-    def jacobian(self, z: np.ndarray, t: float) -> np.ndarray:
-        return self._struct.jacobian(self.coeffs_at(t), z)
-
-    def dt(self, z: np.ndarray, t: float) -> np.ndarray:
-        """dH/dt; independent of t for this blend."""
-        return self._struct.evaluate(self._c_dt, z)
 
     def tangent_data(self, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(dH/dt, J_z) at (z, t) in a single fused evaluation."""
@@ -192,14 +167,14 @@ def build_homotopy(
     source: InstantiatedSystem | StartSystem,
     gamma: complex = 1.0,
 ) -> Homotopy:
-    """Blend target and source; kind follows the source's type.
+    """Blend target and source.
 
     A StartSystem source gives a total-degree homotopy (any unit gamma);
     an instantiated source gives a parameter homotopy, where gamma must
     be exactly 1.
     """
     if isinstance(source, StartSystem):
-        return Homotopy(HomotopyKind.TOTAL_DEGREE, target, source.as_instantiated(), gamma)
+        return Homotopy(target, source.as_instantiated(), gamma)
     if gamma != 1.0:
         raise ValueError("parameter homotopies require gamma = 1")
-    return Homotopy(HomotopyKind.PARAMETER, target, source, 1.0)
+    return Homotopy(target, source, 1.0)

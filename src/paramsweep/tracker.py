@@ -30,7 +30,8 @@ identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -51,8 +52,10 @@ __all__ = [
 # condition estimate above which an endpoint counts as singular
 SINGULAR_CONDITION = 1e12
 
-DEFAULT_DEDUP_TOL = 1e-6
-DEFAULT_REAL_TOL = 1e-6
+# endpoints closer than this (inf-norm) are one solution
+DEDUP_TOL = 1e-6
+# a solution is real when every imaginary part is below this
+REAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,10 @@ class TrackerConfig:
     divergence_is_failure: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if not (0 < self.min_step <= self.initial_step <= self.max_step < 1):
             raise ValueError("need 0 < min_step <= initial_step <= max_step < 1")
         if self.newton_tol <= 0 or self.max_norm <= 0:
@@ -388,20 +395,16 @@ class ClassifiedSolutions:
         return len(self.distinct)
 
 
-def classify_endpoints(
-    results,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-    real_tol: float = DEFAULT_REAL_TOL,
-) -> ClassifiedSolutions:
+def classify_endpoints(results) -> ClassifiedSolutions:
     """Merge successful endpoints and flag each survivor.
 
-    Endpoints within ``dedup_tol`` (inf-norm) collapse to the
+    Endpoints within ``DEDUP_TOL`` (inf-norm) collapse to the
     smallest-residual representative.  A survivor is singular if its
     condition estimate exceeds ``SINGULAR_CONDITION``, if more than one
     path landed on it, or if endpoint sharpening failed to converge
     (covers multiple roots, whose Jacobian-based condition stays finite
     in low dimensions).  It is real when every coordinate's imaginary
-    part is below ``real_tol``.
+    part is below ``REAL_TOL``.
     """
     good = [r for r in results if r.status is PathStatus.SUCCESS]
     n = len(good)
@@ -413,7 +416,7 @@ def classify_endpoints(
             a = parent[a]
         return a
 
-    for i, j in crossing_check([r.endpoint for r in good], dedup_tol):
+    for i, j in crossing_check([r.endpoint for r in good], DEDUP_TOL):
         parent[find(i)] = find(j)
 
     clusters: dict[int, list[int]] = {}
@@ -431,7 +434,7 @@ def classify_endpoints(
         )
         points.append(r.endpoint)
         singular.append(is_singular)
-        real.append(bool(np.max(np.abs(r.endpoint.imag)) < real_tol))
+        real.append(bool(np.max(np.abs(r.endpoint.imag)) < REAL_TOL))
         residuals.append(r.final_residual)
         mults.append(len(members))
 

@@ -13,10 +13,11 @@ from paramsweep.cli import (
     main,
     parse_input_file,
     write_failure_report,
+    write_timing_summary,
 )
 from paramsweep.datafile import read_collected
 from paramsweep.mesh import MeshSpec, Range
-from paramsweep.paramhom import PointStatus, step1
+from paramsweep.paramhom import PointStatus, SweepResult, TimingRecord, step1
 from paramsweep.scheduler import run_parallel
 from paramsweep.tracker import TrackerConfig
 
@@ -96,6 +97,25 @@ def test_parse_input_rejects_unknown_config_key():
     bad = CUBE_INPUT.replace("seed: 7;", "warp_speed: 9;")
     with pytest.raises(InputError, match="warp_speed"):
         parse_input_file(bad)
+
+
+@pytest.mark.parametrize("entry, flags, key", [
+    ("newton_tol: nan;", [], "newton_tol"),
+    ("max_norm: nan;", [], "max_norm"),
+    ("t_final: inf;", [], "t_final"),
+    ("max_steps: 1e4;", [], "max_steps"),
+    ("min_step: tiny;", [], "min_step"),
+    ("workers: two;", [], "workers"),
+    ("", ["--max-norm", "nan"], "max_norm"),
+])
+def test_solve_names_bad_config_numbers(tmp_path, caplog, entry, flags, key):
+    text = CUBE_INPUT.replace("seed: 7;", f"seed: 7;\n  {entry}")
+    out = tmp_path / "run"
+    with caplog.at_level(logging.ERROR, logger="paramsweep"):
+        code = main(["solve", _write_input(tmp_path, text), "--out", str(out), *flags])
+    assert code == 1
+    assert key in caplog.text
+    assert not (out / "step1.json").exists()
 
 
 def test_parse_input_mesh_errors():
@@ -344,6 +364,35 @@ def test_solve_export_csv_with_param_file_solves_nothing(tmp_path, caplog):
     assert "--export-csv requires a MESH run" in caplog.text
     assert "step1:" not in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--step1-only"]])
+def test_solve_bad_point_file_fails_before_step1(tmp_path, caplog, flags):
+    (tmp_path / "pts.txt").write_text("0.0 0.0 0.0 0.0\n0.25 nan -0.5 0.0\n")
+    text = CUBE_INPUT.replace("seed: 7;", "seed: 7;\n  param_file: pts.txt;")
+    inp = _write_input(tmp_path, text=text[: text.index("MESH")], name="filecube.input")
+    out = tmp_path / "file_run"
+    with caplog.at_level(logging.INFO, logger="paramsweep"):
+        code = main(["solve", inp, "--out", str(out), *flags])
+    assert code == 1
+    assert "line 2" in caplog.text
+    assert "step1:" not in caplog.text
+    assert not (out / "step1.json").exists()
+
+
+def test_timing_summary_rows_sorted_by_index():
+    # arrival order of two batches, then a retry round of index 2
+    timings = [TimingRecord(i, 0.5 + i, 0.001) for i in (2, 3, 0, 1)]
+    timings.append(TimingRecord(2, 9.0, 0.002))
+    sweep = SweepResult([], 0, [], None, timings)
+    rows = write_timing_summary(sweep).splitlines()[1:-1]
+    assert rows == [
+        "0 0.500000 0.001000",
+        "1 1.500000 0.001000",
+        "2 2.500000 0.001000",
+        "2 9.000000 0.002000",
+        "3 3.500000 0.001000",
+    ]
 
 
 def test_export_subcommand(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ def test_truncated_tail_dropped_when_tolerated():
     assert [r.index for r in recs] == [1]
     with pytest.raises(ValueError):
         parse_records(cut)
+
+
+def test_record_cut_inside_a_number_dropped_when_tolerated():
+    last = dataclasses.replace(
+        _sample_record(2),
+        solutions=ClassifiedSolutions(
+            (np.array([1.0 + 0.123456789j]),), (False,), (False,), (1e-12,), (1,)
+        ),
+    )
+    text = serialize_record(_sample_record(1)) + serialize_record(last)
+    cut = text[:-3]  # the writer stopped inside the last number, which parses
+    assert float(cut.split()[-1]) != 0.123456789
+    recs = parse_records(cut, tolerate_truncation=True)
+    assert [r.index for r in recs] == [1]
 
 
 def test_complex_values_roundtrip_bit_for_bit():

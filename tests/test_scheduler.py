@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -10,13 +8,7 @@ from paramsweep.paramhom import (
     PointStatus,
     step1,
 )
-from paramsweep.scheduler import (
-    ResultBuffer,
-    WorkBatch,
-    default_batch_size,
-    flush_buffer,
-    run_parallel,
-)
+from paramsweep.scheduler import WorkBatch, default_batch_size, run_parallel
 from paramsweep.tracker import TrackerConfig
 from conftest import set_distance
 
@@ -158,6 +150,29 @@ def test_crash_keeps_records_of_reported_batches(quad_setup, tmp_path):
     assert "crash" in crashed[last]
 
 
+def test_records_of_a_crashed_batch_change_nothing(quad_setup, tmp_path, monkeypatch):
+    # unbuffered spill files: the records a worker wrote before it crashed
+    # reach its spill file, and both runs of the batch leave them there
+    sysq, r1, points = quad_setup
+    import paramsweep.scheduler as sched
+
+    def unbuffered(path, mode="r"):
+        return open(path, mode, buffering=0 if "b" in mode else -1)
+
+    blobs = []
+    for name in ("buffered", "unbuffered"):
+        if name == "unbuffered":
+            monkeypatch.setattr(sched, "open", unbuffered, raising=False)
+        out = tmp_path / name
+        run_parallel(
+            sysq, r1, points, CFG, max_retries=0, workers=2,
+            rng=np.random.default_rng(1), batch_size=4, out_dir=str(out),
+            crash_injection=frozenset({3}),
+        )
+        blobs.append((out / "collected.dat").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_stale_spill_files_are_not_merged(quad_setup, tmp_path):
     sysq, r1, points = quad_setup
     blobs = []
@@ -186,48 +201,31 @@ def test_crash_injection_needs_two_workers(quad_setup):
         )
 
 
-def test_result_buffer_flush_arithmetic():
-    buf = ResultBuffer(threshold=1024)
-    sink = io.BytesIO()
-    flushes = []
-    for i in range(10):
-        if buf.append(b"x" * 200):
-            flush_buffer(buf, sink)
-            flushes.append(i + 1)
-    assert flushes == [6]  # 6 * 200 = 1200 >= 1024
-    assert sink.getvalue() == b"x" * 1200
-    assert buf.nbytes == 800  # appends 7..10 still pending
-    flush_buffer(buf, sink)  # final drain always executes
-    assert sink.getvalue() == b"x" * 2000
-    assert buf.nbytes == 0
-
-
-def test_empty_flush_is_noop():
-    class Sink:
-        def write(self, data):  # pragma: no cover - must not run
-            raise AssertionError("write called for empty buffer")
-
-        def flush(self):
-            raise AssertionError("flush called for empty buffer")
-
-    flush_buffer(ResultBuffer(), Sink())
-
-
 def test_flush_failure_aborts_sweep(quad_setup, tmp_path, monkeypatch):
     sysq, r1, points = quad_setup
     out = tmp_path / "abort"
 
     import paramsweep.scheduler as sched
 
-    def broken_flush(buf, sink):
-        raise OSError("disk full")
+    class FullDisk:
+        def write(self, data):
+            raise OSError("disk full")
 
-    monkeypatch.setattr(sched, "flush_buffer", broken_flush)
-    # force a flush on every record so the failure triggers immediately
-    with pytest.raises(OSError):
+        def flush(self):
+            pass
+
+        def close(self):
+            pass
+
+    def open_spill_on_full_disk(path, *args):
+        return FullDisk() if str(path).endswith(".part") else open(path, *args)
+
+    # the in-process worker's spill file refuses every write
+    monkeypatch.setattr(sched, "open", open_spill_on_full_disk, raising=False)
+    with pytest.raises(OSError, match="disk full"):
         run_parallel(
             sysq, r1, points, CFG, max_retries=0, workers=1,
-            rng=np.random.default_rng(1), out_dir=str(out), buffer_threshold=1,
+            rng=np.random.default_rng(1), out_dir=str(out),
         )
     assert (out / "PARTIAL_OUTPUT").exists()
     # a successful re-run into the same directory is not partial

@@ -4,7 +4,6 @@ import pytest
 from paramsweep.poly import instantiate, parse_system
 from paramsweep.startsys import (
     Homotopy,
-    HomotopyKind,
     build_homotopy,
     random_gamma,
     total_degree_start,
@@ -75,12 +74,11 @@ def _quad_pair():
 def test_parameter_homotopy_hand_values():
     target, source = _quad_pair()
     h = build_homotopy(target, source, gamma=1.0)
-    assert h.kind is HomotopyKind.PARAMETER
     z = np.array([1.0 + 0j])
     # H(1, 0.5) = 0.5*(1-4) + 0.5*(1-1) = -1.5
-    assert h.evaluate(z, 0.5)[0] == pytest.approx(-1.5)
+    assert h.at(0.5).evaluate(z)[0] == pytest.approx(-1.5)
     # dH/dt = -(1-4) + (1-1) = 3
-    assert h.dt(z, 0.5)[0] == pytest.approx(3.0)
+    assert h.tangent_data(z, 0.5)[0][0] == pytest.approx(3.0)
 
 
 def test_parameter_homotopy_requires_unit_gamma():
@@ -98,12 +96,11 @@ def test_endpoint_identities():
     start = total_degree_start([3, 3])
     gamma = random_gamma(rng)
     h = build_homotopy(target, start, gamma)
-    assert h.kind is HomotopyKind.TOTAL_DEGREE
     g = start.as_instantiated()
     for _ in range(20):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert np.max(np.abs(h.evaluate(z, 0.0) - target.evaluate(z))) < 1e-12
-        assert np.max(np.abs(h.evaluate(z, 1.0) - gamma * g.evaluate(z))) < 1e-12
+        assert np.max(np.abs(h.at(0.0).evaluate(z) - target.evaluate(z))) < 1e-12
+        assert np.max(np.abs(h.at(1.0).evaluate(z) - gamma * g.evaluate(z))) < 1e-12
 
 
 def test_dt_matches_finite_differences():
@@ -117,8 +114,8 @@ def test_dt_matches_finite_differences():
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         t = rng.uniform(0.1, 0.9)
         eps = 1e-7
-        fd = (h.evaluate(z, t + eps) - h.evaluate(z, t - eps)) / (2 * eps)
-        assert np.max(np.abs(h.dt(z, t) - fd)) < 1e-6
+        fd = (h.at(t + eps).evaluate(z) - h.at(t - eps).evaluate(z)) / (2 * eps)
+        assert np.max(np.abs(h.tangent_data(z, t)[0] - fd)) < 1e-6
 
 
 def test_jacobian_blend():
@@ -127,7 +124,7 @@ def test_jacobian_blend():
     z = np.array([2.0 + 1.0j])
     t = 0.3
     # both endpoint systems are z^2 - c, so J_H = 2z at any t
-    assert h.jacobian(z, t)[0, 0] == pytest.approx(2 * (2.0 + 1.0j))
+    assert h.tangent_data(z, t)[1][0, 0] == pytest.approx(2 * (2.0 + 1.0j))
 
 
 def test_homotopy_dimension_mismatch():
@@ -136,4 +133,4 @@ def test_homotopy_dimension_mismatch():
     t1 = instantiate(sys1, np.zeros(0, dtype=complex))
     t2 = instantiate(sys2, np.zeros(0, dtype=complex))
     with pytest.raises(ValueError, match="dimension"):
-        Homotopy(HomotopyKind.PARAMETER, t1, t2, 1.0)
+        Homotopy(t1, t2, 1.0)

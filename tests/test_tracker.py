@@ -64,7 +64,7 @@ def test_euler_predict_exact_for_linear_homotopy():
         instantiate(lin, np.array([1.0 + 0j])),
     )
     z, _ = _predict(h, np.array([1.0 + 0j]), t=1.0, dt=-0.4)
-    assert abs(h.evaluate(z, 0.6)[0]) < 1e-12
+    assert abs(h.at(0.6).evaluate(z)[0]) < 1e-12
 
 
 def test_euler_predict_singular_jacobian_flagged():
@@ -154,7 +154,7 @@ def test_residual_bounded_after_corrections():
     cfg = TrackerConfig()
     res = _track_one(h, np.array([1.0 + 0j]), cfg)
     assert res.status is PathStatus.SUCCESS
-    assert abs(h.evaluate(res.boundary_point, cfg.endgame_boundary)[0]) < 100 * cfg.newton_tol
+    assert abs(h.at(cfg.endgame_boundary).evaluate(res.boundary_point)[0]) < 100 * cfg.newton_tol
 
 
 def test_boundary_point_recorded():
@@ -293,7 +293,7 @@ def test_classify_sixth_roots_of_unity():
 
 
 def test_classify_merges_transitive_chain():
-    # a~b and b~c within dedup_tol, a and c not: union-find merges all three
+    # a~b and b~c within DEDUP_TOL, a and c not: union-find merges all three
     h = _quad_homotopy()
     base = _track_one(h, np.array([1.0 + 0j]), TrackerConfig())
     chain = [
@@ -301,7 +301,7 @@ def test_classify_merges_transitive_chain():
         for shift, res in ((0.0, 3e-16), (0.7e-6, 1e-16), (1.4e-6, 2e-16))
     ]
     assert crossing_check([r.endpoint for r in chain], 1e-6) == [(0, 1), (1, 2)]
-    cls = classify_endpoints(chain, dedup_tol=1e-6)
+    cls = classify_endpoints(chain)
     assert len(cls) == 1
     assert cls.multiplicities == (3,)
     assert cls.singular_flags == (True,)
@@ -320,7 +320,7 @@ def test_classify_merges_nearby_endpoints():
         condition_estimate=base.condition_estimate,
         sharpen_converged=True,
     )
-    cls = classify_endpoints([base, shifted], dedup_tol=1e-6)
+    cls = classify_endpoints([base, shifted])
     assert len(cls) == 1
     assert cls.multiplicities == (2,)
     assert cls.singular_flags == (True,)
