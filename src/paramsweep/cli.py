@@ -34,7 +34,8 @@ A run directory receives::
     step1.json          the generic-solve artifact (reusable via --reuse-step1)
     solutions.json      full machine-readable dump
     failure_report.txt  failed/retried/degenerate points
-    timing_summary.txt  per-point wall-clock records
+    timing_summary.txt  per-point wall-clock records; a point's tracking
+                        time is its equal share of its batch's
     real_counts.csv     grid export (mesh runs with --export-csv)
 
 ``solve`` writes the exports from the sweep it holds; ``export`` writes

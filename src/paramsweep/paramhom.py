@@ -3,10 +3,12 @@
 Step 1 solves the family once at a random complex start point via a
 total-degree homotopy and keeps the nonsingular finite solutions.  Step 2
 runs one parameter homotopy per requested point, reusing the Step 1
-solutions as path starts.  Points where paths fail hard (step underflow,
-Newton failure, step budget) are retried from fresh random start points,
-at most K rounds; divergent paths are reported but are not by themselves
-retried, since they normally reflect genuine geometry of the target.
+solutions as path starts; ``step2`` tracks the homotopies of a batch of
+points in one lock-step call.  Points where paths fail hard (step
+underflow, Newton failure, step budget) are retried from fresh random
+start points, at most K rounds; divergent paths are reported but are not
+by themselves retried, since they normally reflect genuine geometry of
+the target.
 
 The path accounting is the whole economy of the method: a sweep of k
 points costs m + k*l paths (one generic solve of m paths plus l paths per
@@ -28,7 +30,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,7 +62,7 @@ __all__ = [
     "random_parameter_point",
     "step1",
     "verify_step1",
-    "step2_single",
+    "step2",
     "parameter_sweep_path_count",
     "repeated_homotopy_path_count",
 ]
@@ -124,6 +126,12 @@ def attempt_status(failures: int, diverged: int) -> PointStatus:
 
 
 class TimingRecord(NamedTuple):
+    """Seconds a worker spent on one point.
+
+    ``track_seconds`` is the point's equal share of its batch's tracking
+    time, since every point of a batch is tracked in one call.
+    """
+
     index: int
     track_seconds: float
     serialize_seconds: float
@@ -272,34 +280,46 @@ _INJECTED_FAILURE = PathResult(
 )
 
 
-def step2_single(
+def step2(
     sys: ParamSystem,
     from_point: np.ndarray,
     from_solutions,
-    target: np.ndarray,
+    targets: Sequence[np.ndarray],
     cfg: TrackerConfig,
-    force_first_failure: bool = False,
-) -> Step2Outcome:
-    """One parameter homotopy run: from_point -> target, |S| paths."""
-    starts = _points_of(from_solutions)
-    h = build_homotopy(instantiate(sys, target), instantiate(sys, from_point))
-    results = track_many(h, starts, cfg)
-    if force_first_failure and results:
-        results = [_INJECTED_FAILURE] + results[1:]
+    force_first_failure: Collection[int] = (),
+) -> list[Step2Outcome]:
+    """Parameter homotopies from_point -> each target, |S| paths each.
 
-    hard = [r for r in results if r.status in HARD_FAILURES]
-    diverged = [r for r in results if r.status is PathStatus.DIVERGED]
-    failures = len(hard) + (len(diverged) if cfg.divergence_is_failure else 0)
-    kinds = Counter(r.status.value for r in hard)
-    if diverged:
-        kinds[PathStatus.DIVERGED.value] = len(diverged)
-    return Step2Outcome(
-        solutions=classify_endpoints(results),
-        failures=failures,
-        diverged=len(diverged),
-        paths_tracked=len(starts),
-        failure_kinds=tuple(sorted(kinds.items())),
-    )
+    The paths of every target are tracked in one lock-step call, each with
+    the result it gets when its target is solved alone.  Returns one
+    outcome per target, in order.  ``force_first_failure`` (test hook) holds positions
+    in ``targets`` whose first path is replaced by a MIN_STEP failure.
+    """
+    starts = _points_of(from_solutions)
+    h = build_homotopy([instantiate(sys, p) for p in targets], instantiate(sys, from_point))
+    results = track_many(h, starts, cfg)
+    n = len(starts)
+    outcomes = []
+    for k in range(len(targets)):
+        mine = results[k * n : (k + 1) * n]
+        if k in force_first_failure and mine:
+            mine = [_INJECTED_FAILURE] + mine[1:]
+        hard = [r for r in mine if r.status in HARD_FAILURES]
+        diverged = [r for r in mine if r.status is PathStatus.DIVERGED]
+        failures = len(hard) + (len(diverged) if cfg.divergence_is_failure else 0)
+        kinds = Counter(r.status.value for r in hard)
+        if diverged:
+            kinds[PathStatus.DIVERGED.value] = len(diverged)
+        outcomes.append(
+            Step2Outcome(
+                solutions=classify_endpoints(mine),
+                failures=failures,
+                diverged=len(diverged),
+                paths_tracked=n,
+                failure_kinds=tuple(sorted(kinds.items())),
+            )
+        )
+    return outcomes
 
 
 class PointSummary(NamedTuple):
@@ -385,7 +405,7 @@ def sweep_with_runner(
     k = 0
     while targets and k < max_retries:
         p_prime = random_parameter_point(sys.n_params, rng)
-        prime = step2_single(sys, r1.p0, r1.solutions, p_prime, cfg)
+        prime = step2(sys, r1.p0, r1.solutions, [p_prime], cfg)[0]
         total_paths += prime.paths_tracked
         k += 1
         s_prime = _restrict_nonsingular(prime.solutions)

@@ -3,18 +3,20 @@
 A single coordinator hands batches of parameter points to worker
 processes on demand (a worker asks for more by reporting its finished
 batch), broadcasts each round's start context to every worker, and sends
-kill messages once the queue drains.  Workers solve their batch points
-via ``step2_single``, serialize each attempt as a ``PointResult`` record
+kill messages once the queue drains.  Workers solve all points of a batch
+in one ``step2`` call, serialize each attempt as a ``PointResult`` record
 with the status it earns (``paramhom.attempt_status``), and write it
 straight to a per-worker spill file ``step2_worker<k>.part``; the file's
 own buffer is flushed before the batch is reported done.  The report
 carries a compact summary per point (failure counts, paths tracked,
 timings), which is all the retry policy (``paramhom.sweep_with_runner``)
-needs: the spill files are the only store of the solutions.  After the
-sweep the coordinator merges the spill files into the collected data
-file, the standing round of each point under the retries and note the
-policy decided, keeps the merged records as the sweep's point results,
-and deletes the spill files.
+needs: the spill files are the only store of the solutions.  A worker
+sends each report whole before it goes on, so a worker that crashes
+between reports blocks no other worker's.  After the sweep the
+coordinator merges the spill files into the collected data file, the
+standing round of each point under the retries and note the policy
+decided, keeps the merged records as the sweep's point results, and
+deletes the spill files.
 With one worker no process is started, and the coordinator runs each
 batch itself through the same batch function.
 
@@ -29,7 +31,6 @@ from __future__ import annotations
 import glob
 import multiprocessing as mp
 import os
-import queue as queue_mod
 import tempfile
 import time
 from collections import deque
@@ -53,7 +54,7 @@ from paramsweep.paramhom import (
     SweepResult,
     TimingRecord,
     attempt_status,
-    step2_single,
+    step2,
     sweep_with_runner,
 )
 from paramsweep.poly import ParamSystem
@@ -130,16 +131,18 @@ def _run_batch(
     takes a reported batch as stored: a worker that crashes later must not
     take the records of its finished batches with it.
     """
+    first = batch.round_no == 0
+    faulty = job.fault.indices if first and job.fault is not None else ()
+    inject = [k for k, idx in enumerate(batch.indices) if idx in faulty]
+    t0 = time.perf_counter()
+    outcomes = step2(
+        job.sysm, from_point, starts, batch.points, job.cfg, force_first_failure=inject
+    )
+    t_track = (time.perf_counter() - t0) / len(outcomes)
     summaries = []
-    for idx, target in zip(batch.indices, batch.points):
-        if batch.round_no == 0 and idx in job.crash_indices:
+    for idx, target, outcome in zip(batch.indices, batch.points, outcomes):
+        if first and idx in job.crash_indices:
             os._exit(13)  # test hook: simulated worker crash
-        inject = job.fault is not None and batch.round_no == 0 and idx in job.fault.indices
-        t0 = time.perf_counter()
-        outcome = step2_single(
-            job.sysm, from_point, starts, target, job.cfg, force_first_failure=inject
-        )
-        t_track = time.perf_counter() - t0
         t0 = time.perf_counter()
         attempt = PointResult(
             index=idx,
@@ -168,12 +171,34 @@ def _run_batch(
     return summaries
 
 
+class _ResultPipe:
+    """The one channel from the workers to the coordinator.
+
+    A worker sends each message whole, from its own thread, under a lock
+    the workers share.  A multiprocessing.Queue would send from a feeder
+    thread, which can still hold that lock when its worker dies (a crash
+    right after a report), and then no other worker's report gets through.
+    """
+
+    def __init__(self, ctx):
+        self._recv_end, self._send_end = ctx.Pipe(duplex=False)
+        self._lock = ctx.Lock()
+
+    def send(self, msg) -> None:
+        with self._lock:
+            self._send_end.send(msg)
+
+    def recv(self, timeout: float):
+        """The next message, or None if none arrives within ``timeout`` s."""
+        return self._recv_end.recv() if self._recv_end.poll(timeout) else None
+
+
 def _worker_main(
     wid: int,
     job: _Job,
     part_path: str,
     inbox,
-    outbox,
+    outbox: _ResultPipe,
 ):
     _limit_blas_threads()
     from_point = None
@@ -183,7 +208,6 @@ def _worker_main(
             msg = inbox.get()
             kind = msg[0]
             if kind == "kill":
-                outbox.put(("bye", wid))
                 return
             if kind == "round":
                 _, from_point, starts = msg
@@ -191,9 +215,9 @@ def _worker_main(
             try:
                 summaries = _run_batch(job, msg[1], from_point, starts, sink)
             except OSError as exc:
-                outbox.put(("fatal", wid, f"spill write failed: {exc}"))
+                outbox.send(("fatal", wid, f"spill write failed: {exc}"))
                 os._exit(3)
-            outbox.put(("done", wid, summaries))
+            outbox.send(("done", wid, summaries))
 
 
 def _part_path(part_dir: str, wid: int | str) -> str:
@@ -222,7 +246,7 @@ class _Pool:
             return
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-        self._outbox = self._ctx.Queue()
+        self._outbox = _ResultPipe(self._ctx)
         for _ in range(n_workers):
             self._spawn()
 
@@ -297,9 +321,8 @@ class _Pool:
 
         dispatch()
         while in_flight or batches:
-            try:
-                msg = self._outbox.get(timeout=0.25)
-            except queue_mod.Empty:
+            msg = self._outbox.recv(timeout=0.25)
+            if msg is None:
                 reap_crashes()
                 dispatch()
                 continue
@@ -315,7 +338,6 @@ class _Pool:
             elif kind == "fatal":
                 _, wid, message = msg
                 raise RuntimeError(f"worker {wid}: {message}")
-            # "bye" messages are ignored here (shutdown drains workers)
         return results
 
     def shutdown(self):

@@ -13,12 +13,15 @@ provides genericity.
 
 Internally both endpoint systems are laid out on one shared term
 structure, so evaluating H, its z-Jacobian, or dH/dt at any t costs a
-single coefficient blend plus one sparse evaluation.
+single coefficient blend plus one sparse evaluation.  A homotopy may hold
+a stack of targets with one source, one homotopy per target, so that a
+batch of parameter points is tracked as one batch of rows.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,31 +93,47 @@ def random_gamma(rng: np.random.Generator) -> complex:
 
 
 class Homotopy:
-    """H(z, t) = target(z)*(1-t) + source(z)*t*gamma on a shared structure.
+    """H_k(z, t) = target_k(z)*(1-t) + source(z)*t*gamma on a shared structure.
+
+    One homotopy per target of a stack: every target shares one term
+    structure, and all share the source and gamma.  The evaluations take a
+    batch of rows and ``point``, the index of each row's target (0 for a
+    stack of one); each row is computed exactly as it would be in a
+    homotopy of its target alone.  A stack of one target keeps 1-D
+    coefficients, which broadcast over the rows without a gather.
 
     Immutable after construction; safe to share across workers.
     """
 
     def __init__(
-        self, target: InstantiatedSystem, source: InstantiatedSystem, gamma: complex
+        self,
+        targets: InstantiatedSystem | Sequence[InstantiatedSystem],
+        source: InstantiatedSystem,
+        gamma: complex,
     ):
-        if target.n_vars != source.n_vars:
+        if isinstance(targets, InstantiatedSystem):
+            targets = [targets]
+        st_a = targets[0].structure
+        if any(t.structure is not st_a for t in targets):
+            raise ValueError("the targets of a homotopy must share one term structure")
+        if st_a.n_vars != source.n_vars:
             raise ValueError(
-                f"dimension mismatch: target has {target.n_vars} variables, "
+                f"dimension mismatch: target has {st_a.n_vars} variables, "
                 f"source has {source.n_vars}"
             )
-        if target.structure is source.structure:
-            self._struct = target.structure
-            c_a = target.coeffs
+        c_a = np.array([t.coeffs for t in targets], dtype=complex)
+        if st_a is source.structure:
+            self._struct = st_a
             c_b = source.coeffs
         else:
-            self._struct, idx_a, idx_b = _union_structure(
-                target.structure, source.structure
-            )
-            c_a = np.zeros(self._struct.n_terms, dtype=complex)
+            self._struct, idx_a, idx_b = _union_structure(st_a, source.structure)
+            c_union = np.zeros((len(targets), self._struct.n_terms), dtype=complex)
+            c_union[:, idx_a] = c_a
+            c_a = c_union
             c_b = np.zeros(self._struct.n_terms, dtype=complex)
-            c_a[idx_a] = target.coeffs
             c_b[idx_b] = source.coeffs
+        if len(targets) == 1:
+            c_a = c_a[0]
         self._c_target = c_a
         # c(t) = c_target + t * c_dt reproduces (1-t)*target + t*gamma*source
         self._c_dt = complex(gamma) * c_b - c_a
@@ -123,16 +142,26 @@ class Homotopy:
     def n_vars(self) -> int:
         return self._struct.n_vars
 
-    def coeffs_at(self, t: float) -> np.ndarray:
-        return self._c_target + t * self._c_dt
+    @property
+    def n_points(self) -> int:
+        """The number of targets in the stack."""
+        return len(self._c_target) if self._c_target.ndim == 2 else 1
 
-    def at(self, t: float) -> InstantiatedSystem:
+    def _rows(self, c: np.ndarray, point) -> np.ndarray:
+        return c if c.ndim == 1 else c[point]
+
+    def coeffs_at(self, t, point=0) -> np.ndarray:
+        return self._rows(self._c_target, point) + t * self._rows(self._c_dt, point)
+
+    def at(self, t, point=0) -> InstantiatedSystem:
         """The frozen system H(., t), usable for Newton correction."""
-        return InstantiatedSystem(self._struct, self.coeffs_at(t))
+        return InstantiatedSystem(self._struct, self.coeffs_at(t, point))
 
-    def tangent_data(self, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def tangent_data(self, z: np.ndarray, t, point=0) -> tuple[np.ndarray, np.ndarray]:
         """(dH/dt, J_z) at (z, t) in a single fused evaluation."""
-        return self._struct.eval_and_jac(self._c_dt, self.coeffs_at(t), z)
+        return self._struct.eval_and_jac(
+            self._rows(self._c_dt, point), self.coeffs_at(t, point), z
+        )
 
 
 def _union_structure(
@@ -163,11 +192,11 @@ def _union_structure(
 
 
 def build_homotopy(
-    target: InstantiatedSystem,
+    target: InstantiatedSystem | Sequence[InstantiatedSystem],
     source: InstantiatedSystem | StartSystem,
     gamma: complex = 1.0,
 ) -> Homotopy:
-    """Blend target and source.
+    """Blend a target, or a stack of targets on one term structure, with a source.
 
     A StartSystem source gives a total-degree homotopy (any unit gamma);
     an instantiated source gives a parameter homotopy, where gamma must

@@ -7,12 +7,14 @@ the endpoint is then sharpened by a few Newton iterations on the target
 system itself.  There is no endgame: genuinely singular endpoints are
 flagged, not refined.
 
-All start points of one homotopy advance together as a (B, N) array.
-Each path keeps its own t, step length, success streak, attempt and step
-counts, boundary point and status; a path that finishes or fails leaves
-the active set.  Every evaluation, solve and norm is one numpy call on
-the active rows, and each row of such a call is computed exactly as it
-would be alone.
+Every start point on every homotopy of a stack (one per target, see
+``startsys.Homotopy``) advances together as one (B, N) array, B being
+targets x starts; each row carries the index of its target.  Each path
+keeps its own t, step length, success streak, attempt and step counts,
+boundary point and status; a path that finishes or fails leaves the
+active set.  Every evaluation, solve and norm is one numpy call on the
+active rows, and each row of such a call is computed exactly as it would
+be alone, on its own target's coefficients.
 
 All failure modes are encoded in the returned status, never raised:
 
@@ -22,9 +24,10 @@ All failure modes are encoded in the returned status, never raised:
 * ``MAX_STEPS``     -- attempt budget exhausted
 
 Batch invariance and determinism: a path's result depends only on its
-start point, the homotopy and the config, never on the other paths of the
-batch, their number or their order.  It is bit-for-bit identical to
-tracking that start alone in a batch of one, and identical inputs give
+start point, its target's homotopy and the config, never on the other
+paths of the batch, the other targets of the stack, their number or their
+order.  It is bit-for-bit identical to tracking that start alone in a
+batch of one on a homotopy of its target alone, and identical inputs give
 identical results.
 """
 
@@ -142,47 +145,48 @@ def _solve(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(x, ok)``; ``ok[b]`` is False where J[b] is singular, and
     row b of x is then meaningless.  LAPACK rejects the whole stack when
-    one matrix is singular, so only then are the rows solved one by one.
+    one matrix is singular; the stack is then split in halves, so that s
+    singular matrices cost O(s log B) stacked solves, not B single ones.
     """
     try:
         x = np.linalg.solve(jac, rhs[..., None])[..., 0]
         return x, np.ones(len(rhs), dtype=bool)
     except np.linalg.LinAlgError:
-        pass
-    x = np.full(rhs.shape, np.nan, dtype=complex)
-    ok = np.zeros(len(rhs), dtype=bool)
-    for b in range(len(rhs)):
-        try:
-            x[b] = np.linalg.solve(jac[b], rhs[b])
-            ok[b] = True
-        except np.linalg.LinAlgError:
-            pass
-    return x, ok
+        if len(rhs) == 1:
+            return np.full(rhs.shape, np.nan, dtype=complex), np.zeros(1, dtype=bool)
+    mid = len(rhs) // 2
+    x_lo, ok_lo = _solve(jac[:mid], rhs[:mid])
+    x_hi, ok_hi = _solve(jac[mid:], rhs[mid:])
+    return np.concatenate([x_lo, x_hi]), np.concatenate([ok_lo, ok_hi])
 
 
 def _condition_estimate(jac: np.ndarray) -> np.ndarray:
     """inf-norm condition number of each matrix of a (B, N, N) stack.
 
-    Singular matrices get inf.  As in ``_solve``, the stack is split into
-    single matrices only when LAPACK rejects it.
+    Singular matrices get inf.  As in ``_solve``, a stack that LAPACK
+    rejects is split in halves.
     """
     try:
         inv = np.linalg.inv(jac)
     except np.linalg.LinAlgError:
         if len(jac) == 1:
             return np.array([np.inf])
-        return np.concatenate([_condition_estimate(j[None]) for j in jac])
+        mid = len(jac) // 2
+        return np.concatenate([_condition_estimate(jac[:mid]), _condition_estimate(jac[mid:])])
     c = np.abs(jac).sum(axis=2).max(axis=1) * np.abs(inv).sum(axis=2).max(axis=1)
     return np.where(np.isfinite(c), c, np.inf)
 
 
-def _euler_predict(h: Homotopy, z: np.ndarray, t: np.ndarray, dt: np.ndarray):
-    """Tangent step z + dz with J_z dz = -(dH/dt) * dt, row by row.
+def _euler_predict(
+    h: Homotopy, z: np.ndarray, t: np.ndarray, dt: np.ndarray, point: np.ndarray
+):
+    """Tangent step z + dz with J_z dz = -(dH/dt) * dt, row by row, each
+    row on the homotopy of its target ``point``.
 
     Returns ``(predicted, ok)``; ``ok`` is False where the Jacobian is
     singular or the prediction is not finite.
     """
-    dh_dt, jac = h.tangent_data(z, t[:, None])
+    dh_dt, jac = h.tangent_data(z, t[:, None], point)
     delta, ok = _solve(jac, -dh_dt * dt[:, None])
     predicted = z + delta
     return predicted, ok & np.isfinite(predicted).all(axis=1)
@@ -223,17 +227,19 @@ def _newton_correct(sys_at_t: InstantiatedSystem, z: np.ndarray, cfg: TrackerCon
 
 
 def _sharpen(target: InstantiatedSystem, z: np.ndarray, cfg: TrackerConfig):
-    """Final Newton polish of each row on the target system; never raises.
+    """Final Newton polish of each row on its target system; never raises.
 
-    Returns ``(points, converged)``.
+    ``target`` holds one row of coefficients per point.  Returns
+    ``(points, converged)``.
     """
+    structure, coeffs = target.structure, target.coeffs
     z = z.copy()
     converged = np.zeros(len(z), dtype=bool)
     live = np.arange(len(z))
     for _ in range(cfg.sharpen_iters):
         if not live.size:
             break
-        f, jac = target.eval_and_jac(z[live])
+        f, jac = structure.eval_and_jac(coeffs[live], coeffs[live], z[live])
         exact = _inf_norm(f) == 0.0
         converged[live[exact]] = True
         live, f, jac = live[~exact], f[~exact], jac[~exact]
@@ -249,11 +255,17 @@ def _sharpen(target: InstantiatedSystem, z: np.ndarray, cfg: TrackerConfig):
 
 
 def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
-    """Track every solution of H(., 1) = 0 in ``starts`` to t = 0, in lock-step.
+    """Track every solution of H(., 1) = 0 in ``starts`` to t = 0, in lock-step,
+    on every homotopy of the stack ``h``.
 
-    Returns one PathResult per start, in start order.
+    Returns one PathResult per target and start, target by target and in
+    start order within a target: result ``k * len(starts) + i`` is start i
+    tracked on target k.
     """
     z = np.array([np.asarray(s, dtype=complex) for s in starts]).reshape(-1, h.n_vars)
+    # row b tracks start b % len(starts) on target point[b]
+    point = np.repeat(np.arange(h.n_points), len(z))
+    z = np.tile(z, (h.n_points, 1))
     n = len(z)
     if n == 0:
         return []
@@ -293,10 +305,10 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
             (t_a > eb) & (t_next < eb), eb, np.where(t_next < tf, tf, t_next)
         )
 
-        predicted, ok = _euler_predict(h, z[act], t_a, t_next - t_a)
+        predicted, ok = _euler_predict(h, z[act], t_a, t_next - t_a, point[act])
         rows = np.flatnonzero(ok)
         corrected, converged, iters = _newton_correct(
-            h.at(t_next[rows, None]), predicted[rows], cfg
+            h.at(t_next[rows, None], point[act[rows]]), predicted[rows], cfg
         )
         newton_iters[act[rows]] += iters
         ok[rows] = converged
@@ -335,7 +347,7 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
     condition = np.full(n, np.inf)
     sharpened = np.zeros(n, dtype=bool)
     if done.size:
-        target = h.at(0.0)
+        target = h.at(np.zeros((done.size, 1)), point[done])
         z[done], sharpened[done] = _sharpen(target, z[done], cfg)
         f, jac = target.eval_and_jac(z[done])
         residual[done] = _inf_norm(f)

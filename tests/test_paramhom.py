@@ -11,7 +11,7 @@ from paramsweep.paramhom import (
     random_parameter_point,
     repeated_homotopy_path_count,
     step1,
-    step2_single,
+    step2,
     verify_step1,
 )
 from paramsweep.poly import parse_system
@@ -143,7 +143,7 @@ def test_verify_step1_detects_mismatch(quad_system, monkeypatch):
 def test_step2_single_quadratic(quad_system):
     rng = np.random.default_rng(31)
     r1 = step1(quad_system, CFG, rng)
-    out = step2_single(quad_system, r1.p0, r1.solutions, np.array([4.0 + 0j]), CFG)
+    (out,) = step2(quad_system, r1.p0, r1.solutions, [np.array([4.0 + 0j])], CFG)
     assert out.failures == 0
     assert out.paths_tracked == 2
     assert set_distance(out.solutions.distinct, [[2.0], [-2.0]]) < 1e-8
@@ -152,7 +152,7 @@ def test_step2_single_quadratic(quad_system):
 def test_step2_single_cube_to_origin(cube_system):
     rng = np.random.default_rng(37)
     r1 = step1(cube_system, CFG, rng)
-    out = step2_single(cube_system, r1.p0, r1.solutions, np.zeros(2, dtype=complex), CFG)
+    (out,) = step2(cube_system, r1.p0, r1.solutions, [np.zeros(2, dtype=complex)], CFG)
     assert out.failures == 0
     assert len(out.solutions) == 6
     assert out.solutions.n_real == 2  # z^6 = 1
@@ -162,8 +162,8 @@ def test_step2_single_cube_discriminant_point(cube_system):
     # (x, y) = (1, 0) puts the target exactly on the discriminant: z^6 = 0
     rng = np.random.default_rng(41)
     r1 = step1(cube_system, CFG, rng)
-    out = step2_single(
-        cube_system, r1.p0, r1.solutions, np.array([1.0 + 0j, 0j]), CFG
+    (out,) = step2(
+        cube_system, r1.p0, r1.solutions, [np.array([1.0 + 0j, 0j])], CFG
     )
     assert out.failures == 0
     assert all(out.solutions.singular_flags)
@@ -250,8 +250,8 @@ def test_solutions_independent_of_start_point(cube_system):
     r1b = step1(cube_system, CFG, cfgs)
     assert not np.array_equal(r1a.p0, r1b.p0)
     target = np.array([0.3 + 0j, -0.2 + 0j])
-    out_a = step2_single(cube_system, r1a.p0, r1a.solutions, target, CFG)
-    out_b = step2_single(cube_system, r1b.p0, r1b.solutions, target, CFG)
+    (out_a,) = step2(cube_system, r1a.p0, r1a.solutions, [target], CFG)
+    (out_b,) = step2(cube_system, r1b.p0, r1b.solutions, [target], CFG)
     assert set_distance(out_a.solutions.distinct, out_b.solutions.distinct) < 1e-8
 
 
@@ -262,6 +262,6 @@ def test_generic_solution_count_constant(quad_system):
     r1 = step1(quad_system, CFG, rng)
     for _ in range(25):
         p = random_parameter_point(1, rng) + 0.1  # keep away from 0
-        out = step2_single(quad_system, r1.p0, r1.solutions, p, CFG)
+        (out,) = step2(quad_system, r1.p0, r1.solutions, [p], CFG)
         assert len(out.solutions) == 2
         assert not any(out.solutions.singular_flags)

@@ -1,3 +1,8 @@
+import os
+import threading
+import time
+from multiprocessing.connection import Connection
+
 import numpy as np
 import pytest
 
@@ -80,17 +85,31 @@ def test_collected_file_deterministic_for_single_worker(quad_setup, tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_collected_file_matches_across_worker_counts(quad_setup, tmp_path):
-    sysq, r1, points = quad_setup
-    blobs = []
-    for workers in (1, 2, 4):
-        out = tmp_path / f"w{workers}"
-        run_parallel(
-            sysq, r1, points, CFG, max_retries=0, workers=workers,
-            rng=np.random.default_rng(1), out_dir=str(out),
+@pytest.mark.parametrize(
+    "batch_size, fault",
+    [(1, None), (None, None), (1000, None), (None, FaultInjection.at(0, 5))],
+    ids=["batch1", "default", "whole", "default-fault"],
+)
+def test_collected_file_matches_across_worker_counts(quad_setup, tmp_path, batch_size, fault):
+    # points of a batch are tracked as one stack, so the output must not
+    # depend on how many share a batch; the reference solves one per batch.
+    # With 40 points a default batch holds 5 points at 1 worker, 2 at 2
+    # and 1 at 4.
+    sysq, r1, _ = quad_setup
+    points = list(generate_mesh(MeshSpec((Range(0.5, 3.0, 40),))).points)
+    blobs = {}
+    for workers, size in ((1, 1), (1, batch_size), (2, batch_size), (4, batch_size)):
+        out = tmp_path / f"w{workers}-b{size}"
+        sweep = run_parallel(
+            sysq, r1, points, CFG, max_retries=2, workers=workers,
+            rng=np.random.default_rng(1), batch_size=size, out_dir=str(out),
+            fault_injection=fault,
         )
-        blobs.append((out / "collected.dat").read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+        assert sweep.unresolved_indices == []
+        blobs[workers, size] = (out / "collected.dat").read_bytes()
+    assert len(set(blobs.values())) == 1
+    retried = [pr.index for pr in sweep.point_results if pr.retries_used]
+    assert retried == ([0, 5] if fault else [])
 
 
 def test_mitigation_parallel_resolves_injected_failures(quad_setup):
@@ -148,6 +167,35 @@ def test_crash_keeps_records_of_reported_batches(quad_setup, tmp_path):
     assert len(clean) == len(crashed) == len(points)
     assert crashed[:last] == clean[:last]
     assert "crash" in crashed[last]
+
+
+def test_crash_during_a_report_blocks_no_other_worker(quad_setup, monkeypatch):
+    # every write a worker makes to a pipe takes 0.2 s longer, so a worker
+    # that crashes on the batch it got for its last report does so while
+    # that report may still be under way; the other worker's reports must
+    # still get through, and the sweep must end
+    sysq, r1, points = quad_setup
+    coordinator = os.getpid()
+    send = Connection._send_bytes
+
+    def slow_in_workers(self, buf):
+        send(self, buf)
+        if os.getpid() != coordinator:
+            time.sleep(0.2)
+
+    monkeypatch.setattr(Connection, "_send_bytes", slow_in_workers)
+    swept = []
+    sweep = threading.Thread(
+        target=lambda: swept.append(run_parallel(
+            sysq, r1, points[:6], CFG, max_retries=0, workers=2,
+            rng=np.random.default_rng(1), batch_size=1, crash_injection=frozenset({2}),
+        )),
+        daemon=True,
+    )
+    sweep.start()
+    sweep.join(timeout=60)
+    assert not sweep.is_alive(), "the sweep stalled"
+    assert [pr.index for pr in swept[0].point_results if pr.note] == [2]
 
 
 def test_records_of_a_crashed_batch_change_nothing(quad_setup, tmp_path, monkeypatch):

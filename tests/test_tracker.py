@@ -3,13 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from paramsweep.paramhom import step1
 from paramsweep.poly import InstantiatedSystem, instantiate, parse_system
 from paramsweep.startsys import build_homotopy, random_gamma, total_degree_start
 from paramsweep.tracker import (
     PathStatus,
     TrackerConfig,
+    _condition_estimate,
     _euler_predict,
     _newton_correct,
+    _solve,
     classify_endpoints,
     crossing_check,
     track_many,
@@ -28,7 +31,8 @@ def _quad_homotopy(p_target=4.0, p_source=1.0):
 
 def _predict(h, z, t, dt):
     """The batched predictor on a batch of one point."""
-    z, ok = _euler_predict(h, np.array([z]), np.array([t]), np.array([dt]))
+    point = np.zeros(1, dtype=np.intp)  # the row is on target 0
+    z, ok = _euler_predict(h, np.array([z]), np.array([t]), np.array([dt]), point)
     return z[0], bool(ok[0])
 
 
@@ -225,6 +229,85 @@ def test_batch_order_invariance_wave_amplitude():
     backward = track_many(h, starts[::-1], cfg)[::-1]
     assert all(_same_result(a, b) for a, b in zip(forward, backward))
     assert _same_result(forward[4], _track_one(h, starts[4], cfg))
+
+
+# wave-amplitude points, each tracked from the Step 1 solutions: two
+# generic points; the g = 0 points (2, 2, 0), where 48 of 81 paths diverge,
+# and (2, 8, 0), where 8 more end in NEWTON_FAILURE; and the mu = 0 edge
+# point (0, 0, 7.63), where 28 paths end in MIN_STEP
+WAVE_POINTS = [(3, 6, 7.63), (2, 2, 0), (0, 0, 7.63), (1.5, 4, 2), (2, 8, 0)]
+
+
+@pytest.fixture(scope="module")
+def wave_step1():
+    sysm = parse_system(MONKS_TEXT)
+    return sysm, step1(sysm, TrackerConfig(), np.random.default_rng(11))
+
+
+@pytest.mark.parametrize("max_steps", [10_000, 70])
+def test_stack_invariance_wave_amplitude(wave_step1, max_steps):
+    # the homotopies of several points stacked into one lock-step call give
+    # every path the result it gets on a homotopy of its point alone
+    sysm, r1 = wave_step1
+    cfg = TrackerConfig(max_steps=max_steps)
+    starts = list(r1.solutions.distinct)
+    source = instantiate(sysm, r1.p0)
+    targets = [instantiate(sysm, np.array(p, dtype=complex)) for p in WAVE_POINTS]
+    stacked = track_many(build_homotopy(targets, source), starts, cfg)
+    assert len(stacked) == len(targets) * len(starts)
+    statuses = {r.status for r in stacked}
+    assert PathStatus.SUCCESS in statuses
+    if max_steps == 70:
+        assert PathStatus.MAX_STEPS in statuses
+    else:
+        kinds = {PathStatus.DIVERGED, PathStatus.MIN_STEP, PathStatus.NEWTON_FAILURE}
+        assert kinds < statuses
+    for k, target in enumerate(targets):
+        alone = track_many(build_homotopy(target, source), starts, cfg)
+        mine = stacked[k * len(starts) : (k + 1) * len(starts)]
+        assert all(_same_result(a, b) for a, b in zip(mine, alone))
+
+
+def _count_calls(monkeypatch, name):
+    """Patch np.linalg.<name> to record each call; returns the record."""
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_stacked_solve_splits_around_a_singular_matrix(monkeypatch):
+    # one exactly singular matrix in 1,024 costs at most 2*log2(1024) + 2
+    # stacked calls, and every other row equals its own single solve
+    rng = np.random.default_rng(7)
+    B, N, bad = 1024, 3, 637
+    jac = rng.standard_normal((B, N, N)) + 1j * rng.standard_normal((B, N, N))
+    rhs = rng.standard_normal((B, N)) + 1j * rng.standard_normal((B, N))
+    jac[bad, 2] = 0.0
+    good = np.arange(B) != bad
+    alone_x = np.array([np.linalg.solve(j, r) for j, r in zip(jac[good], rhs[good])])
+    alone_cond = np.array([
+        np.abs(j).sum(axis=1).max() * np.abs(np.linalg.inv(j)).sum(axis=1).max()
+        for j in jac[good]
+    ])
+    budget = 2 * int(np.log2(B)) + 2
+
+    solves = _count_calls(monkeypatch, "solve")
+    x, ok = _solve(jac, rhs)
+    assert len(solves) <= budget
+    assert ok.tolist() == good.tolist()
+    assert np.array_equal(x[good], alone_x)
+
+    inversions = _count_calls(monkeypatch, "inv")
+    cond = _condition_estimate(jac)
+    assert len(inversions) <= budget
+    assert cond[bad] == np.inf
+    assert np.array_equal(cond[good], alone_cond)
 
 
 def test_per_path_counters():
