@@ -77,7 +77,12 @@ from paramsweep.paramhom import (
 )
 from paramsweep.poly import ParamSystem, ParseError, parse_system
 from paramsweep.scheduler import run_parallel
-from paramsweep.tracker import ClassifiedSolutions, TrackerConfig
+from paramsweep.tracker import (
+    HARD_FAILURES,
+    TRACK_TOL,
+    ClassifiedSolutions,
+    TrackerConfig,
+)
 
 __all__ = [
     "InputFile",
@@ -100,6 +105,7 @@ _SWEEP_KEYS = {
     "p0",
     "param_file",
 }
+_HARD_FAILURE_VALUES = {s.value for s in HARD_FAILURES}
 _BOOLEANS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
@@ -561,6 +567,25 @@ def _load_points(inp: InputFile, base_dir: str) -> PointList:
         return load_param_file(f.read(), n_params=inp.system.n_params)
 
 
+def _parse_fault(spec: str | None, n_points: int) -> FaultInjection | None:
+    """The point indices of ``--inject-failure-at``, each in [0, n_points)."""
+    if spec is None:
+        return None
+    try:
+        indices = frozenset(int(tok) for tok in spec.split(","))
+    except ValueError:
+        raise InputError(
+            f"--inject-failure-at takes comma-separated point indices, got {spec!r}"
+        ) from None
+    outside = sorted(i for i in indices if not 0 <= i < n_points)
+    if outside:
+        raise InputError(
+            f"--inject-failure-at index {outside[0]} is outside the "
+            f"{n_points} points [0, {n_points})"
+        )
+    return FaultInjection(indices)
+
+
 def cmd_solve(args) -> int:
     text = _read_text(args.input)
     inp = parse_input_file(text)
@@ -568,8 +593,9 @@ def cmd_solve(args) -> int:
         raise InputError("--export-csv requires a MESH run")
     sysm = inp.system
     base_dir = os.path.dirname(os.path.abspath(args.input)) if args.input != "-" else "."
-    # a bad point file fails here, before the generic solve
+    # a bad point file or fault index fails here, before the generic solve
     points = _load_points(inp, base_dir)
+    fault = _parse_fault(args.inject_failure_at, len(points.points))
 
     cfg = _build_tracker_config(inp.config, args)
     seed = _sweep_setting(inp.config, args, "seed", int, 0)
@@ -605,6 +631,16 @@ def cmd_solve(args) -> int:
     save_step1(os.path.join(out_dir, "step1.json"), r1)
 
     if do_verify:
+        hard = [(k, n) for k, n in r1.path_statuses if k in _HARD_FAILURE_VALUES]
+        if hard:
+            log.error(
+                "step1 verification failed: %d of %d paths failed (%s), which "
+                "divergence does not explain; re-run with a different seed, "
+                "supply p0 or relax the tracker settings",
+                sum(n for _, n in hard), r1.paths_tracked_step1,
+                ", ".join(f"{k}:{n}" for k, n in r1.path_statuses),
+            )
+            return 1
         if verify_step1(sysm, cfg, r1, rng):
             log.info("step1: %d solutions, verified", r1.n_solutions)
         else:
@@ -615,12 +651,6 @@ def cmd_solve(args) -> int:
     if args.step1_only:
         log.info("step1 artifact written to %s", out_dir)
         return 0
-
-    fault = None
-    if args.inject_failure_at:
-        fault = FaultInjection(
-            frozenset(int(t) for t in args.inject_failure_at.split(","))
-        )
 
     sweep = run_parallel(
         sysm, r1, list(points.points), cfg, max_retries, workers, rng,
@@ -682,13 +712,16 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--min-step", type=float, dest="min_step",
                        help="smallest allowed t step")
     solve.add_argument("--newton-tol", type=float, dest="newton_tol",
-                       help="Newton convergence tolerance")
+                       help="Newton tolerance inside the endgame zone and for "
+                       "the endpoints (steps before the endgame track at "
+                       f"the looser of {TRACK_TOL:g} and this)")
     solve.add_argument("--batch-size", type=int, dest="batch_size",
                        help="points per work batch")
     solve.add_argument("--p0", help="file with one start parameter point "
                        "(re/im pairs on one line)")
     solve.add_argument("--verify-step1", action="store_true",
-                       help="re-run the generic solve and compare counts")
+                       help="fail if a generic-solve path failed other than "
+                       "by diverging; else re-run it and compare counts")
     solve.add_argument("--step1-only", action="store_true",
                        help="stop after writing step1.json")
     solve.add_argument("--reuse-step1", metavar="DIR",

@@ -20,6 +20,7 @@ from paramsweep.mesh import MeshSpec, Range
 from paramsweep.paramhom import PointStatus, SweepResult, TimingRecord, step1
 from paramsweep.scheduler import run_parallel
 from paramsweep.tracker import TrackerConfig
+from conftest import MONKS_TEXT
 
 CUBE_INPUT = """
 % quick cube run
@@ -378,6 +379,88 @@ def test_solve_bad_point_file_fails_before_step1(tmp_path, caplog, flags):
     assert "line 2" in caplog.text
     assert "step1:" not in caplog.text
     assert not (out / "step1.json").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("3,x", "takes comma-separated point indices"),
+    ("1.5", "takes comma-separated point indices"),
+    ("25", "index 25 is outside the 25 points"),
+    ("2,-1", "index -1 is outside the 25 points"),
+])
+def test_solve_bad_fault_index_fails_before_step1(tmp_path, caplog, spec, message):
+    out = tmp_path / "run"
+    with caplog.at_level(logging.INFO, logger="paramsweep"):
+        code = main([
+            "solve", _write_input(tmp_path), "--out", str(out),
+            "--inject-failure-at", spec,
+        ])
+    assert code == 1
+    assert "--inject-failure-at" in caplog.text
+    assert message in caplog.text
+    assert "step1:" not in caplog.text
+    assert not out.exists()
+
+
+MONKS_SHORT_BUDGET = f"""
+CONFIG
+  seed: 7;
+  max_steps: 30;
+END;
+
+INPUT
+{MONKS_TEXT}
+END;
+
+MESH
+  mu0 fixed 3.0;
+  mu1 fixed 6.0;
+  g fixed 7.63;
+END;
+"""
+
+
+def test_verify_step1_fails_on_a_hard_failure_shortfall(tmp_path, caplog):
+    # a 30-attempt budget stops some Step 1 paths in MAX_STEPS: a shortfall
+    # that divergence does not explain
+    inp = _write_input(tmp_path, MONKS_SHORT_BUDGET, name="monks.input")
+    out = tmp_path / "verified"
+    with caplog.at_level(logging.INFO, logger="paramsweep"):
+        code = main(["solve", inp, "--out", str(out), "--verify-step1"])
+    assert code == 1
+    assert "step1 verification failed" in caplog.text
+    assert "max_steps:" in caplog.text
+    assert not (out / "collected.dat").exists()
+
+    # without verification the shortfall is a warning only
+    caplog.clear()
+    out = tmp_path / "unverified"
+    with caplog.at_level(logging.INFO, logger="paramsweep"):
+        code = main(["solve", inp, "--out", str(out), "--step1-only"])
+    assert code == 0
+    assert "max_steps:" in caplog.text
+    assert "step1 verification failed" not in caplog.text
+
+
+def test_verify_step1_checks_the_counts_of_a_reused_artifact(tmp_path, caplog):
+    inp = _write_input(tmp_path)
+    first = tmp_path / "first"
+    assert main(["solve", inp, "--out", str(first), "--step1-only"]) == 0
+    artifact = first / "step1.json"
+    doc = json.loads(artifact.read_text())
+    doc["path_statuses"] = {"success": 5, "min_step": 1}
+    artifact.write_text(json.dumps(doc))
+    reuse = ["solve", inp, "--step1-only", "--verify-step1", "--reuse-step1", str(first)]
+    with caplog.at_level(logging.INFO, logger="paramsweep"):
+        assert main([*reuse, "--out", str(tmp_path / "counted")]) == 1
+    assert "1 of 6 paths failed (min_step:1, success:5)" in caplog.text
+
+    # an artifact written before the counts were recorded is not checked
+    del doc["path_statuses"]
+    artifact.write_text(json.dumps(doc))
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="paramsweep"):
+        assert main([*reuse, "--out", str(tmp_path / "uncounted")]) == 0
+    assert "step1: 6 solutions, verified" in caplog.text
 
 
 def test_timing_summary_rows_sorted_by_index():

@@ -7,6 +7,7 @@ from paramsweep.paramhom import step1
 from paramsweep.poly import InstantiatedSystem, instantiate, parse_system
 from paramsweep.startsys import build_homotopy, random_gamma, total_degree_start
 from paramsweep.tracker import (
+    TRACK_TOL,
     PathStatus,
     TrackerConfig,
     _condition_estimate,
@@ -17,7 +18,7 @@ from paramsweep.tracker import (
     crossing_check,
     track_many,
 )
-from conftest import MONKS_TEXT, set_distance
+from conftest import CUBE_TEXT, MONKS_TEXT, set_distance
 
 QUAD = parse_system("variable z; parameter p; function f; f = z^2 - p;")
 
@@ -36,10 +37,16 @@ def _predict(h, z, t, dt):
     return z[0], bool(ok[0])
 
 
+def _correct_rows(sys, z, t, cfg):
+    """The batched corrector on one row at z per time in ``t``."""
+    rows = InstantiatedSystem(sys.structure, np.tile(sys.coeffs, (len(t), 1)))
+    return _newton_correct(rows, np.tile(z, (len(t), 1)), np.array(t), cfg)
+
+
 def _correct(sys, z, cfg):
-    """The batched corrector on a batch of one point."""
-    one = InstantiatedSystem(sys.structure, sys.coeffs[None, :])
-    z, converged, iters = _newton_correct(one, np.array([z]), cfg)
+    """The batched corrector on a batch of one point at t = 0, where the
+    tolerance is newton_tol."""
+    z, converged, iters = _correct_rows(sys, z, [0.0], cfg)
     return z[0], bool(converged[0]), int(iters[0])
 
 
@@ -99,6 +106,60 @@ def test_newton_correct_double_root_fails():
     target = instantiate(QUAD, np.array([0j]))  # z^2
     _, converged, _ = _correct(target, np.array([1.0 + 0j]), TrackerConfig(max_newton_iters=3))
     assert not converged
+
+
+def test_newton_correct_tracks_loosely_only_before_the_endgame():
+    # at z = 2 + 5e-7 the residual of z^2 - 4 is 2e-6, above TRACK_TOL, and
+    # one Newton update is 5e-7: between newton_tol and TRACK_TOL
+    target = instantiate(QUAD, np.array([4.0 + 0j]))
+    cfg = TrackerConfig(max_newton_iters=1)
+    eb = cfg.endgame_boundary
+    assert cfg.newton_tol < 5e-7 < TRACK_TOL
+    z, converged, iters = _correct_rows(
+        target, np.array([2.0 + 5e-7 + 0j]), [0.5, 2 * eb, eb, eb / 2, 0.0], cfg
+    )
+    assert converged.tolist() == [True, True, False, False, False]
+    assert iters.tolist() == [1] * 5
+    assert np.all(np.abs(z[:, 0] - 2.0) < 1e-12)
+    # with room for a second iteration every row meets newton_tol
+    _, converged, _ = _correct_rows(
+        target, np.array([2.0 + 5e-7 + 0j]), [0.5, eb, 0.0], TrackerConfig()
+    )
+    assert converged.all()
+
+
+def test_newton_correct_never_tightens_a_loose_newton_tol():
+    # residual 2e-4 and update 5e-5: above TRACK_TOL, below a user
+    # newton_tol of 1e-4
+    target = instantiate(QUAD, np.array([4.0 + 0j]))
+    cfg = TrackerConfig(newton_tol=1e-4, max_newton_iters=1)
+    _, converged, iters = _correct_rows(
+        target, np.array([2.0 + 5e-5 + 0j]), [0.5, cfg.endgame_boundary, 0.0], cfg
+    )
+    assert converged.all()
+    assert iters.tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("c", [0.76, -2.0, 1e-4, -1e-4])
+def test_sextic_endpoints_match_closed_form_roots(c):
+    # z^6 = c with c = 1 - x^6 - y^6; c = +-1e-4 lies near the discriminant
+    # c = 0, where the six roots meet
+    cube = parse_system(CUBE_TEXT)
+    cfg = TrackerConfig()
+    r1 = step1(cube, cfg, np.random.default_rng(7))
+    x = 0.7
+    y = np.sign(1 - x**6 - c) * abs(1 - x**6 - c) ** (1 / 6)
+    c = 1 - x**6 - y**6
+    h = build_homotopy(
+        instantiate(cube, np.array([x, y], dtype=complex)),
+        instantiate(cube, r1.p0),
+    )
+    results = track_many(h, list(r1.solutions.distinct), cfg)
+    assert all(r.status is PathStatus.SUCCESS for r in results)
+    roots = complex(c) ** (1 / 6) * np.exp(2j * np.pi * np.arange(6) / 6)
+    expected = [np.array([r]) for r in roots]
+    assert set_distance([r.endpoint for r in results], expected) < 1e-12
+    assert not any(classify_endpoints(results).singular_flags)
 
 
 def test_track_path_both_roots():
@@ -266,6 +327,21 @@ def test_stack_invariance_wave_amplitude(wave_step1, max_steps):
         alone = track_many(build_homotopy(target, source), starts, cfg)
         mine = stacked[k * len(starts) : (k + 1) * len(starts)]
         assert all(_same_result(a, b) for a, b in zip(mine, alone))
+
+
+def test_generic_wave_amplitude_steps_per_path(wave_step1):
+    # the loose tracking tolerance before the endgame lets most corrections
+    # converge within max_newton_iters: about 24 accepted steps per path
+    # here, where a newton_tol of 1e-10 on every step took about 61
+    sysm, r1 = wave_step1
+    h = build_homotopy(
+        instantiate(sysm, np.array(WAVE_POINTS[0], dtype=complex)),
+        instantiate(sysm, r1.p0),
+    )
+    results = track_many(h, list(r1.solutions.distinct), TrackerConfig())
+    assert len(results) == 81
+    assert all(r.status is PathStatus.SUCCESS for r in results)
+    assert np.mean([r.steps_taken for r in results]) < 35
 
 
 def _count_calls(monkeypatch, name):
