@@ -76,7 +76,7 @@ from paramsweep.paramhom import (
     verify_step1,
 )
 from paramsweep.poly import ParamSystem, ParseError, parse_system
-from paramsweep.scheduler import run_parallel
+from paramsweep.scheduler import check_sweep_settings, run_parallel
 from paramsweep.tracker import (
     HARD_FAILURES,
     TRACK_TOL,
@@ -593,7 +593,8 @@ def cmd_solve(args) -> int:
         raise InputError("--export-csv requires a MESH run")
     sysm = inp.system
     base_dir = os.path.dirname(os.path.abspath(args.input)) if args.input != "-" else "."
-    # a bad point file or fault index fails here, before the generic solve
+    # a bad point file, fault index or setting fails here, before the
+    # generic solve and before the run directory is made
     points = _load_points(inp, base_dir)
     fault = _parse_fault(args.inject_failure_at, len(points.points))
 
@@ -602,6 +603,7 @@ def cmd_solve(args) -> int:
     workers = _sweep_setting(inp.config, args, "workers", int, 1)
     max_retries = _sweep_setting(inp.config, args, "max_retries", int, 2)
     batch_size = _sweep_setting(inp.config, args, "batch_size", int, None)
+    check_sweep_settings(workers, max_retries, batch_size)
     do_verify = args.verify_step1 or _parse_bool(
         "verify_step1", inp.config.get("verify_step1", "0")
     )

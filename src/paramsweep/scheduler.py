@@ -62,6 +62,7 @@ from paramsweep.tracker import ClassifiedSolutions, TrackerConfig
 
 __all__ = [
     "WorkBatch",
+    "check_sweep_settings",
     "default_batch_size",
     "run_parallel",
     "TimingRecord",
@@ -106,6 +107,16 @@ class WorkBatch:
 
 def default_batch_size(n_points: int, workers: int) -> int:
     return max(1, n_points // (8 * workers))
+
+
+def check_sweep_settings(workers: int, max_retries: int, batch_size: int | None) -> None:
+    """Raise ValueError, naming the setting, for a sweep no run can carry out."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
 
 @dataclass(frozen=True)
@@ -434,12 +445,7 @@ def run_parallel(
     ``crash_injection`` (test hook) simulates a worker crash at the given
     point indices and requires ``workers >= 2``.
     """
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    check_sweep_settings(workers, max_retries, batch_size)
     if crash_injection and workers < 2:
         raise ValueError("crash injection requires at least two workers")
     points = [np.asarray(p, dtype=complex) for p in points]

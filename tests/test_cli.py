@@ -108,6 +108,9 @@ def test_parse_input_rejects_unknown_config_key():
     ("min_step: tiny;", [], "min_step"),
     ("workers: two;", [], "workers"),
     ("", ["--max-norm", "nan"], "max_norm"),
+    ("max_newton_iters: 0;", [], "max_newton_iters"),
+    ("step_decrease_factor: 1.5;", [], "step_decrease_factor"),
+    ("workers: 0;", [], "workers"),
 ])
 def test_solve_names_bad_config_numbers(tmp_path, caplog, entry, flags, key):
     text = CUBE_INPUT.replace("seed: 7;", f"seed: 7;\n  {entry}")
@@ -240,17 +243,21 @@ def test_solve_missing_input_file(tmp_path, capsys):
         (["--max-retries", "-1"], "max_retries must be >= 0"),
         (["--batch-size", "-2", "--workers", "1"], "batch_size must be >= 1"),
         (["--batch-size", "-2", "--workers", "2"], "batch_size must be >= 1"),
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
     ],
 )
 def test_solve_rejects_bad_sweep_settings(tmp_path, capsys, caplog, flags, message):
+    # refused before the generic solve: nothing is written
     inp = _write_input(tmp_path)
     out = tmp_path / "bad"
-    with caplog.at_level(logging.ERROR, logger="paramsweep"):
+    with caplog.at_level(logging.INFO, logger="paramsweep"):
         code = main(["solve", inp, "--out", str(out), *flags])
     assert code == 1
     assert message in caplog.text
+    assert "step1:" not in caplog.text
     assert "Traceback" not in capsys.readouterr().err
-    assert not (out / "collected.dat").exists()
+    assert not out.exists()
 
 
 def test_solve_exit_2_on_unresolved(tmp_path):
@@ -404,7 +411,7 @@ def test_solve_bad_fault_index_fails_before_step1(tmp_path, caplog, spec, messag
 MONKS_SHORT_BUDGET = f"""
 CONFIG
   seed: 7;
-  max_steps: 30;
+  max_steps: 15;
 END;
 
 INPUT
@@ -420,7 +427,7 @@ END;
 
 
 def test_verify_step1_fails_on_a_hard_failure_shortfall(tmp_path, caplog):
-    # a 30-attempt budget stops some Step 1 paths in MAX_STEPS: a shortfall
+    # a 15-attempt budget stops some Step 1 paths in MAX_STEPS: a shortfall
     # that divergence does not explain
     inp = _write_input(tmp_path, MONKS_SHORT_BUDGET, name="monks.input")
     out = tmp_path / "verified"

@@ -11,8 +11,8 @@ from paramsweep.tracker import (
     PathStatus,
     TrackerConfig,
     _condition_estimate,
-    _euler_predict,
     _newton_correct,
+    _predict,
     _solve,
     classify_endpoints,
     crossing_check,
@@ -30,10 +30,10 @@ def _quad_homotopy(p_target=4.0, p_source=1.0):
     )
 
 
-def _predict(h, z, t, dt):
+def _predict_one(h, z, t, dt):
     """The batched predictor on a batch of one point."""
     point = np.zeros(1, dtype=np.intp)  # the row is on target 0
-    z, ok = _euler_predict(h, np.array([z]), np.array([t]), np.array([dt]), point)
+    z, ok = _predict(h, np.array([z]), np.array([t]), np.array([dt]), point)
     return z[0], bool(ok[0])
 
 
@@ -54,33 +54,53 @@ def _track_one(h, start, cfg):
     return track_many(h, [start], cfg)[0]
 
 
-def test_euler_predict_hand_value():
+def test_predict_hand_value():
+    # H = z^2 - 4 + 3t, so dz/dt = -3 / (2z); the four Runge-Kutta stages
+    # from z = 1 over dt = -0.5 are -3/2, -12/11, -33/28 and -84/89
     h = _quad_homotopy()
-    z, ok = _predict(h, np.array([1.0 + 0j]), t=1.0, dt=-0.5)
+    z, ok = _predict_one(h, np.array([1.0 + 0j]), t=1.0, dt=-0.5)
     assert ok
-    assert z[0] == pytest.approx(1.75)
+    assert z[0] == pytest.approx(43363 / 27412, rel=1e-14)
+    # within 8e-4 of the path's sqrt(2.5), where a tangent step gives 1.75
+    assert abs(z[0] - np.sqrt(2.5)) < 1e-3
 
 
-def test_euler_predict_zero_dt():
+def test_predict_zero_dt():
     h = _quad_homotopy()
     z0 = np.array([1.0 + 0j])
-    assert np.array_equal(_predict(h, z0, 1.0, 0.0)[0], z0)
+    assert np.array_equal(_predict_one(h, z0, 1.0, 0.0)[0], z0)
 
 
-def test_euler_predict_exact_for_linear_homotopy():
-    # z - (4 - 3t) has a path linear in t, so the tangent step is exact
+def test_predict_exact_for_linear_homotopy():
+    # z - (4 - 3t) has a path linear in t, so the step is exact
     lin = parse_system("variable z; parameter p; function f; f = z - p;")
     h = build_homotopy(
         instantiate(lin, np.array([4.0 + 0j])),
         instantiate(lin, np.array([1.0 + 0j])),
     )
-    z, _ = _predict(h, np.array([1.0 + 0j]), t=1.0, dt=-0.4)
+    z, _ = _predict_one(h, np.array([1.0 + 0j]), t=1.0, dt=-0.4)
     assert abs(h.at(0.6).evaluate(z)[0]) < 1e-12
 
 
-def test_euler_predict_singular_jacobian_flagged():
+def test_predict_exact_for_quadratic_path():
+    # z0 = p(t) is linear in t and z1 = z0^2 quadratic: the fourth-order
+    # step lands on the path, where a tangent step misses z1 by 9 * 0.4^2
+    sq = parse_system(
+        "variable z0, z1; parameter p; function f0, f1; f0 = z0 - p; f1 = z1 - z0^2;"
+    )
+    h = build_homotopy(
+        instantiate(sq, np.array([4.0 + 0j])),
+        instantiate(sq, np.array([1.0 + 0j])),
+    )
+    z, ok = _predict_one(h, np.array([1.0 + 0j, 1.0 + 0j]), t=1.0, dt=-0.4)
+    assert ok
+    on_path = np.array([2.2, 2.2**2])  # p(0.6) = 4 - 3 * 0.6
+    assert np.max(np.abs(z - on_path)) < 1e-12
+
+
+def test_predict_singular_jacobian_flagged():
     h = _quad_homotopy()
-    _, ok = _predict(h, np.array([0j]), 1.0, -0.1)
+    _, ok = _predict_one(h, np.array([0j]), 1.0, -0.1)
     assert not ok
 
 
@@ -295,7 +315,7 @@ def test_batch_order_invariance_wave_amplitude():
 # wave-amplitude points, each tracked from the Step 1 solutions: two
 # generic points; the g = 0 points (2, 2, 0), where 48 of 81 paths diverge,
 # and (2, 8, 0), where 8 more end in NEWTON_FAILURE; and the mu = 0 edge
-# point (0, 0, 7.63), where 28 paths end in MIN_STEP
+# point (0, 0, 7.63), where several paths meet at singular roots
 WAVE_POINTS = [(3, 6, 7.63), (2, 2, 0), (0, 0, 7.63), (1.5, 4, 2), (2, 8, 0)]
 
 
@@ -311,7 +331,9 @@ def test_stack_invariance_wave_amplitude(wave_step1, max_steps):
     # every path the result it gets on a homotopy of its point alone
     sysm, r1 = wave_step1
     cfg = TrackerConfig(max_steps=max_steps)
-    starts = list(r1.solutions.distinct)
+    # the last start is no root of H(., 1): no correction from it converges,
+    # so it ends in MIN_STEP on every target
+    starts = list(r1.solutions.distinct) + [np.ones(4, dtype=complex)]
     source = instantiate(sysm, r1.p0)
     targets = [instantiate(sysm, np.array(p, dtype=complex)) for p in WAVE_POINTS]
     stacked = track_many(build_homotopy(targets, source), starts, cfg)
@@ -330,9 +352,10 @@ def test_stack_invariance_wave_amplitude(wave_step1, max_steps):
 
 
 def test_generic_wave_amplitude_steps_per_path(wave_step1):
-    # the loose tracking tolerance before the endgame lets most corrections
-    # converge within max_newton_iters: about 24 accepted steps per path
-    # here, where a newton_tol of 1e-10 on every step took about 61
+    # the fourth-order predictor and the loose tracking tolerance before the
+    # endgame let most corrections converge in one Newton iteration: about
+    # 17 accepted steps per path here, where a tangent predictor took about
+    # 24, and a tangent predictor tracking at newton_tol about 61
     sysm, r1 = wave_step1
     h = build_homotopy(
         instantiate(sysm, np.array(WAVE_POINTS[0], dtype=complex)),
@@ -341,7 +364,30 @@ def test_generic_wave_amplitude_steps_per_path(wave_step1):
     results = track_many(h, list(r1.solutions.distinct), TrackerConfig())
     assert len(results) == 81
     assert all(r.status is PathStatus.SUCCESS for r in results)
-    assert np.mean([r.steps_taken for r in results]) < 35
+    assert np.mean([r.steps_taken for r in results]) < 18
+
+
+@pytest.mark.parametrize("seed, point", [
+    (11, (10 / 9, 60 / 9, 7.63)),
+    (11, (10 / 9, 10, 7.63)),
+    (3, (7.76, 1.906, 5.849)),
+])
+def test_generic_wave_amplitude_keeps_every_root(seed, point):
+    # generic points, so 81 distinct nonsingular roots.  With long steps and
+    # no check of the first Newton update, paths of each seed-11 point jump
+    # onto neighbours (73 roots, 4 flagged singular); at the seed-3 point a
+    # check at 1e-3 in place of PREDICT_TOL still lets paths jump (65 roots,
+    # 8 flagged singular)
+    sysm = parse_system(MONKS_TEXT)
+    r1 = step1(sysm, TrackerConfig(), np.random.default_rng(seed))
+    h = build_homotopy(
+        instantiate(sysm, np.array(point, dtype=complex)),
+        instantiate(sysm, r1.p0),
+    )
+    results = track_many(h, list(r1.solutions.distinct), TrackerConfig())
+    cls = classify_endpoints(results)
+    assert len(cls) == 81
+    assert not any(cls.singular_flags)
 
 
 def _count_calls(monkeypatch, name):
@@ -492,3 +538,24 @@ def test_config_validation():
         TrackerConfig(min_step=0.5, initial_step=0.1)
     with pytest.raises(ValueError):
         TrackerConfig(t_final=0.5, endgame_boundary=0.1)
+    # the edges of the ranges below are accepted
+    TrackerConfig(
+        max_newton_iters=1, max_steps=1, sharpen_iters=0, step_increase_factor=1.0,
+        step_decrease_factor=0.99, consecutive_successes_to_grow=1,
+    )
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_newton_iters", 0),
+    ("max_newton_iters", -2),
+    ("max_steps", 0),
+    ("sharpen_iters", -1),
+    ("step_increase_factor", 0.5),
+    ("step_decrease_factor", 1.5),
+    ("step_decrease_factor", 0.0),
+    ("consecutive_successes_to_grow", 0),
+])
+def test_config_rejects_settings_no_path_survives(field, value):
+    # each of these fails every path, or grows the step where it should not
+    with pytest.raises(ValueError, match=field):
+        TrackerConfig(**{field: value})
