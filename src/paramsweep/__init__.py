@@ -13,8 +13,6 @@ from paramsweep.poly import (
     ParseError,
     parse_system,
     format_system,
-    evaluate,
-    jacobian_z,
     variable_degrees,
     instantiate,
 )

@@ -19,7 +19,9 @@ Input files are Bertini-style section blocks::
       y range -1.5 1.5 21;
     END;
 
-CONFIG accepts every TrackerConfig field plus the sweep settings ``seed``,
+CONFIG accepts the tracker settings ``max_newton_iters``, ``max_norm`` and
+``divergence_is_failure`` (the fields of TrackerConfig; the step control
+and tolerances are constants of ``tracker``), the sweep settings ``seed``,
 ``workers``, ``max_retries``, ``batch_size``, ``verify_step1``, an inline
 start point ``p0: re im re im ...;`` and ``param_file: <path>;`` as the
 alternative to a MESH section (exactly one of the two must be present).
@@ -41,7 +43,8 @@ A run directory receives::
 ``solve`` writes the exports from the sweep it holds; ``export`` writes
 the same bytes from ``collected.dat``.
 
-Exit codes: 0 success, 2 when any point is Unresolved, 1 on fatal errors.
+Exit codes: 0 success, 2 when any point is Unresolved, 1 on fatal errors,
+usage errors of the command line included.
 """
 
 from __future__ import annotations
@@ -77,12 +80,7 @@ from paramsweep.paramhom import (
 )
 from paramsweep.poly import ParamSystem, ParseError, parse_system
 from paramsweep.scheduler import check_sweep_settings, run_parallel
-from paramsweep.tracker import (
-    HARD_FAILURES,
-    TRACK_TOL,
-    ClassifiedSolutions,
-    TrackerConfig,
-)
+from paramsweep.tracker import HARD_FAILURES, ClassifiedSolutions, TrackerConfig
 
 __all__ = [
     "InputFile",
@@ -302,14 +300,8 @@ def _build_tracker_config(config: dict, args) -> TrackerConfig:
             kwargs[key] = _parse_bool(key, value)
         else:
             kwargs[key] = _parse_number(key, value, type(current))
-    for flag, key in (
-        ("max_norm", "max_norm"),
-        ("min_step", "min_step"),
-        ("newton_tol", "newton_tol"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            kwargs[key] = val
+    if getattr(args, "max_norm", None) is not None:
+        kwargs["max_norm"] = args.max_norm
     try:
         return TrackerConfig(**kwargs)
     except ValueError as exc:
@@ -369,36 +361,49 @@ def save_step1(path, r1: Step1Result) -> None:
 
 
 def load_step1(path, sysm: ParamSystem) -> Step1Result:
+    """Read a Step 1 artifact, refusing one that lacks a key or whose
+    parameters or solution coordinates do not fit ``sysm``."""
     with open(path) as f:
         doc = json.load(f)
     if doc.get("version") != 1:
         raise InputError(f"{path}: unsupported step1 artifact version")
-    if doc["n_params"] != sysm.n_params:
-        raise InputError(
-            f"{path}: artifact has {doc['n_params']} parameters, "
-            f"system has {sysm.n_params}"
+    try:
+        if doc["n_params"] != sysm.n_params:
+            raise InputError(
+                f"{path}: artifact has {doc['n_params']} parameters, "
+                f"system has {sysm.n_params}"
+            )
+        sols = doc["solutions"]
+        distinct = tuple(_unpairs(s["coords"]) for s in sols)
+        real_flags = tuple(bool(s["real"]) for s in sols)
+        classified = ClassifiedSolutions(
+            distinct=distinct,
+            singular_flags=tuple(False for _ in sols),
+            real_flags=real_flags,
+            residuals=tuple(float(s["residual"]) for s in sols),
+            multiplicities=tuple(int(s["multiplicity"]) for s in sols),
+            n_real=sum(real_flags),
         )
-    sols = doc["solutions"]
-    real_flags = tuple(bool(s["real"]) for s in sols)
-    classified = ClassifiedSolutions(
-        distinct=tuple(_unpairs(s["coords"]) for s in sols),
-        singular_flags=tuple(False for _ in sols),
-        real_flags=real_flags,
-        residuals=tuple(float(s["residual"]) for s in sols),
-        multiplicities=tuple(int(s["multiplicity"]) for s in sols),
-        n_real=sum(real_flags),
-    )
-    return Step1Result(
-        p0=_unpairs(doc["p0"]),
-        solutions=classified,
-        paths_tracked_step1=int(doc["paths_tracked"]),
-        seed=doc["seed"],
-        gamma=complex(doc["gamma"][0], doc["gamma"][1]),
-        suspected_crossings=tuple(tuple(p) for p in doc["suspected_crossings"]),
-        path_statuses=tuple(sorted(
-            (k, int(v)) for k, v in doc.get("path_statuses", {}).items()
-        )),
-    )
+        r1 = Step1Result(
+            p0=_unpairs(doc["p0"]),
+            solutions=classified,
+            paths_tracked_step1=int(doc["paths_tracked"]),
+            seed=doc["seed"],
+            gamma=complex(doc["gamma"][0], doc["gamma"][1]),
+            suspected_crossings=tuple(tuple(p) for p in doc["suspected_crossings"]),
+            path_statuses=tuple(sorted(
+                (k, int(v)) for k, v in doc.get("path_statuses", {}).items()
+            )),
+        )
+    except KeyError as exc:
+        raise InputError(f"{path}: artifact has no {exc.args[0]!r} entry") from None
+    wrong = [len(z) for z in distinct if len(z) != sysm.n_vars]
+    if wrong:
+        raise InputError(
+            f"{path}: artifact solutions have {wrong[0]} coordinates, "
+            f"system has {sysm.n_vars} variables"
+        )
+    return r1
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +572,17 @@ def _load_points(inp: InputFile, base_dir: str) -> PointList:
         return load_param_file(f.read(), n_params=inp.system.n_params)
 
 
+def _load_p0(path: str, n_params: int) -> np.ndarray:
+    """The one start parameter point of a ``--p0`` file."""
+    try:
+        points = load_param_file(_read_text(path), n_params=n_params).points
+    except ValueError as exc:
+        raise InputError(f"--p0 {path}: {exc}") from None
+    if len(points) != 1:
+        raise InputError(f"--p0 {path}: holds {len(points)} points, not one")
+    return points[0]
+
+
 def _parse_fault(spec: str | None, n_points: int) -> FaultInjection | None:
     """The point indices of ``--inject-failure-at``, each in [0, n_points)."""
     if spec is None:
@@ -593,8 +609,9 @@ def cmd_solve(args) -> int:
         raise InputError("--export-csv requires a MESH run")
     sysm = inp.system
     base_dir = os.path.dirname(os.path.abspath(args.input)) if args.input != "-" else "."
-    # a bad point file, fault index or setting fails here, before the
-    # generic solve and before the run directory is made
+    # a bad point file, --p0 file, Step 1 artifact, fault index or setting
+    # fails here, before the generic solve and before the run directory is
+    # made
     points = _load_points(inp, base_dir)
     fault = _parse_fault(args.inject_failure_at, len(points.points))
 
@@ -607,6 +624,10 @@ def cmd_solve(args) -> int:
     do_verify = args.verify_step1 or _parse_bool(
         "verify_step1", inp.config.get("verify_step1", "0")
     )
+    p0_override = inp.p0 if args.p0 is None else _load_p0(args.p0, sysm.n_params)
+    r1 = None
+    if args.reuse_step1:
+        r1 = load_step1(os.path.join(args.reuse_step1, "step1.json"), sysm)
 
     out_dir = args.out or os.environ.get("SWEEP_OUT_DIR")
     if out_dir is None:
@@ -618,18 +639,12 @@ def cmd_solve(args) -> int:
 
     rng = np.random.default_rng(seed)
 
-    p0_override = inp.p0
-    if args.p0 is not None:
-        pts = load_param_file(_read_text(args.p0), n_params=sysm.n_params)
-        p0_override = pts.points[0]
-
-    if args.reuse_step1:
-        r1 = load_step1(os.path.join(args.reuse_step1, "step1.json"), sysm)
-        log.info("step1: reusing %d solutions from %s", r1.n_solutions, args.reuse_step1)
-    else:
+    if r1 is None:
         r1 = step1(sysm, cfg, rng, p0_override=p0_override, seed=seed)
         log.info("step1: %d solutions from %d paths", r1.n_solutions,
                  r1.paths_tracked_step1)
+    else:
+        log.info("step1: reusing %d solutions from %s", r1.n_solutions, args.reuse_step1)
     save_step1(os.path.join(out_dir, "step1.json"), r1)
 
     if do_verify:
@@ -637,8 +652,8 @@ def cmd_solve(args) -> int:
         if hard:
             log.error(
                 "step1 verification failed: %d of %d paths failed (%s), which "
-                "divergence does not explain; re-run with a different seed, "
-                "supply p0 or relax the tracker settings",
+                "divergence does not explain; re-run with a different seed or "
+                "supply p0",
                 sum(n for _, n in hard), r1.paths_tracked_step1,
                 ", ".join(f"{k}:{n}" for k, n in r1.path_statuses),
             )
@@ -711,12 +726,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="retry rounds from fresh start points (default 2)")
     solve.add_argument("--max-norm", type=float, dest="max_norm",
                        help="divergence threshold on |z|_inf")
-    solve.add_argument("--min-step", type=float, dest="min_step",
-                       help="smallest allowed t step")
-    solve.add_argument("--newton-tol", type=float, dest="newton_tol",
-                       help="Newton tolerance inside the endgame zone and for "
-                       "the endpoints (steps before the endgame track at "
-                       f"the looser of {TRACK_TOL:g} and this)")
     solve.add_argument("--batch-size", type=int, dest="batch_size",
                        help="points per work batch")
     solve.add_argument("--p0", help="file with one start parameter point "
@@ -746,7 +755,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 means an Unresolved point
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (InputError, ParseError, Step1Empty, FileNotFoundError, ValueError) as exc:

@@ -37,6 +37,7 @@ import numpy as np
 from paramsweep.poly import ParamSystem, instantiate, variable_degrees
 from paramsweep.startsys import build_homotopy, random_gamma, total_degree_start
 from paramsweep.tracker import (
+    ENDGAME_BOUNDARY,
     HARD_FAILURES,
     ClassifiedSolutions,
     PathResult,
@@ -208,7 +209,7 @@ def step1(
     if crossings:
         log.warning(
             "step1: %d suspected path crossings at t=%g; consider re-running "
-            "with a fresh seed", len(crossings), cfg.endgame_boundary,
+            "with a fresh seed", len(crossings), ENDGAME_BOUNDARY,
         )
 
     statuses = Counter(r.status.value for r in results)

@@ -36,8 +36,6 @@ __all__ = [
     "InstantiatedSystem",
     "parse_system",
     "format_system",
-    "evaluate",
-    "jacobian_z",
     "variable_degrees",
     "instantiate",
 ]
@@ -512,6 +510,7 @@ class TermStructure:
             m *= pw[self.param_exps[:, j], j]
         return m
 
+    # the value or the Jacobian alone; sweepbench/tracer.py wraps both by name
     def evaluate(self, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
         zb = z.reshape(-1, self.n_vars)
         out = self._values(coeffs, self._gather_prod(self.var_exps, self._var_powers(zb)))
@@ -562,18 +561,6 @@ class InstantiatedSystem:
     def n_vars(self) -> int:
         return self.structure.n_vars
 
-    def evaluate(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (self.n_vars,):
-            raise ValueError(f"expected point of length {self.n_vars}, got {z.shape}")
-        return self.structure.evaluate(self.coeffs, z)
-
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (self.n_vars,):
-            raise ValueError(f"expected point of length {self.n_vars}, got {z.shape}")
-        return self.structure.jacobian(self.coeffs, z)
-
     def eval_and_jac(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.structure.eval_and_jac(self.coeffs, self.coeffs, z)
 
@@ -584,22 +571,12 @@ class InstantiatedSystem:
 
 
 def instantiate(sys: ParamSystem, p: np.ndarray) -> InstantiatedSystem:
-    """Fix the parameters, yielding a system supporting evaluate/jacobian."""
+    """Fix the parameters, yielding a closed system in the variables."""
     p = np.asarray(p, dtype=complex)
     if p.shape != (sys.n_params,):
         raise ValueError(f"expected {sys.n_params} parameter values, got {p.shape}")
     st = _structure(sys)
     return InstantiatedSystem(st, st.base_coeffs * st.param_factors(p))
-
-
-def evaluate(sys: ParamSystem, z: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """F(z, p).  Identical, bit for bit, to ``instantiate(sys, p).evaluate(z)``."""
-    return instantiate(sys, p).evaluate(z)
-
-
-def jacobian_z(sys: ParamSystem, z: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """N x N matrix of variable partials; parameters held constant."""
-    return instantiate(sys, p).jacobian(z)
 
 
 def variable_degrees(sys: ParamSystem) -> tuple[int, ...]:

@@ -3,7 +3,7 @@
 A classical fourth-order Runge-Kutta prediction along the path tangent,
 followed by Newton correction, with adaptive step length: the step halves
 whenever prediction or correction fails and grows after a run of
-consecutive successes.  Tracking truncates at a small t_final and the
+consecutive successes.  Tracking truncates at a small T_FINAL and the
 endpoint is then sharpened by a few Newton iterations on the target
 system itself.  There is no endgame: genuinely singular endpoints are
 flagged, not refined.
@@ -13,18 +13,18 @@ stages, each one evaluation of (dH/dt, J_z) and one solve, at t, twice at
 the step's midpoint and at its end.  A row whose stage is singular or not
 finite fails the attempt and skips the later stages.  Its error is of
 order dt^5, not dt^2 as for a tangent (Euler) step, so most corrections
-converge in one Newton iteration and the step stays at ``max_step`` far
+converge in one Newton iteration and the step stays at ``MAX_STEP`` far
 more often.
 
 The corrector has two tolerances, as Bertini separates its tracking
 tolerances before and during the endgame from the final one.  A step
-that ends above ``endgame_boundary`` only has to stay near its path, so
-its Newton update must fall below ``TRACK_TOL`` (or ``newton_tol``, if
-that is looser).  The step that lands on the boundary, every step inside
-the endgame zone, the final sharpening and the endpoint residual test
-use ``newton_tol``.  A path's boundary point and endpoint keep the
-accuracy of ``newton_tol``; the steps far from t = 0 cost fewer Newton
-iterations and far fewer rejections.
+that ends above ``ENDGAME_BOUNDARY`` only has to stay near its path, so
+its Newton update must fall below ``TRACK_TOL``.  The step that lands on
+the boundary, every step inside the endgame zone, the final sharpening
+and the endpoint residual test use the tighter ``NEWTON_TOL``.  A path's
+boundary point and endpoint keep the accuracy of ``NEWTON_TOL``; the
+steps far from t = 0 cost fewer Newton iterations and far fewer
+rejections.
 
 A long step can carry a prediction closer to a neighbouring path than to
 its own.  Newton then converges onto the neighbour just as well, and the
@@ -47,7 +47,7 @@ be alone, on its own target's coefficients.
 All failure modes are encoded in the returned status, never raised:
 
 * ``DIVERGED``      -- the iterate's inf-norm exceeded ``max_norm``
-* ``MIN_STEP``      -- the step length fell below ``min_step``
+* ``MIN_STEP``      -- the step length fell below ``STEP_FLOOR``
 * ``NEWTON_FAILURE``-- the sharpened endpoint failed the residual test
 * ``MAX_STEPS``     -- attempt budget exhausted
 
@@ -62,7 +62,7 @@ identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -83,6 +83,26 @@ __all__ = [
 # condition estimate above which an endpoint counts as singular
 SINGULAR_CONDITION = 1e12
 
+# step length of a path's first attempt, and the longest step
+INITIAL_STEP = 0.1
+MAX_STEP = 0.1
+# a path whose step length falls below this ends in MIN_STEP
+STEP_FLOOR = 1e-12
+# a step length halves after a failed attempt and doubles after
+# GROW_AFTER accepted steps in a row, up to MAX_STEP
+STEP_CUT = 0.5
+STEP_GROWTH = 2.0
+GROW_AFTER = 5
+# attempts, accepted or rejected, before a path ends in MAX_STEPS
+MAX_ATTEMPTS = 10_000
+# tracking ends at T_FINAL; steps end on ENDGAME_BOUNDARY on the way
+T_FINAL = 1e-8
+ENDGAME_BOUNDARY = 0.1
+# Newton update tolerance inside the endgame zone, of the final sharpening
+# and (times 10) of the endpoint residual test
+NEWTON_TOL = 1e-10
+# Newton iterations that sharpen an endpoint on the target system
+SHARPEN_ITERS = 5
 # Newton update tolerance of a step ending above the endgame boundary
 TRACK_TOL = 1e-6
 # on such a step, the largest first Newton update, relative to
@@ -96,46 +116,17 @@ REAL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    initial_step: float = 0.1
-    min_step: float = 1e-12
-    max_step: float = 0.1
-    # Newton tolerance inside the endgame zone and for the endpoint; steps
-    # above endgame_boundary track at max(TRACK_TOL, newton_tol)
-    newton_tol: float = 1e-10
     max_newton_iters: int = 3
     max_norm: float = 1e5
-    max_steps: int = 10_000
-    t_final: float = 1e-8
-    endgame_boundary: float = 0.1
-    sharpen_iters: int = 5
-    step_increase_factor: float = 2.0
-    step_decrease_factor: float = 0.5
-    consecutive_successes_to_grow: int = 5
     # treat diverged paths as retry-worthy failures (off: divergence is a
     # legitimate geometric outcome, reported but not retried)
     divergence_is_failure: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if not (0 < self.min_step <= self.initial_step <= self.max_step < 1):
-            raise ValueError("need 0 < min_step <= initial_step <= max_step < 1")
-        if self.newton_tol <= 0 or self.max_norm <= 0:
-            raise ValueError("newton_tol and max_norm must be positive")
-        if not (0 < self.t_final < self.endgame_boundary < 1):
-            raise ValueError("need 0 < t_final < endgame_boundary < 1")
-        for name, valid, rule in (
-            ("max_newton_iters", self.max_newton_iters >= 1, ">= 1"),
-            ("max_steps", self.max_steps >= 1, ">= 1"),
-            ("sharpen_iters", self.sharpen_iters >= 0, ">= 0"),
-            ("step_increase_factor", self.step_increase_factor >= 1, ">= 1"),
-            ("step_decrease_factor", 0 < self.step_decrease_factor < 1, "in (0, 1)"),
-            ("consecutive_successes_to_grow", self.consecutive_successes_to_grow >= 1, ">= 1"),
-        ):
-            if not valid:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if not (math.isfinite(self.max_norm) and self.max_norm > 0):
+            raise ValueError(f"max_norm must be finite and positive, got {self.max_norm!r}")
+        if self.max_newton_iters < 1:
+            raise ValueError(f"max_newton_iters must be >= 1, got {self.max_newton_iters!r}")
 
 
 class PathStatus(Enum):
@@ -159,8 +150,8 @@ class PathResult:
     ``rejected_steps`` counts attempts whose prediction or correction
     failed, ``newton_iters`` the corrector's Newton iterations over all
     attempts (not the final sharpening), and ``min_dt`` the smallest step
-    length the controller attempted, before clamping to the endgame
-    boundary or t_final.
+    length the controller attempted, before clamping to ``ENDGAME_BOUNDARY``
+    or ``T_FINAL``.
     """
 
     status: PathStatus
@@ -259,17 +250,17 @@ def _newton_correct(
     tolerance.
 
     ``sys_at_t`` holds one row of coefficients per point, at the rows' times
-    ``t``.  A row with t above ``endgame_boundary`` has tolerance
-    max(TRACK_TOL, newton_tol), any other row newton_tol.  Such a row also
-    fails when its first update exceeds PREDICT_TOL * (1 + |z|_inf), z being
-    the prediction: a path jump.  Returns ``(points, converged,
-    iterations)``.  A row whose residual is already below its tolerance is
-    returned unchanged with zero iterations; a singular Jacobian stops a row
-    without counting that iteration.
+    ``t``.  A row with t above ``ENDGAME_BOUNDARY`` has tolerance TRACK_TOL,
+    any other row NEWTON_TOL.  A row above the boundary also fails when its
+    first update exceeds PREDICT_TOL * (1 + |z|_inf), z being the
+    prediction: a path jump.  Returns ``(points, converged, iterations)``.
+    A row whose residual is already below its tolerance is returned
+    unchanged with zero iterations; a singular Jacobian stops a row without
+    counting that iteration.
     """
     structure, coeffs = sys_at_t.structure, sys_at_t.coeffs
-    tracking = t > cfg.endgame_boundary
-    tol = np.where(tracking, max(TRACK_TOL, cfg.newton_tol), cfg.newton_tol)
+    tracking = t > ENDGAME_BOUNDARY
+    tol = np.where(tracking, TRACK_TOL, NEWTON_TOL)
     z = z.copy()
     iters = np.zeros(len(z), dtype=np.intp)
     f, jac = structure.eval_and_jac(coeffs, coeffs, z)
@@ -298,7 +289,7 @@ def _newton_correct(
     return z, converged, iters
 
 
-def _sharpen(target: InstantiatedSystem, z: np.ndarray, cfg: TrackerConfig):
+def _sharpen(target: InstantiatedSystem, z: np.ndarray):
     """Final Newton polish of each row on its target system; never raises.
 
     ``target`` holds one row of coefficients per point.  Returns
@@ -308,7 +299,7 @@ def _sharpen(target: InstantiatedSystem, z: np.ndarray, cfg: TrackerConfig):
     z = z.copy()
     converged = np.zeros(len(z), dtype=bool)
     live = np.arange(len(z))
-    for _ in range(cfg.sharpen_iters):
+    for _ in range(SHARPEN_ITERS):
         if not live.size:
             break
         f, jac = structure.eval_and_jac(coeffs[live], coeffs[live], z[live])
@@ -320,7 +311,7 @@ def _sharpen(target: InstantiatedSystem, z: np.ndarray, cfg: TrackerConfig):
         fin = ok & np.isfinite(z_new).all(axis=1)
         live = live[fin]
         z[live] = z_new[fin]
-        done = _inf_norm(delta[fin]) < cfg.newton_tol
+        done = _inf_norm(delta[fin]) < NEWTON_TOL
         converged[live[done]] = True
         live = live[~done]
     return z, converged
@@ -342,12 +333,12 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
     if n == 0:
         return []
     t = np.ones(n)
-    dt = np.full(n, cfg.initial_step)
+    dt = np.full(n, INITIAL_STEP)
     steps = np.zeros(n, dtype=np.intp)
     attempts = np.zeros(n, dtype=np.intp)
     streak = np.zeros(n, dtype=np.intp)
     newton_iters = np.zeros(n, dtype=np.intp)
-    min_dt = np.full(n, cfg.initial_step)
+    min_dt = np.full(n, INITIAL_STEP)
     boundary = np.full(z.shape, np.nan, dtype=complex)
     has_boundary = np.zeros(n, dtype=bool)
     status: list[PathStatus | None] = [None] * n
@@ -358,10 +349,10 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
             status[b] = why
             t_fail[b] = float(t[b])
 
-    eb, tf = cfg.endgame_boundary, cfg.t_final
+    eb, tf = ENDGAME_BOUNDARY, T_FINAL
     act = np.arange(n)
     while act.size:
-        over = attempts[act] >= cfg.max_steps
+        over = attempts[act] >= MAX_ATTEMPTS
         fail(act[over], PathStatus.MAX_STEPS)
         act = act[~over]
         if not act.size:
@@ -370,7 +361,7 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
         t_a, dt_a = t[act], dt[act]
 
         # clamp so the path lands exactly on the endgame boundary (for
-        # crossing checks) and exactly on t_final (loop exit); the
+        # crossing checks) and exactly on T_FINAL (loop exit); the
         # boundary check comes first so a large step cannot jump past it
         t_next = t_a - dt_a
         t_next = np.where(
@@ -389,9 +380,9 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
         retry = act[~ok]
         if retry.size:
             streak[retry] = 0
-            dt_retry = dt_a[~ok] * cfg.step_decrease_factor
+            dt_retry = dt_a[~ok] * STEP_CUT
             dt[retry] = dt_retry
-            under = dt_retry < cfg.min_step
+            under = dt_retry < STEP_FLOOR
             fail(retry[under], PathStatus.MIN_STEP)
             retry, dt_retry = retry[~under], dt_retry[~under]
             min_dt[retry] = np.minimum(min_dt[retry], dt_retry)
@@ -408,8 +399,8 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
         on_boundary = good[t[good] == eb]
         boundary[on_boundary] = z[on_boundary]
         has_boundary[on_boundary] = True
-        grow = good[streak[good] >= cfg.consecutive_successes_to_grow]
-        dt[grow] = np.minimum(dt[grow] * cfg.step_increase_factor, cfg.max_step)
+        grow = good[streak[good] >= GROW_AFTER]
+        dt[grow] = np.minimum(dt[grow] * STEP_GROWTH, MAX_STEP)
         streak[grow] = 0
 
         act = np.concatenate([retry, good[t[good] > tf]])
@@ -421,10 +412,10 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
     sharpened = np.zeros(n, dtype=bool)
     if done.size:
         target = h.at(np.zeros((done.size, 1)), point[done])
-        z[done], sharpened[done] = _sharpen(target, z[done], cfg)
+        z[done], sharpened[done] = _sharpen(target, z[done])
         f, jac = target.eval_and_jac(z[done])
         residual[done] = _inf_norm(f)
-        passed = np.isfinite(z[done]).all(axis=1) & (residual[done] < 10 * cfg.newton_tol)
+        passed = np.isfinite(z[done]).all(axis=1) & (residual[done] < 10 * NEWTON_TOL)
         fail(done[~passed], PathStatus.NEWTON_FAILURE)
         condition[done[passed]] = _condition_estimate(jac[passed])
         for b in done[passed]:

@@ -47,7 +47,7 @@ def test_criterion_1_total_degree_start():
     ss = total_degree_start([2, 3, 3])
     sols = ss.solutions()
     g = ss.as_instantiated()
-    worst = max(np.max(np.abs(g.evaluate(z))) for z in sols)
+    worst = max(np.max(np.abs(g.eval_and_jac(z)[0])) for z in sols)
     elapsed = time.perf_counter() - t0
     report(
         1,

@@ -101,15 +101,15 @@ def test_parse_input_rejects_unknown_config_key():
 
 
 @pytest.mark.parametrize("entry, flags, key", [
-    ("newton_tol: nan;", [], "newton_tol"),
+    ("max_norm: inf;", [], "max_norm"),
     ("max_norm: nan;", [], "max_norm"),
-    ("t_final: inf;", [], "t_final"),
-    ("max_steps: 1e4;", [], "max_steps"),
-    ("min_step: tiny;", [], "min_step"),
+    ("max_norm: -1;", [], "max_norm"),
+    ("max_newton_iters: 1e4;", [], "max_newton_iters"),
+    ("max_norm: tiny;", [], "max_norm"),
     ("workers: two;", [], "workers"),
     ("", ["--max-norm", "nan"], "max_norm"),
     ("max_newton_iters: 0;", [], "max_newton_iters"),
-    ("step_decrease_factor: 1.5;", [], "step_decrease_factor"),
+    ("", ["--max-norm", "0"], "max_norm"),
     ("workers: 0;", [], "workers"),
 ])
 def test_solve_names_bad_config_numbers(tmp_path, caplog, entry, flags, key):
@@ -120,6 +120,44 @@ def test_solve_names_bad_config_numbers(tmp_path, caplog, entry, flags, key):
     assert code == 1
     assert key in caplog.text
     assert not (out / "step1.json").exists()
+
+
+# the step control and tolerances of the tracker are constants, not settings
+REMOVED_TRACKER_KEYS = [
+    "initial_step", "min_step", "max_step", "newton_tol", "max_steps", "t_final",
+    "endgame_boundary", "sharpen_iters", "step_increase_factor",
+    "step_decrease_factor", "consecutive_successes_to_grow",
+]
+
+
+@pytest.mark.parametrize("key", REMOVED_TRACKER_KEYS)
+def test_solve_refuses_removed_tracker_keys(tmp_path, caplog, key):
+    text = CUBE_INPUT.replace("seed: 7;", f"seed: 7;\n  {key}: 1;")
+    out = tmp_path / "run"
+    with caplog.at_level(logging.ERROR, logger="paramsweep"):
+        code = main(["solve", _write_input(tmp_path, text), "--out", str(out)])
+    assert code == 1
+    assert f"line 5: unknown config key {key!r}" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--min-step", "1e-9"],
+    ["--newton-tol", "1e-9"],
+    ["--newton-tl", "1e-9"],
+    ["--workers", "two"],
+])
+def test_solve_usage_errors_exit_1(tmp_path, capsys, flags):
+    # exit code 2 would read as a finished sweep with an Unresolved point
+    out = tmp_path / "run"
+    assert main(["solve", _write_input(tmp_path), "--out", str(out), *flags]) == 1
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--max-norm" in capsys.readouterr().out
 
 
 def test_parse_input_mesh_errors():
@@ -411,7 +449,6 @@ def test_solve_bad_fault_index_fails_before_step1(tmp_path, caplog, spec, messag
 MONKS_SHORT_BUDGET = f"""
 CONFIG
   seed: 7;
-  max_steps: 15;
 END;
 
 INPUT
@@ -426,9 +463,10 @@ END;
 """
 
 
-def test_verify_step1_fails_on_a_hard_failure_shortfall(tmp_path, caplog):
+def test_verify_step1_fails_on_a_hard_failure_shortfall(tmp_path, caplog, monkeypatch):
     # a 15-attempt budget stops some Step 1 paths in MAX_STEPS: a shortfall
     # that divergence does not explain
+    monkeypatch.setattr("paramsweep.tracker.MAX_ATTEMPTS", 15)
     inp = _write_input(tmp_path, MONKS_SHORT_BUDGET, name="monks.input")
     out = tmp_path / "verified"
     with caplog.at_level(logging.INFO, logger="paramsweep"):
@@ -446,6 +484,72 @@ def test_verify_step1_fails_on_a_hard_failure_shortfall(tmp_path, caplog):
     assert code == 0
     assert "max_steps:" in caplog.text
     assert "step1 verification failed" not in caplog.text
+
+
+TWO_SQUARES_INPUT = """
+INPUT
+  variable x, y;
+  parameter p;
+  function f, g;
+  f = x^2 - p;
+  g = y^2 - 2*p;
+END;
+
+MESH
+  p range 1 2 3;
+END;
+"""
+ONE_SQUARE_INPUT = TWO_SQUARES_INPUT.replace("variable x, y;", "variable z;").replace(
+    "function f, g;\n  f = x^2 - p;\n  g = y^2 - 2*p;", "function f;\n  f = z^2 - p;"
+)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("other system", "solutions have 2 coordinates, system has 1 variables"),
+    ("missing key", "artifact has no 'seed' entry"),
+    ("missing file", "No such file"),
+])
+def test_solve_refuses_a_step1_artifact_that_does_not_fit(tmp_path, caplog, case, message):
+    # read before the run directory is made; the two systems have one
+    # parameter each, but two variables and one
+    inp = _write_input(tmp_path, ONE_SQUARE_INPUT, name="one.input")
+    first = tmp_path / "first"
+    source = TWO_SQUARES_INPUT if case == "other system" else ONE_SQUARE_INPUT
+    assert main([
+        "solve", _write_input(tmp_path, source, name="first.input"),
+        "--out", str(first), "--step1-only",
+    ]) == 0
+    artifact = first / "step1.json"
+    doc = json.loads(artifact.read_text())
+    if case == "missing key":
+        del doc["seed"]
+        artifact.write_text(json.dumps(doc))
+    elif case == "missing file":
+        artifact.unlink()
+    out = tmp_path / "run"
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="paramsweep"):
+        code = main(["solve", inp, "--out", str(out), "--reuse-step1", str(first)])
+    assert code == 1
+    assert message in caplog.text
+    assert "step1:" not in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0.5 nan 0.25 0.0\n", "line 1: non-finite value 'nan'"),
+    ("0.5 0.1 0.25 0.0\n0.3 0.2 0.1 0.4\n", "holds 2 points, not one"),
+])
+def test_solve_refuses_a_bad_p0_file(tmp_path, caplog, text, message):
+    p0 = tmp_path / "p0.txt"
+    p0.write_text(text)
+    out = tmp_path / "run"
+    with caplog.at_level(logging.INFO, logger="paramsweep"):
+        code = main(["solve", _write_input(tmp_path), "--out", str(out), "--p0", str(p0)])
+    assert code == 1
+    assert f"--p0 {p0}: {message}" in caplog.text
+    assert "step1:" not in caplog.text
+    assert not out.exists()
 
 
 def test_verify_step1_checks_the_counts_of_a_reused_artifact(tmp_path, caplog):

@@ -76,11 +76,12 @@ def test_step1_path_statuses_account_for_every_path(monks_system):
     assert counts["success"] >= r1.n_solutions
 
 
-def test_step1_warns_on_unexplained_shortfall(quad_system, caplog):
+def test_step1_warns_on_unexplained_shortfall(quad_system, caplog, monkeypatch):
     # a one-attempt budget stops every path with MAX_STEPS, not divergence
+    monkeypatch.setattr("paramsweep.tracker.MAX_ATTEMPTS", 1)
     with caplog.at_level(logging.WARNING, logger="paramsweep"):
         with pytest.raises(Step1Empty):
-            step1(quad_system, TrackerConfig(max_steps=1), np.random.default_rng(17))
+            step1(quad_system, CFG, np.random.default_rng(17))
     assert "0 of 2 paths succeeded" in caplog.text
     assert "max_steps:2" in caplog.text
 

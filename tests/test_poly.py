@@ -3,17 +3,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paramsweep.poly import (
+    InstantiatedSystem,
     ParamSystem,
     ParseError,
     Term,
     parse_system,
     format_system,
-    evaluate,
-    jacobian_z,
     variable_degrees,
     instantiate,
 )
 from conftest import CUBE_TEXT, MONKS_TEXT
+
+
+def _value(sys, z, p):
+    """F(z, p)."""
+    return instantiate(sys, p).eval_and_jac(z)[0]
+
+
+def _jacobian(sys, z, p):
+    """The N x N matrix of variable partials at (z, p)."""
+    return instantiate(sys, p).eval_and_jac(z)[1]
 
 
 def test_parse_basic_quadratic():
@@ -84,14 +93,14 @@ def test_parse_expansion_merges_terms():
 
 def test_evaluate_quadratic():
     sys = parse_system("variable z; parameter p; function f; f = z^2 - p;")
-    out = evaluate(sys, np.array([2.0 + 0j]), np.array([1.0 + 0j]))
+    out = _value(sys, np.array([2.0 + 0j]), np.array([1.0 + 0j]))
     assert out.shape == (1,)
     assert out[0] == 3.0 + 0j
 
 
 def test_evaluate_cube_at_root():
     sys = parse_system(CUBE_TEXT)
-    out = evaluate(sys, np.array([1.0 + 0j]), np.array([0j, 0j]))
+    out = _value(sys, np.array([1.0 + 0j]), np.array([0j, 0j]))
     assert out[0] == 0j
 
 
@@ -99,27 +108,25 @@ def test_evaluate_monks_origin():
     sys = parse_system(MONKS_TEXT)
     z = np.zeros(4, dtype=complex)
     p = np.array([0.3 + 0.1j, 1.7 - 0.4j, 2.0 + 0j])
-    assert np.all(evaluate(sys, z, p) == 0)
+    assert np.all(_value(sys, z, p) == 0)
 
 
 def test_evaluate_dimension_mismatch():
     sys = parse_system(CUBE_TEXT)
     with pytest.raises(ValueError):
-        evaluate(sys, np.array([1.0, 2.0], dtype=complex), np.array([0j, 0j]))
-    with pytest.raises(ValueError):
-        evaluate(sys, np.array([1.0 + 0j]), np.array([0j]))
+        instantiate(sys, np.array([0j]))
 
 
 def test_jacobian_univariate():
     sys = parse_system("variable z; parameter p; function f; f = z^2 - p;")
-    jac = jacobian_z(sys, np.array([2.0 + 0j]), np.array([1.0 + 0j]))
+    jac = _jacobian(sys, np.array([2.0 + 0j]), np.array([1.0 + 0j]))
     assert jac.shape == (1, 1)
     assert jac[0, 0] == 4.0 + 0j
 
 
 def test_jacobian_bilinear():
     sys = parse_system("variable z1, z2; function f1, f2; f1 = z1*z2; f2 = z1 + z2;")
-    jac = jacobian_z(sys, np.array([3.0 + 0j, 5.0 + 0j]), np.zeros(0, dtype=complex))
+    jac = _jacobian(sys, np.array([3.0 + 0j, 5.0 + 0j]), np.zeros(0, dtype=complex))
     assert jac[0, 0] == 5.0 + 0j
     assert jac[0, 1] == 3.0 + 0j
 
@@ -155,13 +162,13 @@ def test_jacobian_matches_finite_differences():
         sys = _random_system(rng, n_vars=3, n_params=2, degree=3, n_terms=8)
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         p = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        jac = jacobian_z(sys, z, p)
+        jac = _jacobian(sys, z, p)
         h = 1e-7
         fd = np.zeros_like(jac)
         for j in range(3):
             dz = np.zeros(3, dtype=complex)
             dz[j] = h
-            fd[:, j] = (evaluate(sys, z + dz, p) - evaluate(sys, z - dz, p)) / (2 * h)
+            fd[:, j] = (_value(sys, z + dz, p) - _value(sys, z - dz, p)) / (2 * h)
         scale = max(1.0, np.max(np.abs(jac)))
         assert np.max(np.abs(jac - fd)) / scale < 1e-6
 
@@ -179,8 +186,9 @@ def test_variable_degrees_exclude_parameters():
 def test_instantiate_quadratic():
     sys = parse_system("variable z; parameter p; function f; f = z^2 - p;")
     inst = instantiate(sys, np.array([4.0 + 0j]))
-    assert inst.evaluate(np.array([3.0 + 0j]))[0] == 5.0 + 0j
-    assert inst.jacobian(np.array([3.0 + 0j]))[0, 0] == 6.0 + 0j
+    f, jac = inst.eval_and_jac(np.array([3.0 + 0j]))
+    assert f[0] == 5.0 + 0j
+    assert jac[0, 0] == 6.0 + 0j
 
 
 def test_instantiate_cube_at_ones():
@@ -188,18 +196,24 @@ def test_instantiate_cube_at_ones():
     inst = instantiate(sys, np.array([1.0 + 0j, 1.0 + 0j]))
     # z^6 + 1
     for z in [0j, 1.0 + 0j, 2.0 - 1.0j]:
-        assert inst.evaluate(np.array([z]))[0] == z**6 + 1.0
+        assert inst.eval_and_jac(np.array([z]))[0][0] == z**6 + 1.0
 
 
 def test_instantiate_matches_evaluate_bitwise():
+    # 100 instantiations stacked into one evaluation, a row of coefficients
+    # per point, give each point bit for bit what it gets alone
     rng = np.random.default_rng(11)
     sys = _random_system(rng, n_vars=2, n_params=3, degree=4, n_terms=10)
+    zs, alone = [], []
     for _ in range(100):
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        a = instantiate(sys, p).evaluate(z)
-        b = evaluate(sys, z, p)
-        assert np.array_equal(a, b)
+        zs.append(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        alone.append(instantiate(sys, rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+    stacked = InstantiatedSystem(alone[0].structure, np.array([a.coeffs for a in alone]))
+    f, jac = stacked.eval_and_jac(np.array(zs))
+    for k, (inst, z) in enumerate(zip(alone, zs)):
+        f_k, jac_k = inst.eval_and_jac(z)
+        assert np.array_equal(f[k], f_k)
+        assert np.array_equal(jac[k], jac_k)
 
 
 def test_degrees_invariant_under_renaming_and_reordering():

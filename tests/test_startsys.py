@@ -10,6 +10,11 @@ from paramsweep.startsys import (
 )
 
 
+def _value(system, z):
+    """The value of an instantiated system at z."""
+    return system.eval_and_jac(z)[0]
+
+
 def test_degree_two_roots():
     ss = total_degree_start([2])
     sols = ss.solutions()
@@ -35,7 +40,7 @@ def test_start_points_satisfy_system():
     sols = ss.solutions()
     assert len(sols) == 18
     for z in sols:
-        assert np.max(np.abs(g.evaluate(z))) < 1e-12
+        assert np.max(np.abs(_value(g, z))) < 1e-12
 
 
 def test_lexicographic_enumeration_order():
@@ -76,7 +81,7 @@ def test_parameter_homotopy_hand_values():
     h = build_homotopy(target, source, gamma=1.0)
     z = np.array([1.0 + 0j])
     # H(1, 0.5) = 0.5*(1-4) + 0.5*(1-1) = -1.5
-    assert h.at(0.5).evaluate(z)[0] == pytest.approx(-1.5)
+    assert _value(h.at(0.5), z)[0] == pytest.approx(-1.5)
     # dH/dt = -(1-4) + (1-1) = 3
     assert h.tangent_data(z, 0.5)[0][0] == pytest.approx(3.0)
 
@@ -99,8 +104,8 @@ def test_endpoint_identities():
     g = start.as_instantiated()
     for _ in range(20):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert np.max(np.abs(h.at(0.0).evaluate(z) - target.evaluate(z))) < 1e-12
-        assert np.max(np.abs(h.at(1.0).evaluate(z) - gamma * g.evaluate(z))) < 1e-12
+        assert np.max(np.abs(_value(h.at(0.0), z) - _value(target, z))) < 1e-12
+        assert np.max(np.abs(_value(h.at(1.0), z) - gamma * _value(g, z))) < 1e-12
 
 
 def test_dt_matches_finite_differences():
@@ -114,7 +119,7 @@ def test_dt_matches_finite_differences():
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         t = rng.uniform(0.1, 0.9)
         eps = 1e-7
-        fd = (h.at(t + eps).evaluate(z) - h.at(t - eps).evaluate(z)) / (2 * eps)
+        fd = (_value(h.at(t + eps), z) - _value(h.at(t - eps), z)) / (2 * eps)
         assert np.max(np.abs(h.tangent_data(z, t)[0] - fd)) < 1e-6
 
 
