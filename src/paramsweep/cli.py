@@ -52,6 +52,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -434,49 +435,115 @@ def export_real_count_grid(
     return "\n".join(out) + "\n"
 
 
+# float.__repr__ spellings json writes differently
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+_SOLUTIONS_JSON = """{
+ "version": 1,
+ "n_vars": %d,
+ "n_params": %d,
+ "n_points": %d,
+ "step1_paths": %d,
+ "seed": %s,
+ "max_retries": %d,
+ "source": %s,
+ "param_names": %s,
+ "p0": %s,
+ "points": %s
+}"""
+
+_POINT_JSON = """{
+   "index": %d,
+   "params": %s,
+   "status": %s,
+   "retries": %d,
+   "path_failures": %d,
+   "diverged": %d,
+   "note": %s,
+   "solutions": %s
+  }"""
+
+_SOLUTION_JSON = """{
+     "coords": %s,
+     "singular": %s,
+     "real": %s,
+     "multiplicity": %d,
+     "residual": %s
+    }"""
+
+
+def _json_float(x: float) -> str:
+    s = repr(x)
+    return _JSON_FLOATS.get(s, s)
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """A list of encoded items, laid out as json.dumps(indent=1) lays out
+    a list opened at nesting ``depth``."""
+    if not items:
+        return "[]"
+    sep = "\n" + " " * (depth + 1)
+    return "[" + sep + ("," + sep).join(items) + "\n" + " " * depth + "]"
+
+
+def _json_pairs(vec, depth: int) -> str:
+    """``_pairs(vec)`` as json.dumps(indent=1) writes it at nesting ``depth``."""
+    nums = np.ascontiguousarray(vec, dtype=complex).view(float).tolist()
+    inner = "\n" + " " * (depth + 2)
+    pair = "[" + inner + "%s," + inner + "%s\n" + " " * (depth + 1) + "]"
+    return _json_list(
+        [pair % (_json_float(re), _json_float(im)) for re, im in zip(nums[::2], nums[1::2])],
+        depth,
+    )
+
+
 def export_solutions_json(header: CollectedHeader, results: list[PointResult]) -> str:
-    """Full dump: every point, every solution as [re, im] arrays."""
-    doc = {
-        "version": 1,
-        "n_vars": header.n_vars,
-        "n_params": header.n_params,
-        "n_points": header.n_points,
-        "step1_paths": header.step1_paths,
-        "seed": header.seed,
-        "max_retries": header.max_retries,
-        "source": header.source,
-        "param_names": list(header.param_names),
-        "p0": _pairs(header.p0),
-        "points": [
-            {
-                "index": pr.index,
-                "params": _pairs(pr.p),
-                "status": pr.status.value,
-                "retries": pr.retries_used,
-                "path_failures": pr.path_failures,
-                "diverged": pr.diverged_paths,
-                "note": pr.note,
-                "solutions": [
-                    {
-                        "coords": _pairs(coords),
-                        "singular": bool(singular),
-                        "real": bool(real),
-                        "multiplicity": int(mult),
-                        "residual": None if np.isinf(res) else float(res),
-                    }
-                    for coords, singular, real, mult, res in zip(
-                        pr.solutions.distinct,
-                        pr.solutions.singular_flags,
-                        pr.solutions.real_flags,
-                        pr.solutions.multiplicities,
-                        pr.solutions.residuals,
-                    )
-                ],
-            }
-            for pr in sorted(results, key=lambda r: r.index)
-        ],
-    }
-    return json.dumps(doc, indent=1)
+    """Full dump: every point, every solution as [re, im] arrays.
+
+    Returns the bytes ``json.dumps(doc, indent=1)`` would write for the
+    document as nested dicts and lists, but lays them out itself: the
+    pure-Python encoder that ``indent`` selects costs more than the sweep
+    of a cheap system.  Floats are spelled as json spells them, strings go
+    through json.dumps, and an infinite residual is written as null.
+    """
+    points = []
+    for pr in sorted(results, key=lambda r: r.index):
+        sols = pr.solutions
+        solutions = [
+            _SOLUTION_JSON % (
+                _json_pairs(coords, 5),
+                "true" if singular else "false",
+                "true" if real else "false",
+                mult,
+                "null" if math.isinf(res) else _json_float(float(res)),
+            )
+            for coords, singular, real, mult, res in zip(
+                sols.distinct, sols.singular_flags, sols.real_flags,
+                sols.multiplicities, sols.residuals,
+            )
+        ]
+        points.append(_POINT_JSON % (
+            pr.index,
+            _json_pairs(pr.p, 3),
+            json.dumps(pr.status.value),
+            pr.retries_used,
+            pr.path_failures,
+            pr.diverged_paths,
+            json.dumps(pr.note),
+            _json_list(solutions, 3),
+        ))
+    return _SOLUTIONS_JSON % (
+        header.n_vars,
+        header.n_params,
+        header.n_points,
+        header.step1_paths,
+        "null" if header.seed is None else header.seed,
+        header.max_retries,
+        json.dumps(header.source),
+        _json_list([json.dumps(name) for name in header.param_names], 1),
+        _json_pairs(header.p0, 1),
+        _json_list(points, 1),
+    )
 
 
 def _fmt_point(p: np.ndarray) -> str:

@@ -2,9 +2,12 @@
 
 One format serves both the per-worker spill files and the final collected
 data file, and each record is one ``paramhom.PointResult``: the worker
-writes the attempt it solved, the merge writes the result that stands,
-and both read back as ``PointResult``s.  Floats are written with
-``repr``, so reading a file back reproduces every value exactly.
+writes the attempt it solved, and both files read back as
+``PointResult``s.  The merge splits the spill files into record texts
+(``split_records``) and copies the text of the attempt that stands into
+the collected file, with its retry count and note; so ``write_collected``
+takes the records as text.  Floats are written with ``repr``, so reading
+a file back reproduces every value exactly.
 
 Record layout (one parameter point per record)::
 
@@ -13,8 +16,8 @@ Record layout (one parameter point per record)::
     D <index> <free-text note>                                    (optional)
 
 ``kinds`` is ``-`` or comma-joined ``name:count`` pairs.  The ``nsols``
-count lets the reader detect and drop a record truncated by a crashed
-writer.  The collected file carries a ``#`` header block in front.
+count lets ``split_records`` detect and drop a record truncated by a
+crashed writer.  The collected file carries a ``#`` header block in front.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from paramsweep.tracker import ClassifiedSolutions
 
 __all__ = [
     "serialize_record",
+    "split_records",
     "parse_records",
     "write_collected",
     "read_collected",
@@ -81,12 +85,39 @@ def serialize_record(pr: PointResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_records(text: str, tolerate_truncation: bool = False) -> list[PointResult]:
-    """Parse concatenated records; optionally drop a truncated tail."""
-    if tolerate_truncation:
-        # a crashed writer can stop inside a number, which still parses
-        text = text[: text.rfind("\n") + 1]
+def split_records(text: str) -> list[tuple[int, int, str]]:
+    """Split a spill file into its complete records, as ``(index, round,
+    text)``, without parsing their numbers.
+
+    A crashed writer can stop anywhere, inside a number too, which would
+    still parse: the text is cut at its last newline, and a record with
+    fewer ``S`` lines than its ``nsols`` ends the file.
+    """
+    lines = text[: text.rfind("\n") + 1].splitlines(keepends=True)
+    records = []
+    i = 0
+    while i < len(lines):
+        toks = lines[i].split(" ", 9)
+        if toks[0] != "P":
+            raise ValueError(f"line {i + 1}: expected record line, got {lines[i][:40]!r}")
+        try:
+            index, rnd, nsols = int(toks[1]), int(toks[2]), int(toks[8])
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"line {i + 1}: malformed point record: {exc}") from exc
+        end = i + 1 + nsols
+        if end > len(lines) or not all(
+            line.startswith("S ") for line in lines[i + 1 : end]
+        ):
+            break
+        records.append((index, rnd, "".join(lines[i:end])))
+        i = end
+    return records
+
+
+def parse_records(text: str) -> list[PointResult]:
+    """Parse concatenated records; a ``D`` line notes the record of its index."""
     records: list[PointResult] = []
+    position: dict[int, int] = {}  # index -> position of its latest record
     lines = text.splitlines()
     i = 0
 
@@ -100,10 +131,9 @@ def parse_records(text: str, tolerate_truncation: bool = False) -> list[PointRes
             continue
         if line.startswith("D "):
             _, idx_tok, note = line.split(" ", 2)
-            idx = int(idx_tok)
-            for k, rec in enumerate(records):
-                if rec.index == idx:
-                    records[k] = replace(rec, note=note)
+            k = position.get(int(idx_tok))
+            if k is not None:
+                records[k] = replace(records[k], note=note)
             i += 1
             continue
         if not line.startswith("P "):
@@ -117,16 +147,12 @@ def parse_records(text: str, tolerate_truncation: bool = False) -> list[PointRes
             nsols = int(toks[8])
             params = _complexes(toks[9:])
         except (IndexError, ValueError) as exc:
-            if tolerate_truncation and i + 1 >= len(lines):
-                break
             raise bad(f"malformed point record: {exc}", i) from exc
         rows = []  # (coords, singular, real, residual, multiplicity)
-        truncated = False
         for k in range(nsols):
             j = i + 1 + k
             if j >= len(lines) or not lines[j].startswith("S "):
-                truncated = True
-                break
+                raise bad(f"record for point {index} is truncated", i)
             stoks = lines[j].split()
             try:
                 rows.append((
@@ -137,15 +163,9 @@ def parse_records(text: str, tolerate_truncation: bool = False) -> list[PointRes
                     int(stoks[3]),
                 ))
             except (IndexError, ValueError) as exc:
-                if tolerate_truncation and j + 1 >= len(lines):
-                    truncated = True
-                    break
                 raise bad(f"malformed solution record: {exc}", j) from exc
-        if truncated:
-            if tolerate_truncation:
-                break
-            raise bad(f"record for point {index} is truncated", i)
         distinct, singular, real, residuals, mults = tuple(zip(*rows)) or ((),) * 5
+        position[index] = len(records)
         records.append(
             PointResult(
                 index=index,
@@ -178,7 +198,8 @@ class CollectedHeader:
     param_names: tuple[str, ...] = ()
 
 
-def write_collected(path, header: CollectedHeader, records: list[PointResult]) -> None:
+def write_collected(path, header: CollectedHeader, body: str) -> None:
+    """Write the header block, then ``body``, the records as text."""
     names = header.param_names or tuple(
         f"p{i}" for i in range(header.n_params)
     )
@@ -192,8 +213,7 @@ def write_collected(path, header: CollectedHeader, records: list[PointResult]) -
         )
         f.write(f"# params {' '.join(names)}\n")
         f.write(f"# p0 {_floats(header.p0)}\n")
-        for rec in records:
-            f.write(serialize_record(rec))
+        f.write(body)
 
 
 def read_collected(path) -> tuple[CollectedHeader, list[PointResult]]:

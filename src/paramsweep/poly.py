@@ -528,7 +528,13 @@ class TermStructure:
 
         The two coefficient arrays may differ, which lets a homotopy pair
         dH/dt (for prediction) with the Jacobian of H at the same point.
+        ``z`` is one point, shape (N,), or a batch, shape (B, N).
         """
+        if z.ndim not in (1, 2) or z.shape[-1] != self.n_vars:
+            raise ValueError(
+                f"expected z of shape ({self.n_vars},) or (B, {self.n_vars}), "
+                f"got {z.shape}"
+            )
         zb = z.reshape(-1, self.n_vars)
         mono = self._gather_prod(self._all_exps, self._var_powers(zb))
         out = self._values(eval_coeffs, mono[: self.n_terms])

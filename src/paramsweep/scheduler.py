@@ -13,10 +13,10 @@ timings), which is all the retry policy (``paramhom.sweep_with_runner``)
 needs: the spill files are the only store of the solutions.  A worker
 sends each report whole before it goes on, so a worker that crashes
 between reports blocks no other worker's.  After the sweep the
-coordinator merges the spill files into the collected data file, the
-standing round of each point under the retries and note the policy
-decided, keeps the merged records as the sweep's point results, and
-deletes the spill files.
+coordinator merges the spill files into the collected data file: it
+copies the text of each point's standing record, setting only the
+retries and note the policy decided, parses the merged records once into
+the sweep's point results, and deletes the spill files.
 With one worker no process is started, and the coordinator runs each
 batch itself through the same batch function.
 
@@ -34,7 +34,7 @@ import os
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from paramsweep.datafile import (
     CollectedHeader,
     parse_records,
     serialize_record,
+    split_records,
     write_collected,
 )
 from paramsweep.paramhom import (
@@ -377,26 +378,29 @@ def _merge_part_files(
 ) -> list[PointResult]:
     """Fold the spill files into one collected data file and return its records.
 
-    Per point, the spill record of the newest round wins, with the retry
-    count and note the coordinator decided.  A crashed worker may have
-    written some records of its last batch: a requeued batch writes the
-    same records again, since the tracker is deterministic, and a record
-    the crash cut short is dropped.  A point whose worker crashed
-    is Unresolved, with no solutions and all ``n_starts`` paths failed.
+    Per point, the text of the spill record of the newest round is copied
+    into the collected file, with only the retry count the coordinator
+    decided put into its ``P`` line and a ``D`` line added for its note.
+    A crashed worker may have written some records of its last batch: a
+    requeued batch writes the same records again, since the tracker is
+    deterministic, and a record the crash cut short is dropped.  A point
+    whose worker crashed is Unresolved, with no solutions and all
+    ``n_starts`` paths failed.  The merged records are parsed once, into
+    the returned results.
     """
     parts = sorted(glob.glob(_part_path(part_dir, "*")))
-    latest: dict[int, PointResult] = {}
+    latest: dict[int, tuple[int, str]] = {}  # index -> (round, record text)
     for path in parts:
         with open(path) as f:
-            for rec in parse_records(f.read(), tolerate_truncation=True):
-                cur = latest.get(rec.index)
-                if cur is None or rec.round > cur.round:
-                    latest[rec.index] = rec
-    final = []
+            for index, rnd, text in split_records(f.read()):
+                cur = latest.get(index)
+                if cur is None or rnd > cur[0]:
+                    latest[index] = (rnd, text)
+    merged = []
     for v in verdicts:
-        spill = latest.get(v.index)
+        spill_round, text = latest.get(v.index, (None, ""))
         if v.round is None:
-            final.append(
+            merged.append(serialize_record(
                 PointResult(
                     index=v.index,
                     p=points[v.index],
@@ -406,19 +410,25 @@ def _merge_part_files(
                     path_failures=n_starts,
                     diverged_paths=0,
                     note=v.note,
-                    round=spill.round if spill else 0,
+                    round=spill_round or 0,
                 )
-            )
-        elif spill is None or spill.round != v.round:
+            ))
+        elif spill_round != v.round:
             raise RuntimeError(
                 f"spill files hold no round {v.round} record of point {v.index}"
             )
         else:
-            final.append(replace(spill, retries_used=v.retries_used, note=v.note))
-    write_collected(os.path.join(part_dir, COLLECTED_NAME), header, final)
+            # a spill record reads "P <index> <round> <status> 0 <rest>"
+            head = text.split(" ", 5)
+            head[4] = str(v.retries_used)
+            merged.append(" ".join(head))
+            if v.note:
+                merged.append(f"D {v.index} {v.note}\n")
+    body = "".join(merged)
+    write_collected(os.path.join(part_dir, COLLECTED_NAME), header, body)
     for path in parts:
         os.remove(path)
-    return final
+    return parse_records(body)
 
 
 def run_parallel(

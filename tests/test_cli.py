@@ -9,17 +9,18 @@ from paramsweep.cli import (
     InputError,
     _build_tracker_config,
     export_real_count_grid,
+    export_solutions_json,
     load_step1,
     main,
     parse_input_file,
     write_failure_report,
     write_timing_summary,
 )
-from paramsweep.datafile import read_collected
+from paramsweep.datafile import CollectedHeader, read_collected
 from paramsweep.mesh import MeshSpec, Range
-from paramsweep.paramhom import PointStatus, SweepResult, TimingRecord, step1
+from paramsweep.paramhom import PointResult, PointStatus, SweepResult, TimingRecord, step1
 from paramsweep.scheduler import run_parallel
-from paramsweep.tracker import TrackerConfig
+from paramsweep.tracker import ClassifiedSolutions, TrackerConfig
 from conftest import MONKS_TEXT
 
 CUBE_INPUT = """
@@ -607,6 +608,92 @@ def test_export_subcommand(tmp_path):
     assert json.loads(json_path.read_text())["n_points"] == 25
     assert csv_path.read_bytes() == (out / "real_counts.csv").read_bytes()
     assert json_path.read_bytes() == (out / "solutions.json").read_bytes()
+
+
+def _reference_solutions_json(header, results):
+    """The document export_solutions_json lays out, through json.dumps."""
+
+    def pairs(vec):
+        return [[float(c.real), float(c.imag)] for c in vec]
+
+    doc = {
+        "version": 1,
+        "n_vars": header.n_vars,
+        "n_params": header.n_params,
+        "n_points": header.n_points,
+        "step1_paths": header.step1_paths,
+        "seed": header.seed,
+        "max_retries": header.max_retries,
+        "source": header.source,
+        "param_names": list(header.param_names),
+        "p0": pairs(header.p0),
+        "points": [
+            {
+                "index": pr.index,
+                "params": pairs(pr.p),
+                "status": pr.status.value,
+                "retries": pr.retries_used,
+                "path_failures": pr.path_failures,
+                "diverged": pr.diverged_paths,
+                "note": pr.note,
+                "solutions": [
+                    {
+                        "coords": pairs(coords),
+                        "singular": bool(singular),
+                        "real": bool(real),
+                        "multiplicity": int(mult),
+                        "residual": None if np.isinf(res) else float(res),
+                    }
+                    for coords, singular, real, mult, res in zip(
+                        pr.solutions.distinct,
+                        pr.solutions.singular_flags,
+                        pr.solutions.real_flags,
+                        pr.solutions.multiplicities,
+                        pr.solutions.residuals,
+                    )
+                ],
+            }
+            for pr in sorted(results, key=lambda r: r.index)
+        ],
+    }
+    return json.dumps(doc, indent=1)
+
+
+@pytest.mark.parametrize("seed, names", [(None, ()), (7, ("x", "y\u00e9"))])
+def test_solutions_json_is_what_json_dumps_writes(seed, names):
+    header = CollectedHeader(
+        n_vars=2, n_params=2, n_points=3, step1_paths=6, seed=seed, max_retries=2,
+        p0=np.array([0.25 - 0.5j, 1e16 + 1e-05j]), source="file", param_names=names,
+    )
+    odd = np.array([
+        complex(-0.0, 5e-324), complex(1e-05, 1e16),
+        complex(float("nan"), float("inf")), complex(-float("inf"), 1.0),
+    ])
+    results = [
+        PointResult(  # out of index order: the export sorts
+            index=2, p=np.array([1.5 + 0j, -2.0 - 0.0j]),
+            solutions=ClassifiedSolutions(
+                (odd[:2], odd[2:], np.array([0.1 + 0.2j, 3.0 + 0j])),
+                (False, True, True), (False, False, True),
+                (1e-12, float("inf"), float("-inf")), (1, 2, 3), n_real=1,
+            ),
+            status=PointStatus.HAD_FAILURES, retries_used=1, path_failures=0,
+            diverged_paths=2, failure_kinds=(("diverged", 2),), round=1,
+        ),
+        PointResult(
+            index=0, p=np.array([0.1 + 0j, 0.2 + 0j]),
+            solutions=ClassifiedSolutions((), (), (), (), ()),
+            status=PointStatus.UNRESOLVED, retries_used=2, path_failures=6,
+            diverged_paths=0, note='crashed: "twice" \\ caf\u00e9 \u2603',
+        ),
+        PointResult(
+            index=1, p=np.array([float("nan") + 0j, 0j]),
+            solutions=ClassifiedSolutions((odd[1:3],), (False,), (True,), (float("nan"),), (1,)),
+            status=PointStatus.COMPLETE, retries_used=0, path_failures=0, diverged_paths=0,
+        ),
+    ]
+    assert export_solutions_json(header, results) == _reference_solutions_json(header, results)
+    assert export_solutions_json(header, []) == _reference_solutions_json(header, [])
 
 
 def test_failure_report_lists_singular_endpoint_without_retry(tmp_path, quad_system):

@@ -8,6 +8,7 @@ from paramsweep.datafile import (
     parse_records,
     read_collected,
     serialize_record,
+    split_records,
     write_collected,
 )
 from paramsweep.paramhom import PointResult, PointStatus
@@ -53,11 +54,21 @@ def test_record_roundtrip_exact():
     )
 
 
+def _spill_text(*records):
+    # a worker's spill record: retries 0 and no note
+    return "".join(
+        serialize_record(dataclasses.replace(r, retries_used=0)) for r in records
+    )
+
+
 def test_truncated_tail_dropped_when_tolerated():
-    text = serialize_record(_sample_record(1)) + serialize_record(_sample_record(2))
+    first = _spill_text(_sample_record(1))
+    text = first + _spill_text(_sample_record(2))
     cut = text[: text.rfind("S ") + 10]  # chop inside the last record
-    recs = parse_records(cut, tolerate_truncation=True)
-    assert [r.index for r in recs] == [1]
+    assert split_records(cut) == [(1, 1, first)]
+    # cut between the S lines of the last record
+    assert split_records(text[: text.rfind("S ")]) == [(1, 1, first)]
+    assert split_records(text) == [(1, 1, first), (2, 1, text[len(first):])]
     with pytest.raises(ValueError):
         parse_records(cut)
 
@@ -69,11 +80,11 @@ def test_record_cut_inside_a_number_dropped_when_tolerated():
             (np.array([1.0 + 0.123456789j]),), (False,), (False,), (1e-12,), (1,)
         ),
     )
-    text = serialize_record(_sample_record(1)) + serialize_record(last)
-    cut = text[:-3]  # the writer stopped inside the last number, which parses
+    first = _spill_text(_sample_record(1))
+    cut = (first + _spill_text(last))[:-3]
+    # the writer stopped inside the last number, which parses
     assert float(cut.split()[-1]) != 0.123456789
-    recs = parse_records(cut, tolerate_truncation=True)
-    assert [r.index for r in recs] == [1]
+    assert split_records(cut) == [(1, 1, first)]
 
 
 def test_complex_values_roundtrip_bit_for_bit():
@@ -105,7 +116,7 @@ def test_collected_file_roundtrip(tmp_path):
         parse_records(serialize_record(_sample_record(1)))[0],
     ]
     path = tmp_path / "collected.dat"
-    write_collected(path, header, records)
+    write_collected(path, header, "".join(map(serialize_record, records)))
     h2, r2 = read_collected(path)
     assert (h2.n_vars, h2.n_params, h2.n_points) == (1, 2, 2)
     assert (h2.step1_paths, h2.seed, h2.max_retries) == (6, 7, 3)
@@ -115,7 +126,7 @@ def test_collected_file_roundtrip(tmp_path):
     assert [r.index for r in r2] == [0, 1]
     # byte-for-byte identical when rewritten
     path2 = tmp_path / "again.dat"
-    write_collected(path2, h2, r2)
+    write_collected(path2, h2, "".join(map(serialize_record, r2)))
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -124,3 +135,32 @@ def test_read_collected_rejects_garbage(tmp_path):
     p.write_text("not a data file\n")
     with pytest.raises(ValueError, match="header"):
         read_collected(p)
+
+
+def test_notes_land_on_their_records():
+    records = [
+        _sample_record(0, note="first"),
+        _sample_record(1),
+        _sample_record(2, note='a "b" \\ c'),
+    ]
+    back = parse_records("".join(map(serialize_record, records)))
+    assert [r.note for r in back] == ["first", "", 'a "b" \\ c']
+    # a D line names its record by index, wherever it stands
+    text = "".join(serialize_record(_sample_record(k)) for k in range(3))
+    back = parse_records(text + "D 2 last\nD 0 first\n")
+    assert [r.note for r in back] == ["first", "", "last"]
+
+
+def test_many_notes_parse_as_before():
+    text = "".join(
+        serialize_record(_sample_record(k, note=f"note {k}")) for k in range(2000)
+    )
+    back = parse_records(text)
+    assert [r.index for r in back] == list(range(2000))
+    assert [r.note for r in back] == [f"note {k}" for k in range(2000)]
+    assert "".join(map(serialize_record, back)) == text
+
+
+def test_split_records_refuses_a_line_outside_a_record():
+    with pytest.raises(ValueError, match="line 1: expected record line"):
+        split_records("S 0 0 1 1e-12 1.0 0.0\n")

@@ -117,6 +117,18 @@ def test_evaluate_dimension_mismatch():
         instantiate(sys, np.array([0j]))
 
 
+def test_eval_and_jac_refuses_a_point_of_the_wrong_length():
+    # one variable: [2, 3] is two values for z, not a point
+    inst = instantiate(parse_system(CUBE_TEXT), np.array([0j, 0j]))
+    with pytest.raises(ValueError, match=r"\(1,\) or \(B, 1\).*\(2,\)"):
+        inst.eval_and_jac(np.array([2.0 + 0j, 3.0 + 0j]))
+    monks = instantiate(parse_system(MONKS_TEXT), np.array([0.3 + 0.1j, 1.7 - 0.4j, 2.0 + 0j]))
+    with pytest.raises(ValueError, match=r"got \(3, 5\)"):
+        monks.eval_and_jac(np.zeros((3, 5), dtype=complex))
+    f, jac = monks.eval_and_jac(np.zeros((3, 4), dtype=complex))
+    assert f.shape == (3, 4) and jac.shape == (3, 4, 4)
+
+
 def test_jacobian_univariate():
     sys = parse_system("variable z; parameter p; function f; f = z^2 - p;")
     jac = _jacobian(sys, np.array([2.0 + 0j]), np.array([1.0 + 0j]))

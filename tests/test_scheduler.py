@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import os
 import threading
 import time
@@ -6,15 +8,27 @@ from multiprocessing.connection import Connection
 import numpy as np
 import pytest
 
-from paramsweep.datafile import read_collected
+from paramsweep.datafile import (
+    CollectedHeader,
+    read_collected,
+    serialize_record,
+    write_collected,
+)
 from paramsweep.mesh import MeshSpec, Range, generate_mesh
 from paramsweep.paramhom import (
     FaultInjection,
+    PointResult,
     PointStatus,
+    PointVerdict,
     step1,
 )
-from paramsweep.scheduler import WorkBatch, default_batch_size, run_parallel
-from paramsweep.tracker import TrackerConfig
+from paramsweep.scheduler import (
+    WorkBatch,
+    _merge_part_files,
+    default_batch_size,
+    run_parallel,
+)
+from paramsweep.tracker import ClassifiedSolutions, TrackerConfig
 from conftest import set_distance
 
 CFG = TrackerConfig()
@@ -238,6 +252,132 @@ def test_stale_spill_files_are_not_merged(quad_setup, tmp_path):
         )
         blobs.append((out / "collected.dat").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def _crash_once_in_record(marker, index, cut):
+    """A spill file whose worker dies once, while writing the first-round
+    record of ``index``, after the first ``cut(record)`` bytes of it."""
+
+    class CrashOnce(io.FileIO):
+        def write(self, data):
+            if data.startswith(f"P {index} 0 ".encode()) and not os.path.exists(marker):
+                open(marker, "w").close()
+                super().write(data[: cut(data)])
+                os._exit(13)
+            return super().write(data)
+
+    def spill_open(path, mode="r"):
+        return CrashOnce(path, mode) if "a" in mode else open(path, mode)
+
+    return spill_open
+
+
+@pytest.mark.parametrize("sweep_kind", [
+    "clean", "retry", "crash-requeued", "crash-twice",
+    "cut-inside-a-number", "cut-between-solutions",
+])
+def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, monkeypatch, sweep_kind):
+    # the merge copies spill records as text: collected.dat must read back
+    # into records that write_collected turns into the same bytes, and a
+    # crash the requeue recovers from must leave no trace
+    sysq, r1, points = quad_setup
+    import paramsweep.scheduler as sched
+
+    cuts = {
+        "crash-requeued": lambda rec: 0,
+        "cut-inside-a-number": lambda rec: len(rec) - 3,
+        "cut-between-solutions": lambda rec: rec.index(b"\nS ") + 1,
+    }
+    if sweep_kind in cuts:
+        marker = str(tmp_path / "crashed")
+        monkeypatch.setattr(
+            sched, "open", _crash_once_in_record(marker, 3, cuts[sweep_kind]), raising=False
+        )
+    out = tmp_path / sweep_kind
+    sweep = run_parallel(
+        sysq, r1, points, CFG, max_retries=2, workers=2,
+        rng=np.random.default_rng(1), batch_size=4, out_dir=str(out),
+        fault_injection=FaultInjection.at(0, 5) if sweep_kind == "retry" else None,
+        crash_injection=frozenset({3}) if sweep_kind == "crash-twice" else frozenset(),
+    )
+    if sweep_kind in cuts:
+        assert os.path.exists(marker)
+    merged = (out / "collected.dat").read_bytes()
+    header, records = read_collected(out / "collected.dat")
+    write_collected(tmp_path / "again.dat", header, "".join(map(serialize_record, records)))
+    assert (tmp_path / "again.dat").read_bytes() == merged
+    assert list(map(serialize_record, sweep.point_results)) == list(map(serialize_record, records))
+    retried = {pr.index: pr.retries_used for pr in records if pr.retries_used}
+    noted = {pr.index: pr.status for pr in records if pr.note}
+    if sweep_kind == "retry":
+        assert retried == {0: 1, 5: 1}
+        assert noted == {}
+    elif sweep_kind == "crash-twice":
+        # the whole batch of four points is given up
+        assert noted == dict.fromkeys(range(4), PointStatus.UNRESOLVED)
+        assert b"\nD 3 worker crashed twice" in merged
+    else:
+        assert retried == noted == {}
+        assert all(pr.status is PointStatus.COMPLETE for pr in records)
+    if sweep_kind in cuts:
+        monkeypatch.undo()
+        clean = tmp_path / "clean"
+        run_parallel(
+            sysq, r1, points, CFG, max_retries=2, workers=2,
+            rng=np.random.default_rng(1), batch_size=4, out_dir=str(clean),
+        )
+        assert (clean / "collected.dat").read_bytes() == merged
+
+
+def _attempt(index, rnd, failures=0):
+    roots = (np.array([0.1 * index + 1j, -2.5e-7]), np.array([float(rnd), -0.0]))
+    return PointResult(
+        index=index, p=np.array([index + 0.5j]),
+        solutions=ClassifiedSolutions(
+            roots, (False, True), (False, True), (1e-13, 3e-9), (1, 2), n_real=1
+        ),
+        status=PointStatus.UNRESOLVED if failures else PointStatus.COMPLETE,
+        retries_used=0, path_failures=failures, diverged_paths=0,
+        failure_kinds=(("min_step", failures),) if failures else (), round=rnd,
+    )
+
+
+def test_merge_copies_the_standing_spill_records(tmp_path):
+    # the merged file holds what serializing the standing attempts, under
+    # the retries and notes of their verdicts, would write
+    a0, a1, a1_retry, a2 = _attempt(0, 0), _attempt(1, 0, 1), _attempt(1, 1), _attempt(2, 0)
+    crashed_cut = serialize_record(_attempt(3, 0))[:-5]
+    (tmp_path / "step2_worker0.part").write_text(
+        serialize_record(a0) + serialize_record(a1) + serialize_record(a2)
+    )
+    (tmp_path / "step2_worker1.part").write_text(serialize_record(a1_retry) + crashed_cut)
+    points = [a.p for a in (a0, a1, a2)] + [np.array([3.5 + 0j])]
+    verdicts = [
+        PointVerdict(0, 0, "", 0),
+        PointVerdict(1, 1, "", 1),
+        PointVerdict(2, 0, "kept, with a note", 0),
+        PointVerdict(3, 0, "worker crashed twice", None),
+    ]
+    header = CollectedHeader(
+        n_vars=2, n_params=1, n_points=4, step1_paths=2, seed=None, max_retries=2,
+        p0=np.array([0.25 + 0.5j]), param_names=("q",),
+    )
+    results = _merge_part_files(str(tmp_path), header, points, 2, verdicts)
+    expected = [
+        a0,
+        dataclasses.replace(a1_retry, retries_used=1),
+        dataclasses.replace(a2, note="kept, with a note"),
+        PointResult(
+            index=3, p=points[3], solutions=ClassifiedSolutions((), (), (), (), ()),
+            status=PointStatus.UNRESOLVED, retries_used=0, path_failures=2,
+            diverged_paths=0, note="worker crashed twice",
+        ),
+    ]
+    body = "".join(map(serialize_record, expected))
+    write_collected(tmp_path / "expected.dat", header, body)
+    assert (tmp_path / "collected.dat").read_bytes() == (tmp_path / "expected.dat").read_bytes()
+    assert "".join(map(serialize_record, results)) == body
+    assert not list(tmp_path.glob("*.part"))
 
 
 def test_crash_injection_needs_two_workers(quad_setup):
