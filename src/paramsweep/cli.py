@@ -182,6 +182,8 @@ def _parse_config_body(start: int, lines: list[str]) -> dict:
         key = key.strip().lower()
         if key not in _TRACKER_FIELDS and key not in _SWEEP_KEYS:
             raise InputError(f"line {lineno}: unknown config key {key!r}")
+        if key in config:
+            raise InputError(f"line {lineno}: config key {key!r} given twice")
         value = value.strip()
         if key == "p0":
             try:

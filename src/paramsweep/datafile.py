@@ -5,7 +5,7 @@ data file, and each record is one ``paramhom.PointResult``: the worker
 writes the attempt it solved, and both files read back as
 ``PointResult``s.  The merge splits the spill files into record texts
 (``split_records``) and copies the text of the attempt that stands into
-the collected file, with its retry count and note; so ``write_collected``
+the collected file, with its retry count; so ``write_collected``
 takes the records as text.  Floats are written with ``repr``, so reading
 a file back reproduces every value exactly.
 
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 FORMAT_HEADER = "# paramsweep collected v1"
+# the fields of the header's second line that every collected file has
+_HEADER_FIELDS = ("nvars", "nparams", "npoints", "step1_paths", "seed", "max_retries")
 
 
 def _floats(vec: np.ndarray) -> str:
@@ -222,7 +224,13 @@ def read_collected(path) -> tuple[CollectedHeader, list[PointResult]]:
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
         raise ValueError("not a collected data file (bad or missing header)")
-    fields = dict(tok.split("=", 1) for tok in lines[1][2:].split())
+    for n, prefix in enumerate(("# nvars=", "# params ", "# p0 "), start=2):
+        if len(lines) < n or not lines[n - 1].startswith(prefix):
+            raise ValueError(f"collected data file lacks its {prefix.strip()!r} header line")
+    fields = dict(tok.partition("=")[::2] for tok in lines[1][2:].split())
+    for key in _HEADER_FIELDS:
+        if key not in fields:
+            raise ValueError(f"collected data file header has no {key}= field")
     param_names = tuple(lines[2].split()[2:])
     p0 = _complexes(lines[3].split()[2:])
     header = CollectedHeader(

@@ -14,14 +14,15 @@ The path accounting is the whole economy of the method: a sweep of k
 points costs m + k*l paths (one generic solve of m paths plus l paths per
 point) instead of k*m for repeated one-off solves.
 
-A solved point is a ``PointResult`` from the worker that solves it to the
-exports: the spill record, the collected data file and the sweep's
-results all hold it.  ``attempt_status`` is the rule that gives an
-attempt its status.  The retry policy, ``sweep_with_runner``, sees only
-per-point summaries, never the solutions, and decides what a spill record
-cannot know: the retries, the note and the round that stands.
-``scheduler.run_parallel`` is the sweep entry point: it supplies the
-round runner and reads the results back from the spill files.
+A solved point is a ``PointResult`` from ``step2`` to the exports: the
+spill record, the collected data file and the sweep's results all hold
+it, and ``step2`` gives each attempt its status (``attempt_status``).
+The retry policy, ``sweep_with_runner``, sees only a ``PointSummary`` per
+attempt (its status and timings), never the solutions, and decides what
+a spill record cannot know: the retries and the round that stands, or
+the note on a point whose worker crashed.  ``scheduler.run_parallel`` is
+the sweep entry point: it supplies the round runner and reads the
+results back from the spill files.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ __all__ = [
     "PointStatus",
     "PointResult",
     "attempt_status",
-    "TimingRecord",
+    "PointSummary",
     "SweepResult",
     "FaultInjection",
     "random_parameter_point",
@@ -126,14 +127,17 @@ def attempt_status(failures: int, diverged: int) -> PointStatus:
     return PointStatus.COMPLETE
 
 
-class TimingRecord(NamedTuple):
-    """Seconds a worker spent on one point.
+class PointSummary(NamedTuple):
+    """A round runner's report on one attempt, and the sweep's timing record.
 
-    ``track_seconds`` is the point's equal share of its batch's tracking
-    time, since every point of a batch is tracked in one call.
+    The solutions are in the spill record of the attempt; the status is
+    all the retry policy needs.  ``track_seconds`` is the point's equal
+    share of its batch's tracking time, since every point of a batch is
+    tracked in one call.
     """
 
     index: int
+    status: PointStatus
     track_seconds: float
     serialize_seconds: float
 
@@ -144,7 +148,7 @@ class SweepResult:
     total_paths_tracked: int
     unresolved_indices: list[int]
     header: CollectedHeader  # of the collected data file
-    timings: list[TimingRecord] = field(default_factory=list)
+    timings: list[PointSummary] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -257,20 +261,6 @@ def verify_step1(
     return ok
 
 
-class Step2Outcome(NamedTuple):
-    solutions: ClassifiedSolutions
-    failures: int  # hard (retry-worthy) path failures
-    diverged: int
-    paths_tracked: int
-    failure_kinds: tuple[tuple[str, int], ...]
-
-
-def _points_of(sols) -> list[np.ndarray]:
-    if isinstance(sols, ClassifiedSolutions):
-        return list(sols.distinct)
-    return [np.asarray(s, dtype=complex) for s in sols]
-
-
 _INJECTED_FAILURE = PathResult(
     status=PathStatus.MIN_STEP,
     endpoint=None,
@@ -284,78 +274,65 @@ _INJECTED_FAILURE = PathResult(
 def step2(
     sys: ParamSystem,
     from_point: np.ndarray,
-    from_solutions,
+    starts: Sequence[np.ndarray],
     targets: Sequence[np.ndarray],
     cfg: TrackerConfig,
     force_first_failure: Collection[int] = (),
-) -> list[Step2Outcome]:
-    """Parameter homotopies from_point -> each target, |S| paths each.
+) -> list[PointResult]:
+    """Parameter homotopies from_point -> each target, one path per start.
 
     The paths of every target are tracked in one lock-step call, each with
     the result it gets when its target is solved alone.  Returns one
-    outcome per target, in order.  ``force_first_failure`` (test hook) holds positions
-    in ``targets`` whose first path is replaced by a MIN_STEP failure.
+    attempt per target, in order, with its status; its index is its
+    position in ``targets`` and its round 0, for the caller to replace.
+    ``force_first_failure`` (test hook) holds positions in ``targets``
+    whose first path is replaced by a MIN_STEP failure.
     """
-    starts = _points_of(from_solutions)
     h = build_homotopy([instantiate(sys, p) for p in targets], instantiate(sys, from_point))
     results = track_many(h, starts, cfg)
     n = len(starts)
-    outcomes = []
-    for k in range(len(targets)):
+    attempts = []
+    for k, target in enumerate(targets):
         mine = results[k * n : (k + 1) * n]
         if k in force_first_failure and mine:
             mine = [_INJECTED_FAILURE] + mine[1:]
-        hard = [r for r in mine if r.status in HARD_FAILURES]
-        diverged = [r for r in mine if r.status is PathStatus.DIVERGED]
-        failures = len(hard) + (len(diverged) if cfg.divergence_is_failure else 0)
-        kinds = Counter(r.status.value for r in hard)
-        if diverged:
-            kinds[PathStatus.DIVERGED.value] = len(diverged)
-        outcomes.append(
-            Step2Outcome(
+        kinds = Counter(r.status.value for r in mine if r.status is not PathStatus.SUCCESS)
+        diverged = kinds[PathStatus.DIVERGED.value]
+        failures = sum(kinds[s.value] for s in HARD_FAILURES)
+        if cfg.divergence_is_failure:
+            failures += diverged
+        attempts.append(
+            PointResult(
+                index=k,
+                p=target,
                 solutions=classify_endpoints(mine),
-                failures=failures,
-                diverged=len(diverged),
-                paths_tracked=n,
+                status=attempt_status(failures, diverged),
+                retries_used=0,
+                path_failures=failures,
+                diverged_paths=diverged,
                 failure_kinds=tuple(sorted(kinds.items())),
             )
         )
-    return outcomes
-
-
-class PointSummary(NamedTuple):
-    """A round runner's report on one solved point.
-
-    The solutions themselves are in the spill record of (index, round);
-    this is all the retry policy needs.
-    """
-
-    index: int
-    round: int
-    failures: int
-    diverged: int
-    paths_tracked: int
-    track_seconds: float
-    serialize_seconds: float
+    return attempts
 
 
 class PointVerdict(NamedTuple):
     """What the coordinator adds to the spill record of one point.
 
-    ``round`` names the attempt that stands, whose spill record holds the
-    solutions and the status; it is None for a point whose worker crashed.
+    ``standing`` is the round of the attempt that stands, whose spill
+    record holds the solutions and the status, or the diagnostic note of a
+    point whose worker crashed.
     """
 
     index: int
     retries_used: int
-    note: str
-    round: int | None
+    standing: int | str
 
 
 # A round runner solves a set of targets from a common start point and
-# maps each index to its PointSummary, or to a diagnostic string when the
-# worker solving it crashed.
-RoundRunner = Callable[[int, list[int], np.ndarray, ClassifiedSolutions], dict]
+# its start solutions, and maps each index to its PointSummary, or to a
+# diagnostic string when the worker solving it crashed.
+RoundRunner = Callable[[int, list[int], np.ndarray, Sequence[np.ndarray]], dict]
 
 
 def sweep_with_runner(
@@ -366,51 +343,49 @@ def sweep_with_runner(
     max_retries: int,
     rng: np.random.Generator,
     round_runner: RoundRunner,
-) -> tuple[list[PointVerdict], int, list[TimingRecord]]:
+) -> tuple[list[PointVerdict], int, list[PointSummary]]:
     """The retry policy: the initial pass plus the mitigation loop.
 
     The random p' draws happen here, on the coordinating side, so the
     result is independent of how the round runner schedules its work.
-    Returns the verdict per point, the total path count and the timings.
+    Returns the verdict per point, the total path count and the timings,
+    one ``PointSummary`` per attempt.
     """
     n_points = len(points)
+    n_starts = len(r1.solutions)
     total_paths = r1.paths_tracked_step1
-    summaries: dict[int, PointSummary] = {}
+    standing: dict[int, int | str] = {}
     retries = dict.fromkeys(range(n_points), 0)
-    notes = dict.fromkeys(range(n_points), "")
-    timings: list[TimingRecord] = []
+    timings: list[PointSummary] = []
 
-    def absorb(result_map: dict) -> None:
+    def absorb(round_no: int, indices: list[int], result_map: dict) -> list[int]:
+        """Record one round's reports; return the indices to retry."""
         nonlocal total_paths
-        for idx, res in result_map.items():
-            if isinstance(res, str):  # crash diagnostic from runner
-                notes[idx] = res
-                summaries.pop(idx, None)
-                timings.append(TimingRecord(idx, 0.0, 0.0))
-            else:
-                summaries[idx] = res
-                total_paths += res.paths_tracked
-                timings.append(TimingRecord(idx, res.track_seconds, res.serialize_seconds))
+        again = []
+        for idx in indices:
+            res = result_map[idx]
+            if isinstance(res, str):  # crash diagnostic: reported, not retried
+                standing[idx] = res
+                timings.append(PointSummary(idx, PointStatus.UNRESOLVED, 0.0, 0.0))
+                continue
+            standing[idx] = round_no
+            total_paths += n_starts
+            timings.append(res)
+            if res.status is PointStatus.UNRESOLVED:
+                again.append(idx)
+        return again
 
-    def retry_targets(indices) -> list[int]:
-        # a point whose batch crashed twice is reported, not retried
-        return [
-            i for i in indices if not notes[i] and attempt_status(
-                summaries[i].failures, summaries[i].diverged
-            ) is PointStatus.UNRESOLVED
-        ]
-
-    absorb(round_runner(0, list(range(n_points)), r1.p0, r1.solutions))
-    targets = retry_targets(range(n_points))
+    targets = list(range(n_points))
+    targets = absorb(0, targets, round_runner(0, targets, r1.p0, r1.solutions.distinct))
 
     k = 0
     while targets and k < max_retries:
         p_prime = random_parameter_point(sys.n_params, rng)
-        prime = step2(sys, r1.p0, r1.solutions, [p_prime], cfg)[0]
-        total_paths += prime.paths_tracked
+        prime = step2(sys, r1.p0, r1.solutions.distinct, [p_prime], cfg)[0]
+        total_paths += n_starts
         k += 1
         s_prime = _restrict_nonsingular(prime.solutions)
-        if prime.failures > 0 or prime.diverged > 0 or len(s_prime) < len(r1.solutions):
+        if prime.status is not PointStatus.COMPLETE or len(s_prime) < n_starts:
             log.warning(
                 "mitigation round %d: solve at fresh start point lost paths; skipped",
                 k,
@@ -418,13 +393,9 @@ def sweep_with_runner(
             continue
         for idx in targets:
             retries[idx] += 1
-        absorb(round_runner(k, targets, p_prime, s_prime))
-        targets = retry_targets(targets)
+        targets = absorb(k, targets, round_runner(k, targets, p_prime, s_prime.distinct))
 
-    verdicts = [
-        PointVerdict(i, retries[i], notes[i], summaries[i].round if i in summaries else None)
-        for i in range(n_points)
-    ]
+    verdicts = [PointVerdict(i, retries[i], standing[i]) for i in range(n_points)]
     return verdicts, total_paths, timings
 
 

@@ -4,18 +4,18 @@ A single coordinator hands batches of parameter points to worker
 processes on demand (a worker asks for more by reporting its finished
 batch), broadcasts each round's start context to every worker, and sends
 kill messages once the queue drains.  Workers solve all points of a batch
-in one ``step2`` call, serialize each attempt as a ``PointResult`` record
-with the status it earns (``paramhom.attempt_status``), and write it
-straight to a per-worker spill file ``step2_worker<k>.part``; the file's
-own buffer is flushed before the batch is reported done.  The report
-carries a compact summary per point (failure counts, paths tracked,
-timings), which is all the retry policy (``paramhom.sweep_with_runner``)
-needs: the spill files are the only store of the solutions.  A worker
+in one ``step2`` call, which returns each attempt as a ``PointResult``
+with its status; a worker stamps each with its point index and round and
+writes it straight to a per-worker spill file ``step2_worker<k>.part``;
+the file's own buffer is flushed before the batch is reported done.  The
+report carries a ``PointSummary`` per point (its status and timings),
+which is all the retry policy (``paramhom.sweep_with_runner``) needs: the
+spill files are the only store of the solutions.  A worker
 sends each report whole before it goes on, so a worker that crashes
 between reports blocks no other worker's.  After the sweep the
 coordinator merges the spill files into the collected data file: it
 copies the text of each point's standing record, setting only the
-retries and note the policy decided, parses the merged records once into
+retries the policy decided, parses the merged records once into
 the sweep's point results, and deletes the spill files.
 With one worker no process is started, and the coordinator runs each
 batch itself through the same batch function.
@@ -34,7 +34,8 @@ import os
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -53,8 +54,6 @@ from paramsweep.paramhom import (
     PointVerdict,
     Step1Result,
     SweepResult,
-    TimingRecord,
-    attempt_status,
     step2,
     sweep_with_runner,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "check_sweep_settings",
     "default_batch_size",
     "run_parallel",
-    "TimingRecord",
 ]
 
 COLLECTED_NAME = "collected.dat"
@@ -134,7 +132,7 @@ def _run_batch(
     job: _Job,
     batch: WorkBatch,
     from_point: np.ndarray,
-    starts: list,
+    starts: Sequence[np.ndarray],
     sink,
 ) -> list[PointSummary]:
     """Solve one batch, spill a record per point and summarize each point.
@@ -147,37 +145,19 @@ def _run_batch(
     faulty = job.fault.indices if first and job.fault is not None else ()
     inject = [k for k, idx in enumerate(batch.indices) if idx in faulty]
     t0 = time.perf_counter()
-    outcomes = step2(
+    attempts = step2(
         job.sysm, from_point, starts, batch.points, job.cfg, force_first_failure=inject
     )
-    t_track = (time.perf_counter() - t0) / len(outcomes)
+    t_track = (time.perf_counter() - t0) / len(attempts)
     summaries = []
-    for idx, target, outcome in zip(batch.indices, batch.points, outcomes):
+    for idx, attempt in zip(batch.indices, attempts):
         if first and idx in job.crash_indices:
             os._exit(13)  # test hook: simulated worker crash
         t0 = time.perf_counter()
-        attempt = PointResult(
-            index=idx,
-            p=target,
-            solutions=outcome.solutions,
-            status=attempt_status(outcome.failures, outcome.diverged),
-            retries_used=0,
-            path_failures=outcome.failures,
-            diverged_paths=outcome.diverged,
-            failure_kinds=outcome.failure_kinds,
-            round=batch.round_no,
-        )
+        attempt = replace(attempt, index=idx, round=batch.round_no)
         sink.write(serialize_record(attempt).encode())
         summaries.append(
-            PointSummary(
-                index=idx,
-                round=batch.round_no,
-                failures=outcome.failures,
-                diverged=outcome.diverged,
-                paths_tracked=outcome.paths_tracked,
-                track_seconds=t_track,
-                serialize_seconds=time.perf_counter() - t0,
-            )
+            PointSummary(idx, attempt.status, t_track, time.perf_counter() - t0)
         )
     sink.flush()
     return summaries
@@ -275,8 +255,7 @@ class _Pool:
         self._workers[wid] = (proc, inbox)
         return wid
 
-    def run_round(self, round_no, indices, from_point, from_solutions) -> dict:
-        starts = list(from_solutions.distinct)
+    def run_round(self, round_no, indices, from_point, starts) -> dict:
         size = self._batch_size or default_batch_size(len(indices), self._n_target)
         indices = list(indices)
         batches: deque[WorkBatch] = deque(
@@ -378,9 +357,9 @@ def _merge_part_files(
 ) -> list[PointResult]:
     """Fold the spill files into one collected data file and return its records.
 
-    Per point, the text of the spill record of the newest round is copied
-    into the collected file, with only the retry count the coordinator
-    decided put into its ``P`` line and a ``D`` line added for its note.
+    Per point, the text of the spill record of the newest round, which
+    must be the round that stands, is copied into the collected file, with
+    only the retry count the coordinator decided put into its ``P`` line.
     A crashed worker may have written some records of its last batch: a
     requeued batch writes the same records again, since the tracker is
     deterministic, and a record the crash cut short is dropped.  A point
@@ -399,7 +378,7 @@ def _merge_part_files(
     merged = []
     for v in verdicts:
         spill_round, text = latest.get(v.index, (None, ""))
-        if v.round is None:
+        if isinstance(v.standing, str):
             merged.append(serialize_record(
                 PointResult(
                     index=v.index,
@@ -409,21 +388,19 @@ def _merge_part_files(
                     retries_used=v.retries_used,
                     path_failures=n_starts,
                     diverged_paths=0,
-                    note=v.note,
+                    note=v.standing,
                     round=spill_round or 0,
                 )
             ))
-        elif spill_round != v.round:
+        elif spill_round != v.standing:
             raise RuntimeError(
-                f"spill files hold no round {v.round} record of point {v.index}"
+                f"spill files hold no round {v.standing} record of point {v.index}"
             )
         else:
             # a spill record reads "P <index> <round> <status> 0 <rest>"
             head = text.split(" ", 5)
             head[4] = str(v.retries_used)
             merged.append(" ".join(head))
-            if v.note:
-                merged.append(f"D {v.index} {v.note}\n")
     body = "".join(merged)
     write_collected(os.path.join(part_dir, COLLECTED_NAME), header, body)
     for path in parts:

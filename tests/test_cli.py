@@ -18,7 +18,7 @@ from paramsweep.cli import (
 )
 from paramsweep.datafile import CollectedHeader, read_collected
 from paramsweep.mesh import MeshSpec, Range
-from paramsweep.paramhom import PointResult, PointStatus, SweepResult, TimingRecord, step1
+from paramsweep.paramhom import PointResult, PointStatus, PointSummary, SweepResult, step1
 from paramsweep.scheduler import run_parallel
 from paramsweep.tracker import ClassifiedSolutions, TrackerConfig
 from conftest import MONKS_TEXT
@@ -139,6 +139,17 @@ def test_solve_refuses_removed_tracker_keys(tmp_path, caplog, key):
         code = main(["solve", _write_input(tmp_path, text), "--out", str(out)])
     assert code == 1
     assert f"line 5: unknown config key {key!r}" in caplog.text
+    assert not out.exists()
+
+
+def test_solve_refuses_a_repeated_config_key(tmp_path, caplog):
+    # the second value would silently win
+    text = CUBE_INPUT.replace("seed: 7;", "seed: 11;\n  Seed: 12;")
+    out = tmp_path / "run"
+    with caplog.at_level(logging.ERROR, logger="paramsweep"):
+        code = main(["solve", _write_input(tmp_path, text), "--step1-only", "--out", str(out)])
+    assert code == 1
+    assert "line 5: config key 'seed' given twice" in caplog.text
     assert not out.exists()
 
 
@@ -577,8 +588,10 @@ def test_verify_step1_checks_the_counts_of_a_reused_artifact(tmp_path, caplog):
 
 def test_timing_summary_rows_sorted_by_index():
     # arrival order of two batches, then a retry round of index 2
-    timings = [TimingRecord(i, 0.5 + i, 0.001) for i in (2, 3, 0, 1)]
-    timings.append(TimingRecord(2, 9.0, 0.002))
+    done = PointStatus.COMPLETE
+    timings = [PointSummary(i, PointStatus.UNRESOLVED if i == 2 else done, 0.5 + i, 0.001)
+               for i in (2, 3, 0, 1)]
+    timings.append(PointSummary(2, done, 9.0, 0.002))
     sweep = SweepResult([], 0, [], None, timings)
     rows = write_timing_summary(sweep).splitlines()[1:-1]
     assert rows == [
@@ -608,6 +621,24 @@ def test_export_subcommand(tmp_path):
     assert json.loads(json_path.read_text())["n_points"] == 25
     assert csv_path.read_bytes() == (out / "real_counts.csv").read_bytes()
     assert json_path.read_bytes() == (out / "solutions.json").read_bytes()
+
+
+@pytest.mark.parametrize("head, complaint", [
+    ("", "lacks its '# nvars=' header line"),
+    ("# nvars=1\n", "lacks its '# params' header line"),
+    ("# nvars=1\n# params x y\n# p0 0.5 0.0 0.5 0.0\n", "header has no nparams= field"),
+])
+def test_export_names_what_a_damaged_collected_header_lacks(tmp_path, caplog, head, complaint):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "collected.dat").write_text("# paramsweep collected v1\n" + head)
+    with caplog.at_level(logging.ERROR, logger="paramsweep"):
+        code = main(["export", _write_input(tmp_path), str(run), "--json", str(tmp_path / "s.json")])
+    assert code == 1
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [
+        f"collected data file {complaint}"
+    ]
+    assert not (tmp_path / "s.json").exists()
 
 
 def _reference_solutions_json(header, results):

@@ -6,12 +6,15 @@ import pytest
 from paramsweep.paramhom import (
     FaultInjection,
     PointStatus,
+    PointSummary,
+    PointVerdict,
     Step1Empty,
     parameter_sweep_path_count,
     random_parameter_point,
     repeated_homotopy_path_count,
     step1,
     step2,
+    sweep_with_runner,
     verify_step1,
 )
 from paramsweep.poly import parse_system
@@ -144,17 +147,19 @@ def test_verify_step1_detects_mismatch(quad_system, monkeypatch):
 def test_step2_single_quadratic(quad_system):
     rng = np.random.default_rng(31)
     r1 = step1(quad_system, CFG, rng)
-    (out,) = step2(quad_system, r1.p0, r1.solutions, [np.array([4.0 + 0j])], CFG)
-    assert out.failures == 0
-    assert out.paths_tracked == 2
+    (out,) = step2(quad_system, r1.p0, r1.solutions.distinct, [np.array([4.0 + 0j])], CFG)
+    assert out.status is PointStatus.COMPLETE
+    assert out.path_failures == 0
     assert set_distance(out.solutions.distinct, [[2.0], [-2.0]]) < 1e-8
 
 
 def test_step2_single_cube_to_origin(cube_system):
     rng = np.random.default_rng(37)
     r1 = step1(cube_system, CFG, rng)
-    (out,) = step2(cube_system, r1.p0, r1.solutions, [np.zeros(2, dtype=complex)], CFG)
-    assert out.failures == 0
+    (out,) = step2(
+        cube_system, r1.p0, r1.solutions.distinct, [np.zeros(2, dtype=complex)], CFG
+    )
+    assert out.path_failures == 0
     assert len(out.solutions) == 6
     assert out.solutions.n_real == 2  # z^6 = 1
 
@@ -164,9 +169,9 @@ def test_step2_single_cube_discriminant_point(cube_system):
     rng = np.random.default_rng(41)
     r1 = step1(cube_system, CFG, rng)
     (out,) = step2(
-        cube_system, r1.p0, r1.solutions, [np.array([1.0 + 0j, 0j])], CFG
+        cube_system, r1.p0, r1.solutions.distinct, [np.array([1.0 + 0j, 0j])], CFG
     )
-    assert out.failures == 0
+    assert out.path_failures == 0
     assert all(out.solutions.singular_flags)
     for pt in out.solutions.distinct:
         assert abs(pt[0]) < 0.05  # collapsed toward the sextuple root at 0
@@ -238,6 +243,52 @@ def test_run_sweep_retry_bound_respected(quad_system):
         assert all(pr.retries_used <= k for pr in sweep.point_results)
 
 
+def test_retry_policy_against_a_scripted_round_runner(quad_system):
+    # what the runner reports, per round and index; a string is the
+    # diagnostic of a crashed worker
+    U, H, C = PointStatus.UNRESOLVED, PointStatus.HAD_FAILURES, PointStatus.COMPLETE
+    script = {
+        0: {0: U, 1: H, 2: "crashed", 3: U, 4: C, 5: U},
+        1: {0: C, 3: U, 5: "crashed"},
+        2: {3: U},
+    }
+    r1 = step1(quad_system, CFG, np.random.default_rng(43))
+    m, l = r1.paths_tracked_step1, len(r1.solutions)
+    calls = []
+
+    def runner(round_no, indices, from_point, starts):
+        calls.append(round_no)
+        assert indices == list(script[round_no])
+        assert len(starts) == l
+        if round_no == 0:
+            assert from_point is r1.p0 and starts is r1.solutions.distinct
+        return {
+            i: res if isinstance(res, str) else PointSummary(i, res, 0.5, 0.25)
+            for i, res in script[round_no].items()
+        }
+
+    points = [np.array([complex(v)]) for v in range(1, 7)]
+    verdicts, total_paths, timings = sweep_with_runner(
+        quad_system, r1, points, CFG, 2, np.random.default_rng(5), runner
+    )
+    assert calls == [0, 1, 2]
+    assert verdicts == [
+        PointVerdict(0, 1, 1),
+        PointVerdict(1, 0, 0),
+        PointVerdict(2, 0, "crashed"),
+        PointVerdict(3, 2, 2),
+        PointVerdict(4, 0, 0),
+        PointVerdict(5, 1, "crashed"),
+    ]
+    reported = sum(not isinstance(res, str) for rnd in script.values() for res in rnd.values())
+    assert total_paths == m + l * reported + l * 2  # two p' solves
+    # one timing record per attempt, in round order
+    assert timings == [
+        PointSummary(i, U, 0.0, 0.0) if isinstance(res, str) else PointSummary(i, res, 0.5, 0.25)
+        for rnd in script.values() for i, res in rnd.items()
+    ]
+
+
 def test_path_count_formulas():
     assert parameter_sweep_path_count(m=10_000, k=1000, l=10) == 20_000
     assert repeated_homotopy_path_count(m=10_000, k=1000) == 10_000_000
@@ -251,8 +302,8 @@ def test_solutions_independent_of_start_point(cube_system):
     r1b = step1(cube_system, CFG, cfgs)
     assert not np.array_equal(r1a.p0, r1b.p0)
     target = np.array([0.3 + 0j, -0.2 + 0j])
-    (out_a,) = step2(cube_system, r1a.p0, r1a.solutions, [target], CFG)
-    (out_b,) = step2(cube_system, r1b.p0, r1b.solutions, [target], CFG)
+    (out_a,) = step2(cube_system, r1a.p0, r1a.solutions.distinct, [target], CFG)
+    (out_b,) = step2(cube_system, r1b.p0, r1b.solutions.distinct, [target], CFG)
     assert set_distance(out_a.solutions.distinct, out_b.solutions.distinct) < 1e-8
 
 
@@ -263,6 +314,6 @@ def test_generic_solution_count_constant(quad_system):
     r1 = step1(quad_system, CFG, rng)
     for _ in range(25):
         p = random_parameter_point(1, rng) + 0.1  # keep away from 0
-        (out,) = step2(quad_system, r1.p0, r1.solutions, [p], CFG)
+        (out,) = step2(quad_system, r1.p0, r1.solutions.distinct, [p], CFG)
         assert len(out.solutions) == 2
         assert not any(out.solutions.singular_flags)

@@ -344,7 +344,8 @@ def _attempt(index, rnd, failures=0):
 
 def test_merge_copies_the_standing_spill_records(tmp_path):
     # the merged file holds what serializing the standing attempts, under
-    # the retries and notes of their verdicts, would write
+    # the retries of their verdicts, would write; a crashed point gets an
+    # Unresolved record with the crash note
     a0, a1, a1_retry, a2 = _attempt(0, 0), _attempt(1, 0, 1), _attempt(1, 1), _attempt(2, 0)
     crashed_cut = serialize_record(_attempt(3, 0))[:-5]
     (tmp_path / "step2_worker0.part").write_text(
@@ -353,10 +354,10 @@ def test_merge_copies_the_standing_spill_records(tmp_path):
     (tmp_path / "step2_worker1.part").write_text(serialize_record(a1_retry) + crashed_cut)
     points = [a.p for a in (a0, a1, a2)] + [np.array([3.5 + 0j])]
     verdicts = [
-        PointVerdict(0, 0, "", 0),
-        PointVerdict(1, 1, "", 1),
-        PointVerdict(2, 0, "kept, with a note", 0),
-        PointVerdict(3, 0, "worker crashed twice", None),
+        PointVerdict(0, 0, 0),
+        PointVerdict(1, 1, 1),
+        PointVerdict(2, 0, 0),
+        PointVerdict(3, 0, "worker crashed twice"),
     ]
     header = CollectedHeader(
         n_vars=2, n_params=1, n_points=4, step1_paths=2, seed=None, max_retries=2,
@@ -366,7 +367,7 @@ def test_merge_copies_the_standing_spill_records(tmp_path):
     expected = [
         a0,
         dataclasses.replace(a1_retry, retries_used=1),
-        dataclasses.replace(a2, note="kept, with a note"),
+        a2,
         PointResult(
             index=3, p=points[3], solutions=ClassifiedSolutions((), (), (), (), ()),
             status=PointStatus.UNRESOLVED, retries_used=0, path_failures=2,
