@@ -19,14 +19,14 @@ Input files are Bertini-style section blocks::
       y range -1.5 1.5 21;
     END;
 
-CONFIG accepts the tracker settings ``max_newton_iters``, ``max_norm`` and
-``divergence_is_failure`` (the fields of TrackerConfig; the step control
-and tolerances are constants of ``tracker``), the sweep settings ``seed``,
-``workers``, ``max_retries``, ``batch_size``, ``verify_step1``, an inline
+CONFIG accepts the tracker setting ``max_newton_iters`` (the one field of
+TrackerConfig; the step control, the tolerances and the divergence
+threshold are constants of ``tracker``), the sweep settings ``seed``,
+``workers``, ``max_retries``, ``batch_size``, ``verify_step1``, the Step 1
 start point ``p0: re im re im ...;`` and ``param_file: <path>;`` as the
 alternative to a MESH section (exactly one of the two must be present).
-Booleans take 1/0/true/false/yes/no/on/off in any case; numbers must parse
-as their field's type, and floats and parameter values must be finite.
+``verify_step1`` takes 1/0/true/false/yes/no/on/off in any case; the other
+numbers must be integers, and parameter values must be finite.
 Command-line flags override CONFIG values.  ``%`` and ``#``
 start comments.
 
@@ -55,7 +55,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,7 @@ from paramsweep.paramhom import (
     step1,
     verify_step1,
 )
-from paramsweep.poly import ParamSystem, ParseError, parse_system
+from paramsweep.poly import ParamSystem, ParseError, parse_system, strip_comment
 from paramsweep.scheduler import check_sweep_settings, run_parallel
 from paramsweep.tracker import HARD_FAILURES, ClassifiedSolutions, TrackerConfig
 
@@ -94,8 +94,8 @@ __all__ = [
 
 log = logging.getLogger("paramsweep")
 
-_TRACKER_FIELDS = {f.name for f in fields(TrackerConfig)}
-_SWEEP_KEYS = {
+_CONFIG_KEYS = {
+    "max_newton_iters",
     "seed",
     "workers",
     "max_retries",
@@ -124,14 +124,6 @@ class InputFile:
     p0: np.ndarray | None
 
 
-def _strip_comment(line: str) -> str:
-    for marker in ("%", "#"):
-        idx = line.find(marker)
-        if idx >= 0:
-            line = line[:idx]
-    return line
-
-
 def _split_sections(text: str) -> dict[str, tuple[int, list[str]]]:
     """Map section name -> (1-based first body line, body lines)."""
     sections: dict[str, tuple[int, list[str]]] = {}
@@ -139,7 +131,7 @@ def _split_sections(text: str) -> dict[str, tuple[int, list[str]]]:
     body: list[str] = []
     start = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = strip_comment(raw).strip()
         if current is None:
             if not line:
                 continue
@@ -169,7 +161,7 @@ def _split_sections(text: str) -> dict[str, tuple[int, list[str]]]:
 def _parse_config_body(start: int, lines: list[str]) -> dict:
     config = {}
     for off, raw in enumerate(lines):
-        line = _strip_comment(raw).strip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         lineno = start + off
@@ -180,7 +172,7 @@ def _parse_config_body(start: int, lines: list[str]) -> dict:
             raise InputError(f"line {lineno}: expected 'key: value;'")
         key, value = line.split(":", 1)
         key = key.strip().lower()
-        if key not in _TRACKER_FIELDS and key not in _SWEEP_KEYS:
+        if key not in _CONFIG_KEYS:
             raise InputError(f"line {lineno}: unknown config key {key!r}")
         if key in config:
             raise InputError(f"line {lineno}: config key {key!r} given twice")
@@ -204,13 +196,12 @@ def _parse_bool(key: str, value: str) -> bool:
         ) from None
 
 
-def _parse_number(key: str, value: str, cast):
+def _parse_int(key: str, value: str) -> int:
     try:
-        return cast(value)
+        return int(value)
     except ValueError:
-        kind = "an integer" if cast is int else "a number"
         raise InputError(
-            f"config key {key!r} must be {kind}, got {value!r}"
+            f"config key {key!r} must be an integer, got {value!r}"
         ) from None
 
 
@@ -219,7 +210,7 @@ def _parse_mesh_body(
 ) -> MeshSpec:
     axes: dict[str, Fixed | Range] = {}
     for off, raw in enumerate(lines):
-        line = _strip_comment(raw).strip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         lineno = start + off
@@ -293,30 +284,24 @@ def parse_input_file(text: str) -> InputFile:
                      param_file=param_file, p0=p0)
 
 
-def _build_tracker_config(config: dict, args) -> TrackerConfig:
+def _build_tracker_config(config: dict) -> TrackerConfig:
     kwargs = {}
-    for key, value in config.items():
-        if key not in _TRACKER_FIELDS:
-            continue
-        current = getattr(TrackerConfig, key)
-        if isinstance(current, bool):
-            kwargs[key] = _parse_bool(key, value)
-        else:
-            kwargs[key] = _parse_number(key, value, type(current))
-    if getattr(args, "max_norm", None) is not None:
-        kwargs["max_norm"] = args.max_norm
+    if "max_newton_iters" in config:
+        kwargs["max_newton_iters"] = _parse_int(
+            "max_newton_iters", config["max_newton_iters"]
+        )
     try:
         return TrackerConfig(**kwargs)
     except ValueError as exc:
         raise InputError(f"bad tracker configuration: {exc}") from exc
 
 
-def _sweep_setting(config: dict, args, key: str, cast, default):
+def _sweep_setting(config: dict, args, key: str, default):
     cli_val = getattr(args, key, None)
     if cli_val is not None:
         return cli_val
     if key in config:
-        return _parse_number(key, config[key], cast)
+        return _parse_int(key, config[key])
     return default
 
 
@@ -641,17 +626,6 @@ def _load_points(inp: InputFile, base_dir: str) -> PointList:
         return load_param_file(f.read(), n_params=inp.system.n_params)
 
 
-def _load_p0(path: str, n_params: int) -> np.ndarray:
-    """The one start parameter point of a ``--p0`` file."""
-    try:
-        points = load_param_file(_read_text(path), n_params=n_params).points
-    except ValueError as exc:
-        raise InputError(f"--p0 {path}: {exc}") from None
-    if len(points) != 1:
-        raise InputError(f"--p0 {path}: holds {len(points)} points, not one")
-    return points[0]
-
-
 def _parse_fault(spec: str | None, n_points: int) -> FaultInjection | None:
     """The point indices of ``--inject-failure-at``, each in [0, n_points)."""
     if spec is None:
@@ -678,22 +652,20 @@ def cmd_solve(args) -> int:
         raise InputError("--export-csv requires a MESH run")
     sysm = inp.system
     base_dir = os.path.dirname(os.path.abspath(args.input)) if args.input != "-" else "."
-    # a bad point file, --p0 file, Step 1 artifact, fault index or setting
-    # fails here, before the generic solve and before the run directory is
-    # made
+    # a bad point file, Step 1 artifact, fault index or setting fails here,
+    # before the generic solve and before the run directory is made
     points = _load_points(inp, base_dir)
     fault = _parse_fault(args.inject_failure_at, len(points.points))
 
-    cfg = _build_tracker_config(inp.config, args)
-    seed = _sweep_setting(inp.config, args, "seed", int, 0)
-    workers = _sweep_setting(inp.config, args, "workers", int, 1)
-    max_retries = _sweep_setting(inp.config, args, "max_retries", int, 2)
-    batch_size = _sweep_setting(inp.config, args, "batch_size", int, None)
+    cfg = _build_tracker_config(inp.config)
+    seed = _sweep_setting(inp.config, args, "seed", 0)
+    workers = _sweep_setting(inp.config, args, "workers", 1)
+    max_retries = _sweep_setting(inp.config, args, "max_retries", 2)
+    batch_size = _sweep_setting(inp.config, args, "batch_size", None)
     check_sweep_settings(workers, max_retries, batch_size)
     do_verify = args.verify_step1 or _parse_bool(
         "verify_step1", inp.config.get("verify_step1", "0")
     )
-    p0_override = inp.p0 if args.p0 is None else _load_p0(args.p0, sysm.n_params)
     r1 = None
     if args.reuse_step1:
         r1 = load_step1(os.path.join(args.reuse_step1, "step1.json"), sysm)
@@ -709,7 +681,7 @@ def cmd_solve(args) -> int:
     rng = np.random.default_rng(seed)
 
     if r1 is None:
-        r1 = step1(sysm, cfg, rng, p0_override=p0_override, seed=seed)
+        r1 = step1(sysm, cfg, rng, p0_override=inp.p0, seed=seed)
         log.info("step1: %d solutions from %d paths", r1.n_solutions,
                  r1.paths_tracked_step1)
     else:
@@ -793,12 +765,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, help="master RNG seed (default 0)")
     solve.add_argument("--max-retries", type=int, dest="max_retries",
                        help="retry rounds from fresh start points (default 2)")
-    solve.add_argument("--max-norm", type=float, dest="max_norm",
-                       help="divergence threshold on |z|_inf")
     solve.add_argument("--batch-size", type=int, dest="batch_size",
                        help="points per work batch")
-    solve.add_argument("--p0", help="file with one start parameter point "
-                       "(re/im pairs on one line)")
     solve.add_argument("--verify-step1", action="store_true",
                        help="fail if a generic-solve path failed other than "
                        "by diverging; else re-run it and compare counts")

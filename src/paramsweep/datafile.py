@@ -5,9 +5,9 @@ data file, and each record is one ``paramhom.PointResult``: the worker
 writes the attempt it solved, and both files read back as
 ``PointResult``s.  The merge splits the spill files into record texts
 (``split_records``) and copies the text of the attempt that stands into
-the collected file, with its retry count; so ``write_collected``
-takes the records as text.  Floats are written with ``repr``, so reading
-a file back reproduces every value exactly.
+the collected file, with its retry count (``set_retries``); so
+``write_collected`` takes the records as text.  Floats are written with
+``repr``, so reading a file back reproduces every value exactly.
 
 Record layout (one parameter point per record)::
 
@@ -32,6 +32,7 @@ from paramsweep.tracker import ClassifiedSolutions
 __all__ = [
     "serialize_record",
     "split_records",
+    "set_retries",
     "parse_records",
     "write_collected",
     "read_collected",
@@ -47,6 +48,8 @@ def _floats(vec: np.ndarray) -> str:
 
 
 def _complexes(tokens: list[str]) -> np.ndarray:
+    if len(tokens) % 2:
+        raise ValueError(f"{len(tokens)} numbers are not re/im pairs")
     # a view keeps each (re, im) pair as written; re + 1j*im would turn
     # an imaginary -0.0 into 0.0 and an infinite one into a nan real part
     return np.array([float(t) for t in tokens]).view(complex)
@@ -114,6 +117,14 @@ def split_records(text: str) -> list[tuple[int, int, str]]:
         records.append((index, rnd, "".join(lines[i:end])))
         i = end
     return records
+
+
+def set_retries(text: str, retries: int) -> str:
+    """The text of a record with ``retries`` in place of its retry count;
+    every other byte is copied as written."""
+    head = text.split(" ", 5)  # "P <index> <round> <status> <retries> <rest>"
+    head[4] = str(retries)
+    return " ".join(head)
 
 
 def parse_records(text: str) -> list[PointResult]:
@@ -228,23 +239,45 @@ def read_collected(path) -> tuple[CollectedHeader, list[PointResult]]:
         if len(lines) < n or not lines[n - 1].startswith(prefix):
             raise ValueError(f"collected data file lacks its {prefix.strip()!r} header line")
     fields = dict(tok.partition("=")[::2] for tok in lines[1][2:].split())
+    ints = {}
     for key in _HEADER_FIELDS:
-        if key not in fields:
+        value = fields.get(key)
+        if value is None:
             raise ValueError(f"collected data file header has no {key}= field")
+        try:
+            ints[key] = None if (key, value) == ("seed", "none") else int(value)
+        except ValueError:
+            raise ValueError(
+                f"collected data file header: {key}={value!r} is not an integer"
+            ) from None
     param_names = tuple(lines[2].split()[2:])
-    p0 = _complexes(lines[3].split()[2:])
+    try:
+        p0 = _complexes(lines[3].split()[2:])
+    except ValueError as exc:
+        raise ValueError(f"collected data file '# p0' line: {exc}") from None
+    if len(p0) != ints["nparams"]:
+        raise ValueError(
+            f"collected data file '# p0' line has {len(p0)} values, "
+            f"nparams={ints['nparams']}"
+        )
     header = CollectedHeader(
-        n_vars=int(fields["nvars"]),
-        n_params=int(fields["nparams"]),
-        n_points=int(fields["npoints"]),
-        step1_paths=int(fields["step1_paths"]),
-        seed=None if fields["seed"] == "none" else int(fields["seed"]),
-        max_retries=int(fields["max_retries"]),
+        n_vars=ints["nvars"],
+        n_params=ints["nparams"],
+        n_points=ints["npoints"],
+        step1_paths=ints["step1_paths"],
+        seed=ints["seed"],
+        max_retries=ints["max_retries"],
         p0=p0,
         source=fields.get("source", "mesh"),
         param_names=param_names,
     )
-    records = parse_records("\n".join(lines[4:]))
+    records = parse_records(text)  # skips the header's "#" lines
+    for r in records:
+        if len(r.p) != header.n_params:
+            raise ValueError(
+                f"collected data file: the record of point {r.index} has "
+                f"{len(r.p)} parameter values, nparams={header.n_params}"
+            )
     if len(records) != header.n_points:
         raise ValueError(
             f"collected file holds {len(records)} records, header says "

@@ -11,8 +11,8 @@ point per line::
 
     0.5 0.0   1.0 -1.0      % point (0.5, 1-1j)
 
-Blank lines and lines starting with ``%`` or ``#`` are skipped.  Every
-value must be finite.
+``%`` and ``#`` start comments, as in input files, and blank lines are
+skipped.  Every value must be finite.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from paramsweep.poly import strip_comment
 
 __all__ = [
     "Fixed",
@@ -141,10 +143,9 @@ def load_param_file(text: str, n_params: int | None = None) -> PointList:
     """Parse whitespace-separated re/im pairs, one point per line."""
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] in "%#":
+        tokens = strip_comment(raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
         if n_params is None:
             if len(tokens) % 2 != 0:
                 raise ValueError(

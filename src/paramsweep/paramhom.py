@@ -299,8 +299,6 @@ def step2(
         kinds = Counter(r.status.value for r in mine if r.status is not PathStatus.SUCCESS)
         diverged = kinds[PathStatus.DIVERGED.value]
         failures = sum(kinds[s.value] for s in HARD_FAILURES)
-        if cfg.divergence_is_failure:
-            failures += diverged
         attempts.append(
             PointResult(
                 index=k,

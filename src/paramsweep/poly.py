@@ -31,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "ParseError",
+    "strip_comment",
     "Term",
     "ParamSystem",
     "InstantiatedSystem",
@@ -116,15 +117,18 @@ class _Tok:
     col: int
 
 
+def strip_comment(line: str) -> str:
+    """``line`` up to its first ``%`` or ``#``: the comment rule of every
+    input text, systems, input files and point files alike."""
+    for marker in "%#":
+        line = line.partition(marker)[0]
+    return line
+
+
 def _tokenize(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        # strip comments
-        for marker in ("%", "#"):
-            idx = line.find(marker)
-            if idx >= 0:
-                line = line[:idx]
-        for m in _TOKEN_RE.finditer(line):
+        for m in _TOKEN_RE.finditer(strip_comment(line)):
             col = m.start() + 1
             if m.lastgroup == "ws":
                 continue

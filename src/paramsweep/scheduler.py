@@ -2,9 +2,9 @@
 
 A single coordinator hands batches of parameter points to worker
 processes on demand (a worker asks for more by reporting its finished
-batch), broadcasts each round's start context to every worker, and sends
-kill messages once the queue drains.  Workers solve all points of a batch
-in one ``step2`` call, which returns each attempt as a ``PointResult``
+batch), each batch with its round's start point and start solutions, and
+sends kill messages once the queue drains.  Workers solve all points of a
+batch in one ``step2`` call, which returns each attempt as a ``PointResult``
 with its status; a worker stamps each with its point index and round and
 writes it straight to a per-worker spill file ``step2_worker<k>.part``;
 the file's own buffer is flushed before the batch is reported done.  The
@@ -43,6 +43,7 @@ from paramsweep.datafile import (
     CollectedHeader,
     parse_records,
     serialize_record,
+    set_retries,
     split_records,
     write_collected,
 )
@@ -193,19 +194,14 @@ def _worker_main(
     outbox: _ResultPipe,
 ):
     _limit_blas_threads()
-    from_point = None
-    starts = None
     with open(part_path, "ab") as sink:
         while True:
             msg = inbox.get()
-            kind = msg[0]
-            if kind == "kill":
+            if msg[0] == "kill":
                 return
-            if kind == "round":
-                _, from_point, starts = msg
-                continue
+            _, batch, from_point, starts = msg
             try:
-                summaries = _run_batch(job, msg[1], from_point, starts, sink)
+                summaries = _run_batch(job, batch, from_point, starts, sink)
             except OSError as exc:
                 outbox.send(("fatal", wid, f"spill write failed: {exc}"))
                 os._exit(3)
@@ -273,9 +269,6 @@ class _Pool:
                     results[summary.index] = summary
             return results
 
-        context = ("round", from_point, starts)
-        for _, inbox in self._workers.values():
-            inbox.put(context)
         dispatch_counts: dict[tuple, int] = {}
         in_flight: dict[int, WorkBatch] = {}
         idle = list(self._workers)
@@ -286,7 +279,7 @@ class _Pool:
                 batch = batches.popleft()
                 dispatch_counts[batch.indices] = dispatch_counts.get(batch.indices, 0) + 1
                 in_flight[wid] = batch
-                self._workers[wid][1].put(("batch", batch))
+                self._workers[wid][1].put(("batch", batch, from_point, starts))
 
         def reap_crashes():
             for wid in list(in_flight):
@@ -306,9 +299,7 @@ class _Pool:
                         results[idx] = diag
                 else:
                     batches.appendleft(batch)
-                new_wid = self._spawn()
-                self._workers[new_wid][1].put(context)
-                idle.append(new_wid)
+                idle.append(self._spawn())
 
         dispatch()
         while in_flight or batches:
@@ -397,10 +388,7 @@ def _merge_part_files(
                 f"spill files hold no round {v.standing} record of point {v.index}"
             )
         else:
-            # a spill record reads "P <index> <round> <status> 0 <rest>"
-            head = text.split(" ", 5)
-            head[4] = str(v.retries_used)
-            merged.append(" ".join(head))
+            merged.append(set_retries(text, v.retries_used))
     body = "".join(merged)
     write_collected(os.path.join(part_dir, COLLECTED_NAME), header, body)
     for path in parts:

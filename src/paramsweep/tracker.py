@@ -46,7 +46,7 @@ be alone, on its own target's coefficients.
 
 All failure modes are encoded in the returned status, never raised:
 
-* ``DIVERGED``      -- the iterate's inf-norm exceeded ``max_norm``
+* ``DIVERGED``      -- the iterate's inf-norm exceeded ``MAX_NORM``
 * ``MIN_STEP``      -- the step length fell below ``STEP_FLOOR``
 * ``NEWTON_FAILURE``-- the sharpened endpoint failed the residual test
 * ``MAX_STEPS``     -- attempt budget exhausted
@@ -61,7 +61,6 @@ identical results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -88,6 +87,8 @@ INITIAL_STEP = 0.1
 MAX_STEP = 0.1
 # a path whose step length falls below this ends in MIN_STEP
 STEP_FLOOR = 1e-12
+# a path whose iterate's inf-norm exceeds this ends in DIVERGED
+MAX_NORM = 1e5
 # a step length halves after a failed attempt and doubles after
 # GROW_AFTER accepted steps in a row, up to MAX_STEP
 STEP_CUT = 0.5
@@ -117,14 +118,8 @@ REAL_TOL = 1e-6
 @dataclass(frozen=True)
 class TrackerConfig:
     max_newton_iters: int = 3
-    max_norm: float = 1e5
-    # treat diverged paths as retry-worthy failures (off: divergence is a
-    # legitimate geometric outcome, reported but not retried)
-    divergence_is_failure: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.max_norm) and self.max_norm > 0):
-            raise ValueError(f"max_norm must be finite and positive, got {self.max_norm!r}")
         if self.max_newton_iters < 1:
             raise ValueError(f"max_newton_iters must be >= 1, got {self.max_newton_iters!r}")
 
@@ -138,8 +133,8 @@ class PathStatus(Enum):
 
 
 #: statuses that mark a parameter point as failed (candidates for retry);
-#: DIVERGED is excluded by default since it usually reflects genuine
-#: geometry (fewer finite solutions at the target).
+#: DIVERGED is excluded since it usually reflects genuine geometry (fewer
+#: finite solutions at the target).
 HARD_FAILURES = (PathStatus.MIN_STEP, PathStatus.NEWTON_FAILURE, PathStatus.MAX_STEPS)
 
 
@@ -393,7 +388,7 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
         steps[good] += 1
         streak[good] += 1
         z_norm = _inf_norm(z[good])
-        blown = ~np.isfinite(z_norm) | (z_norm > cfg.max_norm)
+        blown = ~np.isfinite(z_norm) | (z_norm > MAX_NORM)
         fail(good[blown], PathStatus.DIVERGED)
         good = good[~blown]
         on_boundary = good[t[good] == eb]

@@ -1,4 +1,3 @@
-import argparse
 import json
 import logging
 
@@ -7,7 +6,7 @@ import pytest
 
 from paramsweep.cli import (
     InputError,
-    _build_tracker_config,
+    _parse_bool,
     export_real_count_grid,
     export_solutions_json,
     load_step1,
@@ -102,15 +101,15 @@ def test_parse_input_rejects_unknown_config_key():
 
 
 @pytest.mark.parametrize("entry, flags, key", [
-    ("max_norm: inf;", [], "max_norm"),
-    ("max_norm: nan;", [], "max_norm"),
-    ("max_norm: -1;", [], "max_norm"),
+    ("batch_size: 0;", [], "batch_size"),
+    ("batch_size: half;", [], "batch_size"),
+    ("batch_size: 2.5;", [], "batch_size"),
     ("max_newton_iters: 1e4;", [], "max_newton_iters"),
-    ("max_norm: tiny;", [], "max_norm"),
+    ("max_newton_iters: three;", [], "max_newton_iters"),
     ("workers: two;", [], "workers"),
-    ("", ["--max-norm", "nan"], "max_norm"),
+    ("", ["--batch-size", "0"], "batch_size"),
     ("max_newton_iters: 0;", [], "max_newton_iters"),
-    ("", ["--max-norm", "0"], "max_norm"),
+    ("max_newton_iters: -2;", [], "max_newton_iters"),
     ("workers: 0;", [], "workers"),
 ])
 def test_solve_names_bad_config_numbers(tmp_path, caplog, entry, flags, key):
@@ -123,11 +122,13 @@ def test_solve_names_bad_config_numbers(tmp_path, caplog, entry, flags, key):
     assert not (out / "step1.json").exists()
 
 
-# the step control and tolerances of the tracker are constants, not settings
+# the step control, the tolerances and the divergence threshold of the
+# tracker are constants, not settings, and divergence is never retried
 REMOVED_TRACKER_KEYS = [
     "initial_step", "min_step", "max_step", "newton_tol", "max_steps", "t_final",
     "endgame_boundary", "sharpen_iters", "step_increase_factor",
-    "step_decrease_factor", "consecutive_successes_to_grow",
+    "step_decrease_factor", "consecutive_successes_to_grow", "max_norm",
+    "divergence_is_failure",
 ]
 
 
@@ -158,6 +159,8 @@ def test_solve_refuses_a_repeated_config_key(tmp_path, caplog):
     ["--newton-tol", "1e-9"],
     ["--newton-tl", "1e-9"],
     ["--workers", "two"],
+    ["--max-norm", "1e5"],
+    ["--p0", "f"],
 ])
 def test_solve_usage_errors_exit_1(tmp_path, capsys, flags):
     # exit code 2 would read as a finished sweep with an Unresolved point
@@ -169,7 +172,7 @@ def test_solve_usage_errors_exit_1(tmp_path, capsys, flags):
 
 def test_help_exits_0(capsys):
     assert main(["solve", "--help"]) == 0
-    assert "--max-norm" in capsys.readouterr().out
+    assert "--batch-size" in capsys.readouterr().out
 
 
 def test_parse_input_mesh_errors():
@@ -189,17 +192,12 @@ def test_parse_input_system_errors_report_file_lines():
 
 @pytest.mark.parametrize("value", ["ture", "True2", "", "2"])
 def test_config_booleans_reject_anything_else(tmp_path, caplog, value):
-    text = CUBE_INPUT.replace("seed: 7;", f"seed: 7;\n  divergence_is_failure: {value};")
+    text = CUBE_INPUT.replace("seed: 7;", f"seed: 7;\n  verify_step1: {value};")
     out = tmp_path / "run"
     with caplog.at_level(logging.ERROR, logger="paramsweep"):
         assert main(["solve", _write_input(tmp_path, text), "--out", str(out)]) == 1
-    assert "'divergence_is_failure'" in caplog.text
-    assert not (out / "step1.json").exists()
-    text = CUBE_INPUT.replace("seed: 7;", f"seed: 7;\n  verify_step1: {value};")
-    caplog.clear()
-    with caplog.at_level(logging.ERROR, logger="paramsweep"):
-        assert main(["solve", _write_input(tmp_path, text), "--out", str(out)]) == 1
     assert "'verify_step1'" in caplog.text
+    assert not (out / "step1.json").exists()
 
 
 def test_config_booleans_accept_any_case(tmp_path, caplog):
@@ -210,8 +208,7 @@ def test_config_booleans_accept_any_case(tmp_path, caplog):
     assert code == 0
     assert "step1: 6 solutions, verified" in caplog.text
     for value, expected in (("ON", True), ("Yes", True), ("off", False), ("FALSE", False)):
-        cfg = _build_tracker_config({"divergence_is_failure": value}, argparse.Namespace())
-        assert cfg.divergence_is_failure is expected
+        assert _parse_bool("verify_step1", value) is expected
 
 
 @pytest.mark.parametrize("old, new, line", [
@@ -544,22 +541,6 @@ def test_solve_refuses_a_step1_artifact_that_does_not_fit(tmp_path, caplog, case
         code = main(["solve", inp, "--out", str(out), "--reuse-step1", str(first)])
     assert code == 1
     assert message in caplog.text
-    assert "step1:" not in caplog.text
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("text, message", [
-    ("0.5 nan 0.25 0.0\n", "line 1: non-finite value 'nan'"),
-    ("0.5 0.1 0.25 0.0\n0.3 0.2 0.1 0.4\n", "holds 2 points, not one"),
-])
-def test_solve_refuses_a_bad_p0_file(tmp_path, caplog, text, message):
-    p0 = tmp_path / "p0.txt"
-    p0.write_text(text)
-    out = tmp_path / "run"
-    with caplog.at_level(logging.INFO, logger="paramsweep"):
-        code = main(["solve", _write_input(tmp_path), "--out", str(out), "--p0", str(p0)])
-    assert code == 1
-    assert f"--p0 {p0}: {message}" in caplog.text
     assert "step1:" not in caplog.text
     assert not out.exists()
 

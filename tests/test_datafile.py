@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,29 @@ def test_read_collected_rejects_garbage(tmp_path):
     p.write_text("not a data file\n")
     with pytest.raises(ValueError, match="header"):
         read_collected(p)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("nvars=1", "nvars=one", "header: nvars='one' is not an integer"),
+    ("# p0 0.25 0.5 0.75 0.125", "# p0 0.25 0.5 0.75 0.125 1.0",
+     "'# p0' line: 5 numbers are not re/im pairs"),
+    ("# p0 0.25 0.5 0.75 0.125", "# p0 0.25 0.5 0.75 0.125 1.0 0.0",
+     "'# p0' line has 3 values, nparams=2"),
+    ("2 0.5 -0.25 1.0 0.0\n", "2 0.5 -0.25 1.0 0.0 2.0 0.0\n",
+     "the record of point 0 has 3 parameter values, nparams=2"),
+], ids=["nvars", "p0-odd", "p0-count", "record-params"])
+def test_read_collected_names_what_is_wrong(tmp_path, old, new, message):
+    header = CollectedHeader(
+        n_vars=1, n_params=2, n_points=2, step1_paths=6, seed=7, max_retries=3,
+        p0=np.array([0.25 + 0.5j, 0.75 + 0.125j]),
+    )
+    path = tmp_path / "collected.dat"
+    write_collected(path, header, "".join(serialize_record(_sample_record(k)) for k in (0, 1)))
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_collected(path)
 
 
 def test_notes_land_on_their_records():

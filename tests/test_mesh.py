@@ -94,6 +94,15 @@ def test_load_param_file_multiple_lines_and_comments():
     assert len(pl) == 3
 
 
+def test_load_param_file_trailing_comments():
+    # the example of the mesh module's docstring
+    text = "0.5 0.0   1.0 -1.0      % point (0.5, 1-1j)\n  # only a comment\n2 0 3 0 # x\n"
+    pl = load_param_file(text, n_params=2)
+    assert len(pl) == 2
+    assert list(pl.points[0]) == [0.5 + 0j, 1.0 - 1.0j]
+    assert list(pl.points[1]) == [2 + 0j, 3 + 0j]
+
+
 def test_load_param_file_wrong_token_count():
     with pytest.raises(ValueError, match="line 2"):
         load_param_file("1 0 2 0\n1 0 2\n")
