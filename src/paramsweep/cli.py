@@ -315,7 +315,7 @@ def _pairs(vec) -> list[list[float]]:
 
 
 def _unpairs(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs])
+    return np.array([complex(finite_float(re), finite_float(im)) for re, im in pairs])
 
 
 def save_step1(path, r1: Step1Result) -> None:
@@ -349,18 +349,14 @@ def save_step1(path, r1: Step1Result) -> None:
 
 
 def load_step1(path, sysm: ParamSystem) -> Step1Result:
-    """Read a Step 1 artifact, refusing one that lacks a key or whose
-    parameters or solution coordinates do not fit ``sysm``."""
+    """Read a Step 1 artifact, refusing one that lacks a key or solutions,
+    holds a number that is not finite, or whose parameters or solution
+    coordinates do not fit ``sysm``."""
     with open(path) as f:
         doc = json.load(f)
     if doc.get("version") != 1:
         raise InputError(f"{path}: unsupported step1 artifact version")
     try:
-        if doc["n_params"] != sysm.n_params:
-            raise InputError(
-                f"{path}: artifact has {doc['n_params']} parameters, "
-                f"system has {sysm.n_params}"
-            )
         sols = doc["solutions"]
         distinct = tuple(_unpairs(s["coords"]) for s in sols)
         real_flags = tuple(bool(s["real"]) for s in sols)
@@ -383,8 +379,18 @@ def load_step1(path, sysm: ParamSystem) -> Step1Result:
                 (k, int(v)) for k, v in doc.get("path_statuses", {}).items()
             )),
         )
+        n_params = doc["n_params"]
     except KeyError as exc:
         raise InputError(f"{path}: artifact has no {exc.args[0]!r} entry") from None
+    except ValueError as exc:  # a non-finite p0 value or coordinate
+        raise InputError(f"{path}: {exc}") from None
+    for what, n in (("parameters", n_params), ("p0 values", len(r1.p0))):
+        if n != sysm.n_params:
+            raise InputError(
+                f"{path}: artifact has {n} {what}, system has {sysm.n_params}"
+            )
+    if not distinct:
+        raise InputError(f"{path}: artifact has no solutions to start Step 2 from")
     wrong = [len(z) for z in distinct if len(z) != sysm.n_vars]
     if wrong:
         raise InputError(

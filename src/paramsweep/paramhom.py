@@ -28,7 +28,6 @@ results back from the spill files.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Collection, NamedTuple, Sequence
@@ -41,7 +40,7 @@ from paramsweep.tracker import (
     ENDGAME_BOUNDARY,
     HARD_FAILURES,
     ClassifiedSolutions,
-    PathResult,
+    Paths,
     PathStatus,
     TrackerConfig,
     classify_endpoints,
@@ -184,6 +183,19 @@ def _restrict_nonsingular(cls: ClassifiedSolutions) -> ClassifiedSolutions:
     )
 
 
+_HARD_CODES = [s.code for s in HARD_FAILURES]
+
+
+def _status_counts(paths: Paths) -> np.ndarray:
+    """Paths per status code of each target, shaped (targets, len(PathStatus))."""
+    return (paths.status[..., None] == np.arange(len(PathStatus))).sum(axis=1)
+
+
+def _by_value(counts: np.ndarray, statuses) -> tuple[tuple[str, int], ...]:
+    """Sorted (status value, path count) pairs of the ``statuses`` with paths."""
+    return tuple(sorted((s.value, int(counts[s.code])) for s in statuses if counts[s.code]))
+
+
 def step1(
     sys: ParamSystem,
     cfg: TrackerConfig,
@@ -206,9 +218,9 @@ def step1(
 
     start = total_degree_start(variable_degrees(sys))
     h = build_homotopy(instantiate(sys, p0), start, gamma)
-    results = track_many(h, start.solutions(), cfg)
+    paths = track_many(h, start.solutions(), cfg)
 
-    at_boundary = [r.boundary_point for r in results if r.boundary_point is not None]
+    at_boundary = paths.boundary[~np.isnan(paths.boundary).any(axis=-1)]
     crossings = tuple(crossing_check(at_boundary, CROSSING_TOL))
     if crossings:
         log.warning(
@@ -216,17 +228,18 @@ def step1(
             "with a fresh seed", len(crossings), ENDGAME_BOUNDARY,
         )
 
-    statuses = Counter(r.status.value for r in results)
-    hard = sum(statuses[s.value] for s in HARD_FAILURES)
+    (counts,) = _status_counts(paths)
+    statuses = _by_value(counts, PathStatus)
+    hard = counts[_HARD_CODES].sum()
     if hard:
         log.warning(
             "step1: %d of %d paths succeeded and %d diverged; the other %d "
-            "failed (%s)", statuses[PathStatus.SUCCESS.value], start.n_solutions,
-            statuses[PathStatus.DIVERGED.value], hard,
-            ", ".join(f"{k}:{v}" for k, v in sorted(statuses.items())),
+            "failed (%s)", counts[PathStatus.SUCCESS.code], start.n_solutions,
+            counts[PathStatus.DIVERGED.code], hard,
+            ", ".join(f"{k}:{v}" for k, v in statuses),
         )
 
-    solutions = _restrict_nonsingular(classify_endpoints(results))
+    solutions = _restrict_nonsingular(classify_endpoints(paths))
     if len(solutions) == 0:
         raise Step1Empty(
             "generic solve found no nonsingular finite solutions; "
@@ -239,7 +252,7 @@ def step1(
         seed=seed,
         gamma=gamma,
         suspected_crossings=crossings,
-        path_statuses=tuple(sorted(statuses.items())),
+        path_statuses=statuses,
     )
 
 
@@ -261,16 +274,6 @@ def verify_step1(
     return ok
 
 
-_INJECTED_FAILURE = PathResult(
-    status=PathStatus.MIN_STEP,
-    endpoint=None,
-    steps_taken=0,
-    t_at_failure=0.5,
-    final_residual=np.inf,
-    condition_estimate=np.inf,
-)
-
-
 def step2(
     sys: ParamSystem,
     from_point: np.ndarray,
@@ -286,29 +289,26 @@ def step2(
     attempt per target, in order, with its status; its index is its
     position in ``targets`` and its round 0, for the caller to replace.
     ``force_first_failure`` (test hook) holds positions in ``targets``
-    whose first path is replaced by a MIN_STEP failure.
+    whose first path's status is set to MIN_STEP.
     """
     h = build_homotopy([instantiate(sys, p) for p in targets], instantiate(sys, from_point))
-    results = track_many(h, starts, cfg)
-    n = len(starts)
+    paths = track_many(h, starts, cfg)
+    paths.status[list(force_first_failure), :1] = PathStatus.MIN_STEP.code
+    counts = _status_counts(paths)
     attempts = []
     for k, target in enumerate(targets):
-        mine = results[k * n : (k + 1) * n]
-        if k in force_first_failure and mine:
-            mine = [_INJECTED_FAILURE] + mine[1:]
-        kinds = Counter(r.status.value for r in mine if r.status is not PathStatus.SUCCESS)
-        diverged = kinds[PathStatus.DIVERGED.value]
-        failures = sum(kinds[s.value] for s in HARD_FAILURES)
+        diverged = int(counts[k, PathStatus.DIVERGED.code])
+        failures = int(counts[k, _HARD_CODES].sum())
         attempts.append(
             PointResult(
                 index=k,
                 p=target,
-                solutions=classify_endpoints(mine),
+                solutions=classify_endpoints(paths[k]),
                 status=attempt_status(failures, diverged),
                 retries_used=0,
                 path_failures=failures,
                 diverged_paths=diverged,
-                failure_kinds=tuple(sorted(kinds.items())),
+                failure_kinds=_by_value(counts[k], (PathStatus.DIVERGED, *HARD_FAILURES)),
             )
         )
     return attempts

@@ -411,19 +411,22 @@ def run_parallel(
     source: str = "mesh",
 ) -> SweepResult:
     """Step 2 sweep over the given parameter points, with ``workers``
-    processes, or in this process when ``workers`` is 1.
+    processes, but no more than there are points, or in this process when
+    that is 1.
 
     The point results are read back from the merged spill files, and
     ``SweepResult.header`` is the header of the collected data file.  When
     ``out_dir`` is given, the merged ``collected.dat`` is left there;
     otherwise the sweep works in a temporary directory.
     ``crash_injection`` (test hook) simulates a worker crash at the given
-    point indices and requires ``workers >= 2``.
+    point indices and requires at least two workers and two points.
     """
     check_sweep_settings(workers, max_retries, batch_size)
+    points = [np.asarray(p, dtype=complex) for p in points]
+    # no process without a point; never 0, since the batch size divides by it
+    workers = max(1, min(workers, len(points)))
     if crash_injection and workers < 2:
         raise ValueError("crash injection requires at least two workers")
-    points = [np.asarray(p, dtype=complex) for p in points]
 
     tmp = None
     if out_dir is None:

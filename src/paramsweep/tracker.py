@@ -44,7 +44,9 @@ active set.  Every evaluation, solve and norm is one numpy call on the
 active rows, and each row of such a call is computed exactly as it would
 be alone, on its own target's coefficients.
 
-All failure modes are encoded in the returned status, never raised:
+``track_many`` returns one ``Paths`` record, one array per field shaped
+(targets, starts, ...), not an object per path.  All failure modes are
+encoded in its status codes, never raised:
 
 * ``DIVERGED``      -- the iterate's inf-norm exceeded ``MAX_NORM``
 * ``MIN_STEP``      -- the step length fell below ``STEP_FLOOR``
@@ -61,7 +63,7 @@ identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -72,7 +74,7 @@ from paramsweep.startsys import Homotopy
 __all__ = [
     "TrackerConfig",
     "PathStatus",
-    "PathResult",
+    "Paths",
     "ClassifiedSolutions",
     "track_many",
     "crossing_check",
@@ -131,6 +133,11 @@ class PathStatus(Enum):
     NEWTON_FAILURE = "newton_failure"
     MAX_STEPS = "max_steps"
 
+    @property
+    def code(self) -> int:
+        """The status's code in a ``Paths`` record: its index in ``tuple(PathStatus)``."""
+        return tuple(PathStatus).index(self)
+
 
 #: statuses that mark a parameter point as failed (candidates for retry);
 #: DIVERGED is excluded since it usually reflects genuine geometry (fewer
@@ -139,31 +146,37 @@ HARD_FAILURES = (PathStatus.MIN_STEP, PathStatus.NEWTON_FAILURE, PathStatus.MAX_
 
 
 @dataclass(frozen=True)
-class PathResult:
-    """One tracked path.
+class Paths:
+    """Every path of a stack, one array per field, shaped (targets, starts, ...).
 
-    ``rejected_steps`` counts attempts whose prediction or correction
-    failed, ``newton_iters`` the corrector's Newton iterations over all
-    attempts (not the final sharpening), and ``min_dt`` the smallest step
-    length the controller attempted, before clamping to ``ENDGAME_BOUNDARY``
-    or ``T_FINAL``.
+    ``status`` holds ``PathStatus.code``s.  ``endpoint`` (N values per
+    path), ``residual``, ``condition`` and ``sharpened`` describe
+    successful paths only; elsewhere they read nan, inf, inf and False.
+    ``steps`` counts accepted attempts and ``rejected`` those whose
+    prediction or correction failed; ``newton_iters`` counts the
+    corrector's Newton iterations over all attempts (not the final
+    sharpening).  ``min_dt`` is the smallest step length the controller
+    attempted, before clamping to ``ENDGAME_BOUNDARY`` or ``T_FINAL``; it
+    starts at ``INITIAL_STEP``.  ``t_end`` is the t where the path stopped
+    (``T_FINAL`` when it reached the end).  ``boundary`` holds the path's
+    point at ``ENDGAME_BOUNDARY``, nan for a path that never reached it.
+    Indexing a record indexes every field: ``paths[k]`` is target k's.
     """
 
-    status: PathStatus
-    endpoint: np.ndarray | None
-    steps_taken: int
-    t_at_failure: float | None
-    final_residual: float
-    condition_estimate: float
-    sharpen_converged: bool = False
-    boundary_point: np.ndarray | None = None
-    rejected_steps: int = 0
-    newton_iters: int = 0
-    min_dt: float = np.inf
+    status: np.ndarray
+    endpoint: np.ndarray
+    steps: np.ndarray
+    rejected: np.ndarray
+    newton_iters: np.ndarray
+    min_dt: np.ndarray
+    t_end: np.ndarray
+    residual: np.ndarray
+    condition: np.ndarray
+    sharpened: np.ndarray
+    boundary: np.ndarray
 
-    @property
-    def success(self) -> bool:
-        return self.status is PathStatus.SUCCESS
+    def __getitem__(self, key) -> Paths:
+        return Paths(*(getattr(self, f.name)[key] for f in fields(self)))
 
 
 def _inf_norm(v: np.ndarray) -> np.ndarray:
@@ -312,21 +325,19 @@ def _sharpen(target: InstantiatedSystem, z: np.ndarray):
     return z, converged
 
 
-def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
+def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> Paths:
     """Track every solution of H(., 1) = 0 in ``starts`` to t = 0, in lock-step,
     on every homotopy of the stack ``h``.
 
-    Returns one PathResult per target and start, target by target and in
-    start order within a target: result ``k * len(starts) + i`` is start i
-    tracked on target k.
+    Returns the ``Paths`` record of the stack: entry [k, i] of each field
+    is start i tracked on target k.
     """
     z = np.array([np.asarray(s, dtype=complex) for s in starts]).reshape(-1, h.n_vars)
+    shape = (h.n_points, len(z))
     # row b tracks start b % len(starts) on target point[b]
     point = np.repeat(np.arange(h.n_points), len(z))
     z = np.tile(z, (h.n_points, 1))
     n = len(z)
-    if n == 0:
-        return []
     t = np.ones(n)
     dt = np.full(n, INITIAL_STEP)
     steps = np.zeros(n, dtype=np.intp)
@@ -335,20 +346,12 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
     newton_iters = np.zeros(n, dtype=np.intp)
     min_dt = np.full(n, INITIAL_STEP)
     boundary = np.full(z.shape, np.nan, dtype=complex)
-    has_boundary = np.zeros(n, dtype=bool)
-    status: list[PathStatus | None] = [None] * n
-    t_fail: list[float | None] = [None] * n
-
-    def fail(rows, why: PathStatus) -> None:
-        for b in rows:
-            status[b] = why
-            t_fail[b] = float(t[b])
-
+    status = np.full(n, -1, dtype=np.int8)  # -1 while the path runs
     eb, tf = ENDGAME_BOUNDARY, T_FINAL
     act = np.arange(n)
     while act.size:
         over = attempts[act] >= MAX_ATTEMPTS
-        fail(act[over], PathStatus.MAX_STEPS)
+        status[act[over]] = PathStatus.MAX_STEPS.code
         act = act[~over]
         if not act.size:
             break
@@ -378,7 +381,7 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
             dt_retry = dt_a[~ok] * STEP_CUT
             dt[retry] = dt_retry
             under = dt_retry < STEP_FLOOR
-            fail(retry[under], PathStatus.MIN_STEP)
+            status[retry[under]] = PathStatus.MIN_STEP.code
             retry, dt_retry = retry[~under], dt_retry[~under]
             min_dt[retry] = np.minimum(min_dt[retry], dt_retry)
 
@@ -389,11 +392,10 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
         streak[good] += 1
         z_norm = _inf_norm(z[good])
         blown = ~np.isfinite(z_norm) | (z_norm > MAX_NORM)
-        fail(good[blown], PathStatus.DIVERGED)
+        status[good[blown]] = PathStatus.DIVERGED.code
         good = good[~blown]
         on_boundary = good[t[good] == eb]
         boundary[on_boundary] = z[on_boundary]
-        has_boundary[on_boundary] = True
         grow = good[streak[good] >= GROW_AFTER]
         dt[grow] = np.minimum(dt[grow] * STEP_GROWTH, MAX_STEP)
         streak[grow] = 0
@@ -401,7 +403,7 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
         act = np.concatenate([retry, good[t[good] > tf]])
         act.sort()
 
-    done = np.array([b for b in range(n) if status[b] is None], dtype=np.intp)
+    done = np.flatnonzero(status < 0)
     residual = np.full(n, np.inf)
     condition = np.full(n, np.inf)
     sharpened = np.zeros(n, dtype=bool)
@@ -411,43 +413,34 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> list[PathResult]:
         f, jac = target.eval_and_jac(z[done])
         residual[done] = _inf_norm(f)
         passed = np.isfinite(z[done]).all(axis=1) & (residual[done] < 10 * NEWTON_TOL)
-        fail(done[~passed], PathStatus.NEWTON_FAILURE)
+        status[done[~passed]] = PathStatus.NEWTON_FAILURE.code
+        status[done[passed]] = PathStatus.SUCCESS.code
         condition[done[passed]] = _condition_estimate(jac[passed])
-        for b in done[passed]:
-            status[b] = PathStatus.SUCCESS
+    failed = status != PathStatus.SUCCESS.code
+    z[failed] = np.nan
+    residual[failed] = np.inf
+    sharpened[failed] = False
+    per_row = (status, z, steps, attempts - steps, newton_iters, min_dt, t,
+               residual, condition, sharpened, boundary)
+    return Paths(*(a.reshape(shape + a.shape[1:]) for a in per_row))
 
-    results = []
-    for b in range(n):
-        ok = status[b] is PathStatus.SUCCESS
-        results.append(
-            PathResult(
-                status=status[b],
-                endpoint=z[b].copy() if ok else None,
-                steps_taken=int(steps[b]),
-                t_at_failure=None if ok else t_fail[b],
-                final_residual=float(residual[b]) if ok else np.inf,
-                condition_estimate=float(condition[b]) if ok else np.inf,
-                sharpen_converged=bool(sharpened[b]) if ok else False,
-                boundary_point=boundary[b].copy() if has_boundary[b] else None,
-                rejected_steps=int(attempts[b] - steps[b]),
-                newton_iters=int(newton_iters[b]),
-                min_dt=float(min_dt[b]),
-            )
-        )
-    return results
+
+def _close(p: np.ndarray, tol: float) -> np.ndarray:
+    """(n, n) mask of the rows of the (n, N) array ``p`` within ``tol`` of
+    each other in the inf-norm."""
+    dist = np.zeros((len(p), len(p)))
+    for k in range(p.shape[1]):
+        np.maximum(dist, np.abs(p[:, None, k] - p[None, :, k]), out=dist)
+    return dist < tol
 
 
 def crossing_check(points, tol: float) -> list[tuple[int, int]]:
     """Index pairs (i < j, in row-major order) closer than tol in the
     inf-norm: suspected crossings, or endpoints to merge."""
-    n = len(points)
-    if n < 2:
+    p = np.asarray(points, dtype=complex)
+    if len(p) < 2:
         return []
-    p = np.array([np.asarray(q, dtype=complex) for q in points]).reshape(n, -1)
-    dist = np.zeros((n, n))
-    for k in range(p.shape[1]):
-        np.maximum(dist, np.abs(p[:, None, k] - p[None, :, k]), out=dist)
-    i, j = np.nonzero(np.triu(dist < tol, k=1))
+    i, j = np.nonzero(np.triu(_close(p.reshape(len(p), -1), tol), k=1))
     return list(zip(i.tolist(), j.tolist()))
 
 
@@ -466,54 +459,47 @@ class ClassifiedSolutions:
         return len(self.distinct)
 
 
-def classify_endpoints(results) -> ClassifiedSolutions:
-    """Merge successful endpoints and flag each survivor.
+def classify_endpoints(paths: Paths) -> ClassifiedSolutions:
+    """Merge the successful endpoints of ``paths`` and flag each survivor.
 
-    Endpoints within ``DEDUP_TOL`` (inf-norm) collapse to the
-    smallest-residual representative.  A survivor is singular if its
+    ``paths`` holds one target's paths, or a whole stack whose successful
+    paths are then one set, in row-major order.  Endpoints joined by a
+    chain of endpoints within ``DEDUP_TOL`` (inf-norm) of each other
+    collapse to the smallest-residual representative; survivors keep the
+    order of their clusters' first paths.  A survivor is singular if its
     condition estimate exceeds ``SINGULAR_CONDITION``, if more than one
     path landed on it, or if endpoint sharpening failed to converge
     (covers multiple roots, whose Jacobian-based condition stays finite
     in low dimensions).  It is real when every coordinate's imaginary
     part is below ``REAL_TOL``.
     """
-    good = [r for r in results if r.status is PathStatus.SUCCESS]
-    n = len(good)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in crossing_check([r.endpoint for r in good], DEDUP_TOL):
-        parent[find(i)] = find(j)
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-
-    points, singular, real, residuals, mults = [], [], [], [], []
-    for members in sorted(clusters.values(), key=lambda ms: ms[0]):
-        rep = min(members, key=lambda i: good[i].final_residual)
-        r = good[rep]
-        is_singular = (
-            len(members) > 1
-            or r.condition_estimate > SINGULAR_CONDITION
-            or not r.sharpen_converged
-        )
-        points.append(r.endpoint)
-        singular.append(is_singular)
-        real.append(bool(np.max(np.abs(r.endpoint.imag)) < REAL_TOL))
-        residuals.append(r.final_residual)
-        mults.append(len(members))
-
+    good = paths[paths.status == PathStatus.SUCCESS.code]
+    endpoint, residual = good.endpoint, good.residual
+    # each endpoint takes the smallest index it is chained to: its cluster's
+    # first path
+    n = len(endpoint)
+    close = _close(endpoint, DEDUP_TOL)
+    label = np.arange(n)
+    while True:
+        merged = np.where(close, label, n).min(axis=1, initial=n)
+        if np.array_equal(merged, label):
+            break
+        label = merged
+    # by cluster, then residual, then index: a cluster's first row is its
+    # representative
+    order = np.lexsort((residual, label))
+    first = np.flatnonzero(np.diff(label[order], prepend=-1))
+    rep = order[first]
+    mult = np.diff(np.r_[first, n])
+    singular = (
+        (mult > 1) | (good.condition[rep] > SINGULAR_CONDITION) | ~good.sharpened[rep]
+    )
+    real = np.abs(endpoint[rep].imag).max(axis=1, initial=0.0) < REAL_TOL
     return ClassifiedSolutions(
-        distinct=tuple(points),
-        singular_flags=tuple(singular),
-        real_flags=tuple(real),
-        residuals=tuple(residuals),
-        multiplicities=tuple(mults),
-        n_real=sum(real),
+        distinct=tuple(endpoint[rep]),
+        singular_flags=tuple(singular.tolist()),
+        real_flags=tuple(real.tolist()),
+        residuals=tuple(residual[rep].tolist()),
+        multiplicities=tuple(mult.tolist()),
+        n_real=int(real.sum()),
     )

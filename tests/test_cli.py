@@ -517,10 +517,16 @@ ONE_SQUARE_INPUT = TWO_SQUARES_INPUT.replace("variable x, y;", "variable z;").re
     ("other system", "solutions have 2 coordinates, system has 1 variables"),
     ("missing key", "artifact has no 'seed' entry"),
     ("missing file", "No such file"),
+    ("no solutions", "artifact has no solutions"),
+    ("long p0", "artifact has 2 p0 values, system has 1"),
+    ("nan coordinate", "non-finite value nan"),
 ])
 def test_solve_refuses_a_step1_artifact_that_does_not_fit(tmp_path, caplog, case, message):
     # read before the run directory is made; the two systems have one
-    # parameter each, but two variables and one
+    # parameter each, but two variables and one.  Without solutions every
+    # point would end Complete with no roots; a p0 of the wrong length
+    # would fail only inside the sweep, and a nan coordinate would leave
+    # every point Unresolved
     inp = _write_input(tmp_path, ONE_SQUARE_INPUT, name="one.input")
     first = tmp_path / "first"
     source = TWO_SQUARES_INPUT if case == "other system" else ONE_SQUARE_INPUT
@@ -532,9 +538,16 @@ def test_solve_refuses_a_step1_artifact_that_does_not_fit(tmp_path, caplog, case
     doc = json.loads(artifact.read_text())
     if case == "missing key":
         del doc["seed"]
-        artifact.write_text(json.dumps(doc))
-    elif case == "missing file":
+    elif case == "no solutions":
+        doc["solutions"] = []
+    elif case == "long p0":
+        doc["p0"].append([0.5, 0.25])
+    elif case == "nan coordinate":
+        doc["solutions"][1]["coords"][0][1] = float("nan")
+    if case == "missing file":
         artifact.unlink()
+    else:
+        artifact.write_text(json.dumps(doc))
     out = tmp_path / "run"
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="paramsweep"):

@@ -17,6 +17,7 @@ from paramsweep.paramhom import (
     sweep_with_runner,
     verify_step1,
 )
+from paramsweep.datafile import serialize_record
 from paramsweep.poly import parse_system
 from paramsweep.scheduler import run_parallel
 from paramsweep.tracker import TrackerConfig
@@ -175,6 +176,24 @@ def test_step2_single_cube_discriminant_point(cube_system):
     assert all(out.solutions.singular_flags)
     for pt in out.solutions.distinct:
         assert abs(pt[0]) < 0.05  # collapsed toward the sextuple root at 0
+
+
+def test_step2_forced_failure_changes_only_its_target(quad_system):
+    # the injected failure lands on the first path of target 1 alone: an
+    # injection on the wrong axis would change another target's record
+    r1 = step1(quad_system, CFG, np.random.default_rng(31))
+    targets = [np.array([c]) for c in (4.0 + 0j, 2.0 + 1j, 9.0 + 0j)]
+    plain = step2(quad_system, r1.p0, r1.solutions.distinct, targets, CFG)
+    forced = step2(
+        quad_system, r1.p0, r1.solutions.distinct, targets, CFG, force_first_failure={1}
+    )
+    assert plain[1].status is PointStatus.COMPLETE
+    assert forced[1].failure_kinds == (("min_step", 1),)
+    assert forced[1].status is PointStatus.UNRESOLVED
+    assert forced[1].path_failures == 1
+    assert len(forced[1].solutions) == len(plain[1].solutions) - 1
+    for k in (0, 2):
+        assert serialize_record(forced[k]) == serialize_record(plain[k])
 
 
 def test_run_sweep_three_points_accounting(quad_system):

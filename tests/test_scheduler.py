@@ -390,6 +390,32 @@ def test_crash_injection_needs_two_workers(quad_setup):
         )
 
 
+def test_sweep_starts_no_more_workers_than_points(quad_setup, monkeypatch):
+    import paramsweep.scheduler as sched
+
+    sysq, r1, points = quad_setup
+    spawned = []
+    real_spawn = sched._Pool._spawn
+
+    def counted(pool):
+        spawned.append(real_spawn(pool))
+        return spawned[-1]
+
+    monkeypatch.setattr(sched._Pool, "_spawn", counted)
+    sweep = run_parallel(
+        sysq, r1, points[:2], CFG, max_retries=0, workers=3, rng=np.random.default_rng(1)
+    )
+    assert len(spawned) == 2
+    assert [pr.index for pr in sweep.point_results] == [0, 1]
+    # one point runs in this process, which a simulated crash would end
+    with pytest.raises(ValueError, match="two workers"):
+        run_parallel(
+            sysq, r1, points[:1], CFG, max_retries=0, workers=2,
+            rng=np.random.default_rng(1), crash_injection=frozenset({0}),
+        )
+    assert len(spawned) == 2
+
+
 def test_flush_failure_aborts_sweep(quad_setup, tmp_path, monkeypatch):
     sysq, r1, points = quad_setup
     out = tmp_path / "abort"

@@ -8,10 +8,14 @@ from paramsweep.poly import InstantiatedSystem, instantiate, parse_system
 from paramsweep.startsys import build_homotopy, random_gamma, total_degree_start
 from paramsweep import tracker
 from paramsweep.tracker import (
+    DEDUP_TOL,
     ENDGAME_BOUNDARY,
     INITIAL_STEP,
     NEWTON_TOL,
+    REAL_TOL,
+    SINGULAR_CONDITION,
     STEP_FLOOR,
+    T_FINAL,
     TRACK_TOL,
     PathStatus,
     TrackerConfig,
@@ -26,6 +30,7 @@ from paramsweep.tracker import (
 from conftest import CUBE_TEXT, MONKS_TEXT, set_distance
 
 QUAD = parse_system("variable z; parameter p; function f; f = z^2 - p;")
+SUCCESS = PathStatus.SUCCESS.code
 
 
 def _quad_homotopy(p_target=4.0, p_source=1.0):
@@ -56,7 +61,13 @@ def _correct(sys, z, cfg):
 
 
 def _track_one(h, start, cfg):
-    return track_many(h, [start], cfg)[0]
+    """The record of one start tracked alone on the one target of ``h``."""
+    return track_many(h, [start], cfg)[0, 0]
+
+
+def _statuses(paths):
+    """The PathStatus of each path of a record, in row-major order."""
+    return [tuple(PathStatus)[code] for code in paths.status.ravel()]
 
 
 def test_predict_hand_value():
@@ -167,12 +178,12 @@ def test_sextic_endpoints_match_closed_form_roots(c):
         instantiate(cube, np.array([x, y], dtype=complex)),
         instantiate(cube, r1.p0),
     )
-    results = track_many(h, list(r1.solutions.distinct), cfg)
-    assert all(r.status is PathStatus.SUCCESS for r in results)
+    paths = track_many(h, list(r1.solutions.distinct), cfg)
+    assert (paths.status == SUCCESS).all()
     roots = complex(c) ** (1 / 6) * np.exp(2j * np.pi * np.arange(6) / 6)
     expected = [np.array([r]) for r in roots]
-    assert set_distance([r.endpoint for r in results], expected) < 1e-12
-    assert not any(classify_endpoints(results).singular_flags)
+    assert set_distance(paths.endpoint[0], expected) < 1e-12
+    assert not any(classify_endpoints(paths).singular_flags)
 
 
 def test_track_path_both_roots():
@@ -180,12 +191,12 @@ def test_track_path_both_roots():
     cfg = TrackerConfig()
     up = _track_one(h, np.array([1.0 + 0j]), cfg)
     down = _track_one(h, np.array([-1.0 + 0j]), cfg)
-    assert up.status is PathStatus.SUCCESS
-    assert down.status is PathStatus.SUCCESS
+    assert up.status == SUCCESS
+    assert down.status == SUCCESS
     assert abs(up.endpoint[0] - 2.0) < 1e-8
     assert abs(down.endpoint[0] + 2.0) < 1e-8
-    assert up.final_residual < 10 * NEWTON_TOL
-    assert up.steps_taken <= tracker.MAX_ATTEMPTS
+    assert up.residual < 10 * NEWTON_TOL
+    assert up.steps <= tracker.MAX_ATTEMPTS
 
 
 def test_track_path_onto_discriminant_flags_singular():
@@ -193,10 +204,10 @@ def test_track_path_onto_discriminant_flags_singular():
     # endpoint cannot be sharpened at Newton rate
     h = _quad_homotopy(p_target=0.0, p_source=1.0)
     cfg = TrackerConfig()
-    results = track_many(h, [np.array([1.0 + 0j]), np.array([-1.0 + 0j])], cfg)
-    assert all(r.status is PathStatus.SUCCESS for r in results)
-    assert all(abs(r.endpoint[0]) < 1e-3 for r in results)
-    cls = classify_endpoints(results)
+    paths = track_many(h, [np.array([1.0 + 0j]), np.array([-1.0 + 0j])], cfg)
+    assert (paths.status == SUCCESS).all()
+    assert (np.abs(paths.endpoint) < 1e-3).all()
+    cls = classify_endpoints(paths)
     assert all(cls.singular_flags)
 
 
@@ -208,22 +219,22 @@ def test_track_path_divergence():
         instantiate(lin, np.array([1.0 + 0j])),
     )
     res = _track_one(h, np.array([1.0 + 0j]), TrackerConfig())
-    assert res.status in (PathStatus.DIVERGED, PathStatus.MIN_STEP)
-    if res.status is PathStatus.DIVERGED:
-        assert 0 < res.t_at_failure <= 1
-    assert res.endpoint is None
+    assert res.status in (PathStatus.DIVERGED.code, PathStatus.MIN_STEP.code)
+    if res.status == PathStatus.DIVERGED.code:
+        assert 0 < res.t_end <= 1
+    assert np.isnan(res.endpoint).all()
 
 
 def test_track_path_deterministic_bitwise():
     h = _quad_homotopy(p_target=2.0 + 1.5j, p_source=0.3 - 0.2j)
     cfg = TrackerConfig()
-    a = _track_one(h, np.array([1.0 + 0j]), cfg)
-    b = _track_one(h, np.array([1.0 + 0j]), cfg)
-    assert a.status == b.status
-    assert a.steps_taken == b.steps_taken
-    assert np.array_equal(a.endpoint, b.endpoint)
-    assert a.final_residual == b.final_residual
-    assert a.condition_estimate == b.condition_estimate
+    # z = 1 is no root of H(., 1), so its path fails; the root's succeeds
+    root = np.sqrt(np.array([0.3 - 0.2j]))
+    for start in (np.array([1.0 + 0j]), root):
+        a = _track_one(h, start, cfg)
+        b = _track_one(h, start, cfg)
+        assert _same_result(a, b)
+    assert a.status == SUCCESS
 
 
 def test_residual_bounded_after_corrections():
@@ -231,29 +242,26 @@ def test_residual_bounded_after_corrections():
     h = _quad_homotopy(p_target=3.0 + 0.5j)
     cfg = TrackerConfig()
     res = _track_one(h, np.array([1.0 + 0j]), cfg)
-    assert res.status is PathStatus.SUCCESS
-    at_boundary = h.at(ENDGAME_BOUNDARY).eval_and_jac(res.boundary_point)[0]
+    assert res.status == SUCCESS
+    at_boundary = h.at(ENDGAME_BOUNDARY).eval_and_jac(res.boundary)[0]
     assert abs(at_boundary[0]) < 100 * NEWTON_TOL
 
 
 def test_boundary_point_recorded():
     h = _quad_homotopy()
     res = _track_one(h, np.array([1.0 + 0j]), TrackerConfig())
-    assert res.boundary_point is not None
+    assert np.isfinite(res.boundary).all()
     # on the path z(t) = sqrt(4 - 3t), at the endgame boundary t = 0.1
-    assert abs(res.boundary_point[0] - np.sqrt(4 - 3 * 0.1)) < 1e-8
+    assert abs(res.boundary[0] - np.sqrt(4 - 3 * 0.1)) < 1e-8
 
 
 def _same_result(a, b):
-    """Field-by-field, bit-for-bit equality of two PathResults."""
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-            if x is None or y is None or not np.array_equal(x, y):
-                return False
-        elif x != y:
-            return False
-    return True
+    """Field-by-field, bit-for-bit equality of two Paths records, nan
+    matching nan."""
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+        for f in dataclasses.fields(a)
+    )
 
 
 # p*z^3 + z^2 - q from (p, q) = (0.8+0.6i, 1-0.5i) to (0, 4): two roots
@@ -272,21 +280,60 @@ def test_batch_invariance_mixed_batch(monkeypatch):
     starts = [np.array([r], dtype=complex) for r in roots] + [np.array([0j])]
     cfg = TrackerConfig()
     batch = track_many(h, starts, cfg)
-    statuses = [r.status for r in batch]
+    statuses = _statuses(batch)
     assert statuses.count(PathStatus.SUCCESS) == 2
     assert statuses.count(PathStatus.DIVERGED) == 1
     assert statuses[-1] is PathStatus.MIN_STEP  # the singular start
-    for start, got in zip(starts, batch):
-        assert _same_result(got, _track_one(h, start, cfg))
+    for i, start in enumerate(starts):
+        assert _same_result(batch[0, i], _track_one(h, start, cfg))
     # a budget that the converging paths fit in but the diverging one not
     monkeypatch.setattr(tracker, "MAX_ATTEMPTS", 40)
     batch = track_many(h, starts, cfg)
-    statuses = [r.status for r in batch]
+    statuses = _statuses(batch)
     assert statuses.count(PathStatus.SUCCESS) == 2
     assert statuses.count(PathStatus.MAX_STEPS) == 1
     assert statuses[-1] is PathStatus.MIN_STEP
-    for start, got in zip(starts, batch):
-        assert _same_result(got, _track_one(h, start, cfg))
+    for i, start in enumerate(starts):
+        assert _same_result(batch[0, i], _track_one(h, start, cfg))
+
+
+@pytest.mark.parametrize("attempts", [10_000, 40])
+def test_paths_record_invariants(monkeypatch, attempts):
+    # two targets of the cubic, the first with paths of every kind: each
+    # field is shaped (targets, starts, ...), only successful paths have an
+    # endpoint, and every attempt is an accepted or a rejected step
+    monkeypatch.setattr(tracker, "MAX_ATTEMPTS", attempts)
+    predicted = []
+    real_predict = tracker._predict
+
+    def counted(h, z, *args):
+        predicted.append(len(z))
+        return real_predict(h, z, *args)
+
+    monkeypatch.setattr(tracker, "_predict", counted)
+    p, q = 0.8 + 0.6j, 1.0 - 0.5j
+    h = build_homotopy(
+        [instantiate(CUBIC, np.array(t, dtype=complex)) for t in ((0, 4), (0.5, 2))],
+        instantiate(CUBIC, np.array([p, q])),
+    )
+    starts = [np.array([r]) for r in np.roots([p, 1.0, 0.0, -q])] + [np.array([0j])]
+    paths = track_many(h, starts, TrackerConfig())
+    for f in dataclasses.fields(paths):
+        assert getattr(paths, f.name).shape[:2] == (2, 4), f.name
+    assert paths.endpoint.shape == paths.boundary.shape == (2, 4, 1)
+    success = paths.status == SUCCESS
+    assert set(_statuses(paths[0])) == {
+        PathStatus.SUCCESS, PathStatus.MIN_STEP,
+        PathStatus.DIVERGED if attempts == 10_000 else PathStatus.MAX_STEPS,
+    }
+    assert np.array_equal(np.isfinite(paths.endpoint).all(axis=-1), success)
+    assert np.array_equal(np.isfinite(paths.residual), success)
+    assert np.array_equal(np.isfinite(paths.condition), success)
+    assert not paths.sharpened[~success].any()
+    assert (paths.t_end[success] == T_FINAL).all()
+    tried = paths.rejected + paths.steps
+    assert tried.sum() == sum(predicted)
+    assert (tried[paths.status == PathStatus.MAX_STEPS.code] == attempts).all()
 
 
 def test_batch_order_invariance_wave_amplitude():
@@ -301,9 +348,9 @@ def test_batch_order_invariance_wave_amplitude():
     starts = start.solutions()[::9]
     cfg = TrackerConfig()
     forward = track_many(h, starts, cfg)
-    backward = track_many(h, starts[::-1], cfg)[::-1]
-    assert all(_same_result(a, b) for a, b in zip(forward, backward))
-    assert _same_result(forward[4], _track_one(h, starts[4], cfg))
+    backward = track_many(h, starts[::-1], cfg)[:, ::-1]
+    assert _same_result(forward, backward)
+    assert _same_result(forward[0, 4], _track_one(h, starts[4], cfg))
 
 
 # wave-amplitude points, each tracked from the Step 1 solutions: two
@@ -332,8 +379,8 @@ def test_stack_invariance_wave_amplitude(wave_step1, monkeypatch, attempts):
     source = instantiate(sysm, r1.p0)
     targets = [instantiate(sysm, np.array(p, dtype=complex)) for p in WAVE_POINTS]
     stacked = track_many(build_homotopy(targets, source), starts, cfg)
-    assert len(stacked) == len(targets) * len(starts)
-    statuses = {r.status for r in stacked}
+    assert stacked.status.shape == (len(targets), len(starts))
+    statuses = set(_statuses(stacked))
     assert PathStatus.SUCCESS in statuses
     if attempts == 70:
         assert PathStatus.MAX_STEPS in statuses
@@ -342,8 +389,60 @@ def test_stack_invariance_wave_amplitude(wave_step1, monkeypatch, attempts):
         assert kinds < statuses
     for k, target in enumerate(targets):
         alone = track_many(build_homotopy(target, source), starts, cfg)
-        mine = stacked[k * len(starts) : (k + 1) * len(starts)]
-        assert all(_same_result(a, b) for a, b in zip(mine, alone))
+        assert _same_result(stacked[k], alone[0])
+
+
+def _classes(cls):
+    """A ClassifiedSolutions as one comparable tuple per survivor."""
+    return [
+        (tuple(pt.tolist()), *rest)
+        for pt, *rest in zip(cls.distinct, cls.singular_flags, cls.real_flags,
+                             cls.residuals, cls.multiplicities)
+    ]
+
+
+def _classify_by_loop(paths):
+    """The classification as a union-find over the successful paths, one
+    path and one cluster at a time: the reference for classify_endpoints."""
+    good = paths[paths.status == SUCCESS]
+    parent = list(range(len(good.status)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, j in crossing_check(good.endpoint, DEDUP_TOL):
+        parent[find(i)] = find(j)
+    clusters = {}
+    for i in range(len(parent)):
+        clusters.setdefault(find(i), []).append(i)
+    out = []
+    for members in sorted(clusters.values(), key=lambda ms: ms[0]):
+        r = min(members, key=lambda i: good.residual[i])
+        singular = (len(members) > 1 or good.condition[r] > SINGULAR_CONDITION
+                    or not good.sharpened[r])
+        real = bool(np.max(np.abs(good.endpoint[r].imag)) < REAL_TOL)
+        out.append((tuple(good.endpoint[r].tolist()), singular, real,
+                    float(good.residual[r]), len(members)))
+    return out
+
+
+def test_classify_matches_the_union_find_reference(wave_step1):
+    # the wave-amplitude points hold clusters of 5 and 29 paths and
+    # survivors of every flag
+    sysm, r1 = wave_step1
+    targets = [instantiate(sysm, np.array(p, dtype=complex)) for p in WAVE_POINTS]
+    paths = track_many(
+        build_homotopy(targets, instantiate(sysm, r1.p0)), list(r1.solutions.distinct),
+        TrackerConfig(),
+    )
+    classes = [_classes(classify_endpoints(paths[k])) for k in range(len(targets))]
+    assert classes == [_classify_by_loop(paths[k]) for k in range(len(targets))]
+    assert {m for c in classes for *_, m in c} >= {1, 5, 29}
+    assert {(sing, real) for c in classes for _, sing, real, *_ in c} == {
+        (False, False), (False, True), (True, False), (True, True)
+    }
 
 
 def test_generic_wave_amplitude_steps_per_path(wave_step1):
@@ -356,10 +455,10 @@ def test_generic_wave_amplitude_steps_per_path(wave_step1):
         instantiate(sysm, np.array(WAVE_POINTS[0], dtype=complex)),
         instantiate(sysm, r1.p0),
     )
-    results = track_many(h, list(r1.solutions.distinct), TrackerConfig())
-    assert len(results) == 81
-    assert all(r.status is PathStatus.SUCCESS for r in results)
-    assert np.mean([r.steps_taken for r in results]) < 18
+    paths = track_many(h, list(r1.solutions.distinct), TrackerConfig())
+    assert paths.status.shape == (1, 81)
+    assert (paths.status == SUCCESS).all()
+    assert paths.steps.mean() < 18
 
 
 @pytest.mark.parametrize("seed, point", [
@@ -379,8 +478,7 @@ def test_generic_wave_amplitude_keeps_every_root(seed, point):
         instantiate(sysm, np.array(point, dtype=complex)),
         instantiate(sysm, r1.p0),
     )
-    results = track_many(h, list(r1.solutions.distinct), TrackerConfig())
-    cls = classify_endpoints(results)
+    cls = classify_endpoints(track_many(h, list(r1.solutions.distinct), TrackerConfig()))
     assert len(cls) == 81
     assert not any(cls.singular_flags)
 
@@ -430,16 +528,17 @@ def test_stacked_solve_splits_around_a_singular_matrix(monkeypatch):
 def test_per_path_counters():
     h = _quad_homotopy()
     cfg = TrackerConfig()
-    good, stuck = track_many(h, [np.array([1.0 + 0j]), np.array([0j])], cfg)
-    assert good.status is PathStatus.SUCCESS
+    paths = track_many(h, [np.array([1.0 + 0j]), np.array([0j])], cfg)
+    good, stuck = paths[0, 0], paths[0, 1]
+    assert good.status == SUCCESS
     assert good.newton_iters >= 1
     assert good.min_dt <= INITIAL_STEP
     # every attempt from z = 0 fails on the singular Jacobian, halving dt
     # from 0.1 until it drops below STEP_FLOOR
-    assert stuck.status is PathStatus.MIN_STEP
-    assert stuck.steps_taken == 0 and stuck.newton_iters == 0
+    assert stuck.status == PathStatus.MIN_STEP.code
+    assert stuck.steps == 0 and stuck.newton_iters == 0
     halvings = int(np.ceil(np.log2(INITIAL_STEP / STEP_FLOOR)))
-    assert stuck.rejected_steps == halvings
+    assert stuck.rejected == halvings
     assert stuck.min_dt == INITIAL_STEP * 0.5 ** (halvings - 1)
 
 
@@ -451,9 +550,9 @@ def test_univariate_total_degree_matches_polar_roots(d):
     target = instantiate(poly_d, np.array([c]))
     start = total_degree_start([d])
     h = build_homotopy(target, start, random_gamma(rng))
-    results = track_many(h, start.solutions(), TrackerConfig())
-    assert all(r.status is PathStatus.SUCCESS for r in results)
-    got = [r.endpoint for r in results]
+    paths = track_many(h, start.solutions(), TrackerConfig())
+    assert (paths.status == SUCCESS).all()
+    got = paths.endpoint[0]
     r, phi = abs(c), np.angle(c)
     expected = [
         np.array([r ** (1 / d) * np.exp(1j * (phi + 2 * np.pi * k) / d)])
@@ -471,12 +570,14 @@ def test_crossing_check():
 
 def test_classify_two_real_roots():
     h = _quad_homotopy()
-    results = track_many(h, [np.array([1.0 + 0j]), np.array([-1.0 + 0j])], TrackerConfig())
-    cls = classify_endpoints(results)
+    paths = track_many(h, [np.array([1.0 + 0j]), np.array([-1.0 + 0j])], TrackerConfig())
+    cls = classify_endpoints(paths)
     assert len(cls) == 2
     assert cls.singular_flags == (False, False)
     assert cls.real_flags == (True, True)
     assert cls.n_real == 2
+    # the arrays of the one target classify as the whole stack does
+    assert _classes(classify_endpoints(paths[0])) == _classes(cls)
 
 
 def test_classify_sixth_roots_of_unity():
@@ -486,8 +587,7 @@ def test_classify_sixth_roots_of_unity():
         instantiate(sextic, np.array([1.0 + 0j])),
         start.as_instantiated(),
     )
-    results = track_many(h, start.solutions(), TrackerConfig())
-    cls = classify_endpoints(results)
+    cls = classify_endpoints(track_many(h, start.solutions(), TrackerConfig()))
     assert len(cls) == 6
     assert cls.n_real == 2  # only +1 and -1 are real
 
@@ -495,37 +595,37 @@ def test_classify_sixth_roots_of_unity():
 def test_classify_merges_transitive_chain():
     # a~b and b~c within DEDUP_TOL, a and c not: union-find merges all three
     h = _quad_homotopy()
-    base = _track_one(h, np.array([1.0 + 0j]), TrackerConfig())
-    chain = [
-        dataclasses.replace(base, endpoint=base.endpoint + shift, final_residual=res)
-        for shift, res in ((0.0, 3e-16), (0.7e-6, 1e-16), (1.4e-6, 2e-16))
-    ]
-    assert crossing_check([r.endpoint for r in chain], 1e-6) == [(0, 1), (1, 2)]
+    # one start tracked three times: three identical successful paths
+    base = track_many(h, [np.array([1.0 + 0j])] * 3, TrackerConfig())[0]
+    chain = dataclasses.replace(
+        base,
+        endpoint=base.endpoint + np.array([[0.0], [0.7e-6], [1.4e-6]]),
+        residual=np.array([3e-16, 1e-16, 2e-16]),
+    )
+    assert crossing_check(chain.endpoint, 1e-6) == [(0, 1), (1, 2)]
     cls = classify_endpoints(chain)
     assert len(cls) == 1
     assert cls.multiplicities == (3,)
     assert cls.singular_flags == (True,)
-    assert np.array_equal(cls.distinct[0], chain[1].endpoint)
+    assert np.array_equal(cls.distinct[0], chain.endpoint[1])
 
 
 def test_classify_merges_nearby_endpoints():
     h = _quad_homotopy()
-    base = _track_one(h, np.array([1.0 + 0j]), TrackerConfig())
-    shifted = type(base)(
-        status=base.status,
-        endpoint=base.endpoint + 1e-10,
-        steps_taken=base.steps_taken,
-        t_at_failure=None,
-        final_residual=base.final_residual * 2,
-        condition_estimate=base.condition_estimate,
-        sharpen_converged=True,
+    base = track_many(h, [np.array([1.0 + 0j])] * 2, TrackerConfig())[0]
+    # the second path lands 1e-10 away, with twice the residual
+    pair = dataclasses.replace(
+        base,
+        endpoint=base.endpoint + np.array([[0.0], [1e-10]]),
+        residual=base.residual * np.array([1.0, 2.0]),
+        sharpened=np.array([base.sharpened[0], True]),
     )
-    cls = classify_endpoints([base, shifted])
+    cls = classify_endpoints(pair)
     assert len(cls) == 1
     assert cls.multiplicities == (2,)
     assert cls.singular_flags == (True,)
     # representative is the smaller-residual endpoint
-    assert np.array_equal(cls.distinct[0], base.endpoint)
+    assert np.array_equal(cls.distinct[0], base.endpoint[0])
 
 
 def test_config_validation():
