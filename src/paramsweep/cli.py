@@ -77,6 +77,7 @@ from paramsweep.paramhom import (
     SweepResult,
     Step1Empty,
     step1,
+    step1_draws,
     verify_step1,
 )
 from paramsweep.poly import ParamSystem, ParseError, parse_system, strip_comment
@@ -319,6 +320,7 @@ def _unpairs(pairs) -> np.ndarray:
 
 
 def save_step1(path, r1: Step1Result) -> None:
+    sols = r1.solutions
     doc = {
         "version": 1,
         "n_params": len(r1.p0),
@@ -329,17 +331,12 @@ def save_step1(path, r1: Step1Result) -> None:
         "suspected_crossings": [list(p) for p in r1.suspected_crossings],
         "path_statuses": dict(r1.path_statuses),
         "solutions": [
-            {
-                "coords": _pairs(pt),
-                "real": bool(rf),
-                "residual": float(res),
-                "multiplicity": int(mult),
-            }
+            {"coords": _pairs(pt), "real": rf, "residual": res, "multiplicity": mult}
             for pt, rf, res, mult in zip(
-                r1.solutions.distinct,
-                r1.solutions.real_flags,
-                r1.solutions.residuals,
-                r1.solutions.multiplicities,
+                sols.distinct,
+                sols.real_flags.tolist(),
+                sols.residuals.tolist(),
+                sols.multiplicities.tolist(),
             )
         ],
     }
@@ -358,15 +355,13 @@ def load_step1(path, sysm: ParamSystem) -> Step1Result:
         raise InputError(f"{path}: unsupported step1 artifact version")
     try:
         sols = doc["solutions"]
-        distinct = tuple(_unpairs(s["coords"]) for s in sols)
-        real_flags = tuple(bool(s["real"]) for s in sols)
+        distinct = np.array([_unpairs(s["coords"]) for s in sols], dtype=complex)
         classified = ClassifiedSolutions(
             distinct=distinct,
-            singular_flags=tuple(False for _ in sols),
-            real_flags=real_flags,
-            residuals=tuple(float(s["residual"]) for s in sols),
-            multiplicities=tuple(int(s["multiplicity"]) for s in sols),
-            n_real=sum(real_flags),
+            singular_flags=np.zeros(len(sols), dtype=bool),
+            real_flags=np.array([bool(s["real"]) for s in sols], dtype=bool),
+            residuals=np.array([float(s["residual"]) for s in sols]),
+            multiplicities=np.array([int(s["multiplicity"]) for s in sols], dtype=int),
         )
         r1 = Step1Result(
             p0=_unpairs(doc["p0"]),
@@ -382,19 +377,18 @@ def load_step1(path, sysm: ParamSystem) -> Step1Result:
         n_params = doc["n_params"]
     except KeyError as exc:
         raise InputError(f"{path}: artifact has no {exc.args[0]!r} entry") from None
-    except ValueError as exc:  # a non-finite p0 value or coordinate
+    except ValueError as exc:  # a non-finite number, or coordinate lists of two lengths
         raise InputError(f"{path}: {exc}") from None
     for what, n in (("parameters", n_params), ("p0 values", len(r1.p0))):
         if n != sysm.n_params:
             raise InputError(
                 f"{path}: artifact has {n} {what}, system has {sysm.n_params}"
             )
-    if not distinct:
+    if not len(distinct):
         raise InputError(f"{path}: artifact has no solutions to start Step 2 from")
-    wrong = [len(z) for z in distinct if len(z) != sysm.n_vars]
-    if wrong:
+    if distinct.shape[1] != sysm.n_vars:
         raise InputError(
-            f"{path}: artifact solutions have {wrong[0]} coordinates, "
+            f"{path}: artifact solutions have {distinct.shape[1]} coordinates, "
             f"system has {sysm.n_vars} variables"
         )
     return r1
@@ -508,11 +502,11 @@ def export_solutions_json(header: CollectedHeader, results: list[PointResult]) -
                 "true" if singular else "false",
                 "true" if real else "false",
                 mult,
-                "null" if math.isinf(res) else _json_float(float(res)),
+                "null" if math.isinf(res) else _json_float(res),
             )
             for coords, singular, real, mult, res in zip(
-                sols.distinct, sols.singular_flags, sols.real_flags,
-                sols.multiplicities, sols.residuals,
+                sols.distinct, sols.singular_flags.tolist(), sols.real_flags.tolist(),
+                sols.multiplicities.tolist(), sols.residuals.tolist(),
             )
         ]
         points.append(_POINT_JSON % (
@@ -554,9 +548,7 @@ def write_failure_report(sweep: SweepResult) -> str:
         pr for pr in sweep.point_results
         if pr.diverged_paths > 0 and pr.status is not PointStatus.UNRESOLVED
     ]
-    singular = [
-        pr for pr in sweep.point_results if any(pr.solutions.singular_flags)
-    ]
+    singular = [pr for pr in sweep.point_results if pr.solutions.singular_flags.any()]
     n_failed = len(unresolved) + len(retried)
     lines = [f"{n_failed} failed points "
              f"({len(unresolved)} unresolved, {len(retried)} resolved by retry)"]
@@ -590,7 +582,7 @@ def write_failure_report(sweep: SweepResult) -> str:
         lines.append("points with singular endpoints (degenerate targets; "
                       "not retried):")
         for pr in singular:
-            n_sing = sum(pr.solutions.singular_flags)
+            n_sing = int(pr.solutions.singular_flags.sum())
             lines.append(
                 f"  point {pr.index} at {_fmt_point(pr.p)}: {n_sing} singular "
                 f"of {len(pr.solutions)} solutions, status={pr.status.value}"
@@ -691,6 +683,9 @@ def cmd_solve(args) -> int:
         log.info("step1: %d solutions from %d paths", r1.n_solutions,
                  r1.paths_tracked_step1)
     else:
+        # the draws of the Step 1 that saved the artifact come first, so the
+        # retry rounds draw the p' values of that run
+        step1_draws(sysm, rng, inp.p0)
         log.info("step1: reusing %d solutions from %s", r1.n_solutions, args.reuse_step1)
     save_step1(os.path.join(out_dir, "step1.json"), r1)
 

@@ -7,7 +7,10 @@ writes the attempt it solved, and both files read back as
 (``split_records``) and copies the text of the attempt that stands into
 the collected file, with its retry count (``set_retries``); so
 ``write_collected`` takes the records as text.  Floats are written with
-``repr``, so reading a file back reproduces every value exactly.
+``repr``, so reading a file back reproduces every value exactly.  A
+record's solutions are a ``tracker.ClassifiedSolutions`` of arrays, one
+``S`` line per row; a record with no ``S`` line reads back as a record
+of 0 rows.
 
 Record layout (one parameter point per record)::
 
@@ -79,12 +82,10 @@ def serialize_record(pr: PointResult) -> str:
         f"{len(sols)} {_floats(pr.p)}"
     ]
     for coords, singular, real, mult, res in zip(
-        sols.distinct, sols.singular_flags, sols.real_flags,
-        sols.multiplicities, sols.residuals,
+        sols.distinct, sols.singular_flags.tolist(), sols.real_flags.tolist(),
+        sols.multiplicities.tolist(), sols.residuals.tolist(),
     ):
-        lines.append(
-            f"S {int(singular)} {int(real)} {mult} {float(res)!r} {_floats(coords)}"
-        )
+        lines.append(f"S {int(singular)} {int(real)} {mult} {res!r} {_floats(coords)}")
     if pr.note:
         lines.append(f"D {pr.index} {pr.note}")
     return "\n".join(lines) + "\n"
@@ -177,15 +178,18 @@ def parse_records(text: str) -> list[PointResult]:
                 ))
             except (IndexError, ValueError) as exc:
                 raise bad(f"malformed solution record: {exc}", j) from exc
-        distinct, singular, real, residuals, mults = tuple(zip(*rows)) or ((),) * 5
+        solutions = ClassifiedSolutions.empty(0)
+        if rows:
+            try:
+                solutions = ClassifiedSolutions(*map(np.array, zip(*rows)))
+            except ValueError:
+                raise bad(f"the solutions of point {index} differ in length", i) from None
         position[index] = len(records)
         records.append(
             PointResult(
                 index=index,
                 p=params,
-                solutions=ClassifiedSolutions(
-                    distinct, singular, real, residuals, mults, n_real=sum(real)
-                ),
+                solutions=solutions,
                 status=status,
                 retries_used=retries,
                 path_failures=failures,

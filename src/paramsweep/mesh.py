@@ -2,9 +2,9 @@
 
 A mesh is the Cartesian product of per-parameter grids, each axis either
 a fixed complex value or an inclusive real range.  Points are ordered
-with the FIRST parameter varying fastest; ``index_to_multi`` /
-``multi_to_index`` expose the exact bijection so grid-shaped exports can
-reshape the flat point list.
+with the FIRST parameter varying fastest: ``index_to_multi`` gives the
+grid position of a flat point index, as
+``np.unravel_index(index, counts, order="F")`` does.
 
 Point files are whitespace-separated real/imaginary pairs, one parameter
 point per line::
@@ -31,9 +31,7 @@ __all__ = [
     "PointList",
     "generate_mesh",
     "index_to_multi",
-    "multi_to_index",
     "load_param_file",
-    "format_param_file",
     "finite_float",
 ]
 
@@ -92,7 +90,6 @@ class MeshSpec:
 class PointList:
     points: tuple[np.ndarray, ...]
     source: str  # "mesh" or "file"
-    mesh: MeshSpec | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -105,7 +102,7 @@ def generate_mesh(spec: MeshSpec) -> PointList:
     for flat in range(spec.size):
         multi = index_to_multi(spec, flat)
         points.append(np.array([grids[j][multi[j]] for j in range(len(grids))]))
-    return PointList(points=tuple(points), source="mesh", mesh=spec)
+    return PointList(points=tuple(points), source="mesh")
 
 
 def index_to_multi(spec: MeshSpec, index: int) -> tuple[int, ...]:
@@ -116,19 +113,6 @@ def index_to_multi(spec: MeshSpec, index: int) -> tuple[int, ...]:
         multi.append(index % c)
         index //= c
     return tuple(multi)
-
-
-def multi_to_index(spec: MeshSpec, multi) -> int:
-    if len(multi) != spec.n_params:
-        raise IndexError("multi-index has wrong length")
-    index = 0
-    stride = 1
-    for m, c in zip(multi, spec.counts):
-        if not (0 <= m < c):
-            raise IndexError(f"multi-index {tuple(multi)} out of range")
-        index += m * stride
-        stride *= c
-    return index
 
 
 def finite_float(tok: str) -> float:
@@ -167,12 +151,3 @@ def load_param_file(text: str, n_params: int | None = None) -> PointList:
     if not points:
         raise ValueError("parameter file contains no points")
     return PointList(points=tuple(points), source="file")
-
-
-def format_param_file(points) -> str:
-    """Inverse of load_param_file (round-trips exactly)."""
-    lines = []
-    for p in points:
-        p = np.asarray(p, dtype=complex)
-        lines.append(" ".join(f"{float(c.real)!r} {float(c.imag)!r}" for c in p))
-    return "\n".join(lines) + "\n"

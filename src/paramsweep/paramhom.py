@@ -61,6 +61,7 @@ __all__ = [
     "SweepResult",
     "FaultInjection",
     "random_parameter_point",
+    "step1_draws",
     "step1",
     "verify_step1",
     "step2",
@@ -170,19 +171,6 @@ def random_parameter_point(n_params: int, rng: np.random.Generator) -> np.ndarra
     return vals[0::2] + 1j * vals[1::2]
 
 
-def _restrict_nonsingular(cls: ClassifiedSolutions) -> ClassifiedSolutions:
-    keep = [i for i, s in enumerate(cls.singular_flags) if not s]
-    real = tuple(cls.real_flags[i] for i in keep)
-    return ClassifiedSolutions(
-        distinct=tuple(cls.distinct[i] for i in keep),
-        singular_flags=tuple(False for _ in keep),
-        real_flags=real,
-        residuals=tuple(cls.residuals[i] for i in keep),
-        multiplicities=tuple(cls.multiplicities[i] for i in keep),
-        n_real=sum(real),
-    )
-
-
 _HARD_CODES = [s.code for s in HARD_FAILURES]
 
 
@@ -194,6 +182,24 @@ def _status_counts(paths: Paths) -> np.ndarray:
 def _by_value(counts: np.ndarray, statuses) -> tuple[tuple[str, int], ...]:
     """Sorted (status value, path count) pairs of the ``statuses`` with paths."""
     return tuple(sorted((s.value, int(counts[s.code])) for s in statuses if counts[s.code]))
+
+
+def step1_draws(
+    sys: ParamSystem, rng: np.random.Generator, p0: np.ndarray | None = None
+) -> tuple[np.ndarray, complex]:
+    """Step 1's random draws from ``rng``, in order: the start point p0,
+    unless ``p0`` pins it, then gamma.
+
+    A sweep from a saved Step 1 makes the same draws first, so that its
+    retry rounds draw the p' values of the run that saved it.
+    """
+    if p0 is not None:
+        p0 = np.asarray(p0, dtype=complex)
+        if p0.shape != (sys.n_params,):
+            raise ValueError(f"p0 must have length {sys.n_params}")
+    else:
+        p0 = random_parameter_point(sys.n_params, rng)
+    return p0, random_gamma(rng)
 
 
 def step1(
@@ -208,13 +214,7 @@ def step1(
     Tracks all prod(d_i) total-degree paths and stores the nonsingular
     finite endpoints; only those can seed Step 2 paths.
     """
-    if p0_override is not None:
-        p0 = np.asarray(p0_override, dtype=complex)
-        if p0.shape != (sys.n_params,):
-            raise ValueError(f"p0 must have length {sys.n_params}")
-    else:
-        p0 = random_parameter_point(sys.n_params, rng)
-    gamma = random_gamma(rng)
+    p0, gamma = step1_draws(sys, rng, p0_override)
 
     start = total_degree_start(variable_degrees(sys))
     h = build_homotopy(instantiate(sys, p0), start, gamma)
@@ -239,7 +239,8 @@ def step1(
             ", ".join(f"{k}:{v}" for k, v in statuses),
         )
 
-    solutions = _restrict_nonsingular(classify_endpoints(paths))
+    sols = classify_endpoints(paths)
+    solutions = sols[~sols.singular_flags]
     if len(solutions) == 0:
         raise Step1Empty(
             "generic solve found no nonsingular finite solutions; "
@@ -277,12 +278,13 @@ def verify_step1(
 def step2(
     sys: ParamSystem,
     from_point: np.ndarray,
-    starts: Sequence[np.ndarray],
+    starts: np.ndarray,
     targets: Sequence[np.ndarray],
     cfg: TrackerConfig,
     force_first_failure: Collection[int] = (),
 ) -> list[PointResult]:
-    """Parameter homotopies from_point -> each target, one path per start.
+    """Parameter homotopies from_point -> each target, one path per row of
+    the (l, N) array ``starts``.
 
     The paths of every target are tracked in one lock-step call, each with
     the result it gets when its target is solved alone.  Returns one
@@ -328,9 +330,10 @@ class PointVerdict(NamedTuple):
 
 
 # A round runner solves a set of targets from a common start point and
-# its start solutions, and maps each index to its PointSummary, or to a
-# diagnostic string when the worker solving it crashed.
-RoundRunner = Callable[[int, list[int], np.ndarray, Sequence[np.ndarray]], dict]
+# its (l, N) array of start solutions, and maps each index to its
+# PointSummary, or to a diagnostic string when the worker solving it
+# crashed.
+RoundRunner = Callable[[int, list[int], np.ndarray, np.ndarray], dict]
 
 
 def sweep_with_runner(
@@ -382,7 +385,7 @@ def sweep_with_runner(
         prime = step2(sys, r1.p0, r1.solutions.distinct, [p_prime], cfg)[0]
         total_paths += n_starts
         k += 1
-        s_prime = _restrict_nonsingular(prime.solutions)
+        s_prime = prime.solutions[~prime.solutions.singular_flags]
         if prime.status is not PointStatus.COMPLETE or len(s_prime) < n_starts:
             log.warning(
                 "mitigation round %d: solve at fresh start point lost paths; skipped",

@@ -2,21 +2,21 @@
 
 A single coordinator hands batches of parameter points to worker
 processes on demand (a worker asks for more by reporting its finished
-batch), each batch with its round's start point and start solutions, and
-sends kill messages once the queue drains.  Workers solve all points of a
-batch in one ``step2`` call, which returns each attempt as a ``PointResult``
-with its status; a worker stamps each with its point index and round and
-writes it straight to a per-worker spill file ``step2_worker<k>.part``;
-the file's own buffer is flushed before the batch is reported done.  The
-report carries a ``PointSummary`` per point (its status and timings),
-which is all the retry policy (``paramhom.sweep_with_runner``) needs: the
-spill files are the only store of the solutions.  A worker
-sends each report whole before it goes on, so a worker that crashes
-between reports blocks no other worker's.  After the sweep the
-coordinator merges the spill files into the collected data file: it
-copies the text of each point's standing record, setting only the
-retries the policy decided, parses the merged records once into
-the sweep's point results, and deletes the spill files.
+batch), each batch with its round's start point and its (l, N) array of
+start solutions, and sends kill messages once the queue drains.  Workers
+solve all points of a batch in one ``step2`` call, which returns each
+attempt as a ``PointResult`` with its status; a worker stamps each with
+its point index and round and writes it straight to a per-worker spill
+file ``step2_worker<k>.part``; the file's own buffer is flushed before
+the batch is reported done.  The report carries a ``PointSummary`` per
+point (its status and timings), which is all the retry policy
+(``paramhom.sweep_with_runner``) needs: the spill files are the only
+store of the solutions.  A worker sends each report whole before it goes
+on, so a worker that crashes between reports blocks no other worker's.
+After the sweep the coordinator merges the spill files into the
+collected data file: it copies the text of each point's standing record,
+setting only the retries the policy decided, parses the merged records
+once into the sweep's point results, and deletes the spill files.
 With one worker no process is started, and the coordinator runs each
 batch itself through the same batch function.
 
@@ -35,7 +35,6 @@ import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -133,7 +132,7 @@ def _run_batch(
     job: _Job,
     batch: WorkBatch,
     from_point: np.ndarray,
-    starts: Sequence[np.ndarray],
+    starts: np.ndarray,
     sink,
 ) -> list[PointSummary]:
     """Solve one batch, spill a record per point and summarize each point.
@@ -374,7 +373,7 @@ def _merge_part_files(
                 PointResult(
                     index=v.index,
                     p=points[v.index],
-                    solutions=ClassifiedSolutions((), (), (), (), ()),
+                    solutions=ClassifiedSolutions.empty(header.n_vars),
                     status=PointStatus.UNRESOLVED,
                     retries_used=v.retries_used,
                     path_failures=n_starts,

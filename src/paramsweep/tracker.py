@@ -59,11 +59,18 @@ paths of the batch, the other targets of the stack, their number or their
 order.  It is bit-for-bit identical to tracking that start alone in a
 batch of one on a homotopy of its target alone, and identical inputs give
 identical results.
+
+``classify_endpoints`` merges the successful endpoints of one target, or
+of a whole stack, into a ``ClassifiedSolutions`` record, also one array
+per field: the (n, N) distinct roots, and their singular and real flags,
+residuals and multiplicities, each (n,).  ``n_real`` is derived from the
+real flags, and indexing a record indexes every field, so
+``sols[~sols.singular_flags]`` keeps the nonsingular roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -204,23 +211,6 @@ def _solve(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([x_lo, x_hi]), np.concatenate([ok_lo, ok_hi])
 
 
-def _condition_estimate(jac: np.ndarray) -> np.ndarray:
-    """inf-norm condition number of each matrix of a (B, N, N) stack.
-
-    Singular matrices get inf.  As in ``_solve``, a stack that LAPACK
-    rejects is split in halves.
-    """
-    try:
-        inv = np.linalg.inv(jac)
-    except np.linalg.LinAlgError:
-        if len(jac) == 1:
-            return np.array([np.inf])
-        mid = len(jac) // 2
-        return np.concatenate([_condition_estimate(jac[:mid]), _condition_estimate(jac[mid:])])
-    c = np.abs(jac).sum(axis=2).max(axis=1) * np.abs(inv).sum(axis=2).max(axis=1)
-    return np.where(np.isfinite(c), c, np.inf)
-
-
 def _predict(
     h: Homotopy, z: np.ndarray, t: np.ndarray, dt: np.ndarray, point: np.ndarray
 ):
@@ -326,13 +316,13 @@ def _sharpen(target: InstantiatedSystem, z: np.ndarray):
 
 
 def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> Paths:
-    """Track every solution of H(., 1) = 0 in ``starts`` to t = 0, in lock-step,
-    on every homotopy of the stack ``h``.
+    """Track every solution of H(., 1) = 0 in ``starts``, an (l, N) array,
+    to t = 0, in lock-step, on every homotopy of the stack ``h``.
 
     Returns the ``Paths`` record of the stack: entry [k, i] of each field
     is start i tracked on target k.
     """
-    z = np.array([np.asarray(s, dtype=complex) for s in starts]).reshape(-1, h.n_vars)
+    z = np.asarray(starts, dtype=complex).reshape(-1, h.n_vars)
     shape = (h.n_points, len(z))
     # row b tracks start b % len(starts) on target point[b]
     point = np.repeat(np.arange(h.n_points), len(z))
@@ -415,7 +405,7 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> Paths:
         passed = np.isfinite(z[done]).all(axis=1) & (residual[done] < 10 * NEWTON_TOL)
         status[done[~passed]] = PathStatus.NEWTON_FAILURE.code
         status[done[passed]] = PathStatus.SUCCESS.code
-        condition[done[passed]] = _condition_estimate(jac[passed])
+        condition[done[passed]] = np.linalg.cond(jac[passed], np.inf)
     failed = status != PathStatus.SUCCESS.code
     z[failed] = np.nan
     residual[failed] = np.inf
@@ -446,17 +436,36 @@ def crossing_check(points, tol: float) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class ClassifiedSolutions:
-    """Deduplicated endpoints with singularity/reality flags."""
+    """Deduplicated endpoints with singularity/reality flags, one array per field.
 
-    distinct: tuple[np.ndarray, ...]
-    singular_flags: tuple[bool, ...]
-    real_flags: tuple[bool, ...]
-    residuals: tuple[float, ...]
-    multiplicities: tuple[int, ...]
-    n_real: int = field(default=0)
+    ``distinct`` is (n, N) complex, one row per solution; ``singular_flags``
+    and ``real_flags`` are (n,) bool, ``residuals`` (n,) float and
+    ``multiplicities`` (n,) int.  Indexing a record indexes every field:
+    ``sols[~sols.singular_flags]`` is the nonsingular solutions.
+    """
+
+    distinct: np.ndarray
+    singular_flags: np.ndarray
+    real_flags: np.ndarray
+    residuals: np.ndarray
+    multiplicities: np.ndarray
+
+    @classmethod
+    def empty(cls, n_vars: int) -> ClassifiedSolutions:
+        """The record of no solutions in ``n_vars`` variables."""
+        none = np.empty(0, dtype=bool)
+        return cls(np.empty((0, n_vars), dtype=complex), none, none, np.empty(0),
+                   np.empty(0, dtype=int))
 
     def __len__(self) -> int:
         return len(self.distinct)
+
+    def __getitem__(self, key) -> ClassifiedSolutions:
+        return ClassifiedSolutions(*(getattr(self, f.name)[key] for f in fields(self)))
+
+    @property
+    def n_real(self) -> int:
+        return int(self.real_flags.sum())
 
 
 def classify_endpoints(paths: Paths) -> ClassifiedSolutions:
@@ -495,11 +504,4 @@ def classify_endpoints(paths: Paths) -> ClassifiedSolutions:
         (mult > 1) | (good.condition[rep] > SINGULAR_CONDITION) | ~good.sharpened[rep]
     )
     real = np.abs(endpoint[rep].imag).max(axis=1, initial=0.0) < REAL_TOL
-    return ClassifiedSolutions(
-        distinct=tuple(endpoint[rep]),
-        singular_flags=tuple(singular.tolist()),
-        real_flags=tuple(real.tolist()),
-        residuals=tuple(residual[rep].tolist()),
-        multiplicities=tuple(mult.tolist()),
-        n_real=int(real.sum()),
-    )
+    return ClassifiedSolutions(endpoint[rep], singular, real, residual[rep], mult)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 
@@ -12,6 +13,7 @@ from paramsweep.cli import (
     load_step1,
     main,
     parse_input_file,
+    save_step1,
     write_failure_report,
     write_timing_summary,
 )
@@ -357,6 +359,33 @@ def test_solve_step1_only_and_reuse(tmp_path, caplog):
     assert np.array_equal(header.p0, r1.p0)
 
 
+@pytest.mark.parametrize("p0", [None, "0.3 0.2 0.1 0.4"])
+def test_reused_step1_reproduces_a_run_that_retried(tmp_path, p0):
+    # the retry rounds draw their p' after Step 1's draws (p0 unless CONFIG
+    # pins it, then gamma), so a sweep from the saved Step 1 makes them too
+    text = CUBE_INPUT if p0 is None else CUBE_INPUT.replace(
+        "  seed: 7;", f"  seed: 7;\n  p0: {p0};"
+    )
+    inp = _write_input(tmp_path, text)
+    first, again = tmp_path / "first", tmp_path / "again"
+    flags = ["--inject-failure-at", "3,7"]
+    assert main(["solve", inp, "--out", str(first), *flags]) == 0
+    assert main(["solve", inp, "--out", str(again), "--reuse-step1", str(first), *flags]) == 0
+    assert "points resolved after retries:" in (first / "failure_report.txt").read_text()
+    for name in ("collected.dat", "solutions.json", "failure_report.txt", "step1.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_step1_artifact_round_trips_the_solutions(tmp_path, cube_system):
+    r1 = step1(cube_system, TrackerConfig(), np.random.default_rng(7))
+    save_step1(tmp_path / "step1.json", r1)
+    back = load_step1(tmp_path / "step1.json", cube_system)
+    for field in dataclasses.fields(ClassifiedSolutions):
+        a, b = getattr(r1.solutions, field.name), getattr(back.solutions, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+    assert np.array_equal(back.p0, r1.p0) and back.gamma == r1.gamma
+
+
 def test_load_step1_without_path_statuses(tmp_path):
     inp = _write_input(tmp_path)
     out = tmp_path / "run"
@@ -520,6 +549,7 @@ ONE_SQUARE_INPUT = TWO_SQUARES_INPUT.replace("variable x, y;", "variable z;").re
     ("no solutions", "artifact has no solutions"),
     ("long p0", "artifact has 2 p0 values, system has 1"),
     ("nan coordinate", "non-finite value nan"),
+    ("ragged coordinates", "setting an array element with a sequence"),
 ])
 def test_solve_refuses_a_step1_artifact_that_does_not_fit(tmp_path, caplog, case, message):
     # read before the run directory is made; the two systems have one
@@ -544,6 +574,8 @@ def test_solve_refuses_a_step1_artifact_that_does_not_fit(tmp_path, caplog, case
         doc["p0"].append([0.5, 0.25])
     elif case == "nan coordinate":
         doc["solutions"][1]["coords"][0][1] = float("nan")
+    elif case == "ragged coordinates":
+        doc["solutions"][1]["coords"].append([0.5, 0.25])
     if case == "missing file":
         artifact.unlink()
     else:
@@ -698,22 +730,25 @@ def test_solutions_json_is_what_json_dumps_writes(seed, names):
         PointResult(  # out of index order: the export sorts
             index=2, p=np.array([1.5 + 0j, -2.0 - 0.0j]),
             solutions=ClassifiedSolutions(
-                (odd[:2], odd[2:], np.array([0.1 + 0.2j, 3.0 + 0j])),
-                (False, True, True), (False, False, True),
-                (1e-12, float("inf"), float("-inf")), (1, 2, 3), n_real=1,
+                np.array([odd[:2], odd[2:], [0.1 + 0.2j, 3.0 + 0j]]),
+                np.array([False, True, True]), np.array([False, False, True]),
+                np.array([1e-12, float("inf"), float("-inf")]), np.array([1, 2, 3]),
             ),
             status=PointStatus.HAD_FAILURES, retries_used=1, path_failures=0,
             diverged_paths=2, failure_kinds=(("diverged", 2),), round=1,
         ),
         PointResult(
             index=0, p=np.array([0.1 + 0j, 0.2 + 0j]),
-            solutions=ClassifiedSolutions((), (), (), (), ()),
+            solutions=ClassifiedSolutions.empty(2),
             status=PointStatus.UNRESOLVED, retries_used=2, path_failures=6,
             diverged_paths=0, note='crashed: "twice" \\ caf\u00e9 \u2603',
         ),
         PointResult(
             index=1, p=np.array([float("nan") + 0j, 0j]),
-            solutions=ClassifiedSolutions((odd[1:3],), (False,), (True,), (float("nan"),), (1,)),
+            solutions=ClassifiedSolutions(
+                odd[None, 1:3], np.array([False]), np.array([True]),
+                np.array([float("nan")]), np.array([1]),
+            ),
             status=PointStatus.COMPLETE, retries_used=0, path_failures=0, diverged_paths=0,
         ),
     ]

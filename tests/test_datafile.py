@@ -16,17 +16,25 @@ from paramsweep.paramhom import PointResult, PointStatus
 from paramsweep.tracker import ClassifiedSolutions
 
 
+def _solutions(distinct):
+    """Nonsingular, nonreal solutions of multiplicity 1 at the rows of ``distinct``."""
+    n = len(distinct)
+    return ClassifiedSolutions(
+        distinct, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool), np.full(n, 1e-12),
+        np.ones(n, dtype=int),
+    )
+
+
 def _sample_record(idx=3, note=""):
     return PointResult(
         index=idx,
         p=np.array([0.5 - 0.25j, 1.0 + 0j]),
         solutions=ClassifiedSolutions(
-            distinct=(np.array([1.234567890123456e-3 + 1j]), np.array([-1.0 + 0j])),
-            singular_flags=(False, True),
-            real_flags=(False, True),
-            residuals=(3.2e-12, float("inf")),
-            multiplicities=(1, 2),
-            n_real=1,
+            distinct=np.array([[1.234567890123456e-3 + 1j], [-1.0 + 0j]]),
+            singular_flags=np.array([False, True]),
+            real_flags=np.array([False, True]),
+            residuals=np.array([3.2e-12, float("inf")]),
+            multiplicities=np.array([1, 2]),
         ),
         status=PointStatus.HAD_FAILURES,
         retries_used=1,
@@ -48,11 +56,10 @@ def test_record_roundtrip_exact():
     assert b.failure_kinds == rec.failure_kinds
     assert np.array_equal(b.p, rec.p)
     sa, sb = rec.solutions, b.solutions
-    assert all(np.array_equal(x, y) for x, y in zip(sa.distinct, sb.distinct))
-    assert sb.residuals == sa.residuals  # inf == inf
-    assert (sb.singular_flags, sb.real_flags, sb.multiplicities, sb.n_real) == (
-        sa.singular_flags, sa.real_flags, sa.multiplicities, sa.n_real,
-    )
+    for field in dataclasses.fields(sa):  # inf == inf
+        x, y = getattr(sa, field.name), getattr(sb, field.name)
+        assert x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x, y)
+    assert sb.n_real == sa.n_real == 1
 
 
 def _spill_text(*records):
@@ -77,9 +84,7 @@ def test_truncated_tail_dropped_when_tolerated():
 def test_record_cut_inside_a_number_dropped_when_tolerated():
     last = dataclasses.replace(
         _sample_record(2),
-        solutions=ClassifiedSolutions(
-            (np.array([1.0 + 0.123456789j]),), (False,), (False,), (1e-12,), (1,)
-        ),
+        solutions=_solutions(np.array([[1.0 + 0.123456789j]])),
     )
     first = _spill_text(_sample_record(1))
     cut = (first + _spill_text(last))[:-3]
@@ -92,7 +97,7 @@ def test_complex_values_roundtrip_bit_for_bit():
     coords = np.array([complex(1.5, -0.0), complex(-0.0, np.inf), complex(2.0, np.nan)])
     rec = PointResult(
         index=0, p=coords[:1],
-        solutions=ClassifiedSolutions((coords,), (False,), (False,), (1e-12,), (1,)),
+        solutions=_solutions(coords[None]),
         status=PointStatus.COMPLETE, retries_used=0, path_failures=0, diverged_paths=0,
     )
     text = serialize_record(rec)
@@ -146,7 +151,9 @@ def test_read_collected_rejects_garbage(tmp_path):
      "'# p0' line has 3 values, nparams=2"),
     ("2 0.5 -0.25 1.0 0.0\n", "2 0.5 -0.25 1.0 0.0 2.0 0.0\n",
      "the record of point 0 has 3 parameter values, nparams=2"),
-], ids=["nvars", "p0-odd", "p0-count", "record-params"])
+    (" inf -1.0 0.0\n", " inf -1.0 0.0 2.0 0.0\n",
+     "line 5: the solutions of point 0 differ in length"),
+], ids=["nvars", "p0-odd", "p0-count", "record-params", "ragged-solutions"])
 def test_read_collected_names_what_is_wrong(tmp_path, old, new, message):
     header = CollectedHeader(
         n_vars=1, n_params=2, n_points=2, step1_paths=6, seed=7, max_retries=3,

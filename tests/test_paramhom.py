@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from paramsweep import paramhom
 from paramsweep.paramhom import (
     FaultInjection,
     PointStatus,
@@ -13,6 +14,7 @@ from paramsweep.paramhom import (
     random_parameter_point,
     repeated_homotopy_path_count,
     step1,
+    step1_draws,
     step2,
     sweep_with_runner,
     verify_step1,
@@ -20,7 +22,8 @@ from paramsweep.paramhom import (
 from paramsweep.datafile import serialize_record
 from paramsweep.poly import parse_system
 from paramsweep.scheduler import run_parallel
-from paramsweep.tracker import TrackerConfig
+from paramsweep.startsys import random_gamma
+from paramsweep.tracker import TrackerConfig, classify_endpoints
 from conftest import set_distance
 
 CFG = TrackerConfig()
@@ -99,6 +102,41 @@ def test_step1_user_supplied_p0(quad_system):
     assert set_distance(r1.solutions.distinct, [[root], [-root]]) < 1e-8
 
 
+def test_step1_keeps_only_the_nonsingular_solutions(monkeypatch):
+    # (z - p)^2 (z + 1): the two paths to the double root p end on rows
+    # flagged singular, and only the simple root -1 seeds Step 2
+    sysm = parse_system("variable z; parameter p; function f; f = (z - p)^2*(z + 1);")
+    classified = []
+
+    def spy(paths):
+        classified.append(classify_endpoints(paths))
+        return classified[-1]
+
+    monkeypatch.setattr(paramhom, "classify_endpoints", spy)
+    r1 = step1(sysm, CFG, np.random.default_rng(3))
+    (sols,) = classified
+    assert sols.singular_flags.sum() == 2
+    assert not r1.solutions.singular_flags.any()
+    assert r1.solutions.distinct.shape == (1, 1)
+    assert abs(r1.solutions.distinct[0, 0] + 1) < 1e-12
+    assert r1.solutions.real_flags.tolist() == [True]
+
+
+def test_step1_draws_p0_then_gamma(quad_system):
+    # step1 makes these draws before it tracks, and no others
+    rng = np.random.default_rng(4)
+    r1 = step1(quad_system, CFG, rng)
+    drawn = np.random.default_rng(4)
+    p0, gamma = step1_draws(quad_system, drawn)
+    assert np.array_equal(r1.p0, p0) and r1.gamma == gamma
+    assert rng.random() == drawn.random()
+    # a pinned p0 is not drawn
+    pinned = np.array([2.0 + 1.0j])
+    p0, gamma = step1_draws(quad_system, np.random.default_rng(4), pinned)
+    assert np.array_equal(p0, pinned)
+    assert gamma == random_gamma(np.random.default_rng(4))
+
+
 def test_step1_empty_raises():
     # p*z - 1 at generic p has one solution, but every total-degree path
     # for p=0 target... instead use a system with no finite solutions at
@@ -129,13 +167,9 @@ def test_verify_step1_detects_mismatch(quad_system, monkeypatch):
     )
 
     def fake_step1(*a, **k):
-        from paramsweep.tracker import ClassifiedSolutions
-
         return ph.Step1Result(
             p0=r1.p0,
-            solutions=ClassifiedSolutions(
-                r1.solutions.distinct[:1], (False,), (False,), (0.0,), (1,), 0
-            ),
+            solutions=r1.solutions[:1],
             paths_tracked_step1=2,
             seed=None,
             gamma=r1.gamma,

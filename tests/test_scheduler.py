@@ -330,11 +330,12 @@ def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, monkeypatch,
 
 
 def _attempt(index, rnd, failures=0):
-    roots = (np.array([0.1 * index + 1j, -2.5e-7]), np.array([float(rnd), -0.0]))
+    roots = np.array([[0.1 * index + 1j, -2.5e-7], [float(rnd), -0.0]])
     return PointResult(
         index=index, p=np.array([index + 0.5j]),
         solutions=ClassifiedSolutions(
-            roots, (False, True), (False, True), (1e-13, 3e-9), (1, 2), n_real=1
+            roots, np.array([False, True]), np.array([False, True]),
+            np.array([1e-13, 3e-9]), np.array([1, 2]),
         ),
         status=PointStatus.UNRESOLVED if failures else PointStatus.COMPLETE,
         retries_used=0, path_failures=failures, diverged_paths=0,
@@ -369,7 +370,7 @@ def test_merge_copies_the_standing_spill_records(tmp_path):
         dataclasses.replace(a1_retry, retries_used=1),
         a2,
         PointResult(
-            index=3, p=points[3], solutions=ClassifiedSolutions((), (), (), (), ()),
+            index=3, p=points[3], solutions=ClassifiedSolutions.empty(2),
             status=PointStatus.UNRESOLVED, retries_used=0, path_failures=2,
             diverged_paths=0, note="worker crashed twice",
         ),
