@@ -27,16 +27,16 @@ start point ``p0: re im re im ...;`` and ``param_file: <path>;`` as the
 alternative to a MESH section (exactly one of the two must be present).
 ``verify_step1`` takes 1/0/true/false/yes/no/on/off in any case; the other
 numbers must be integers, and parameter values must be finite.
-Command-line flags override CONFIG values.  ``%`` and ``#``
-start comments.
+Command-line flags override CONFIG values, and a CONFIG value is checked
+even when a flag overrides it.  ``%`` and ``#`` start comments.
 
 A run directory receives::
 
-    collected.dat       merged results, one record per parameter point
+    collected.dat       the sweep's results, one record per parameter point
     step1.json          the generic-solve artifact (reusable via --reuse-step1)
     solutions.json      full machine-readable dump
     failure_report.txt  failed/retried/degenerate points
-    timing_summary.txt  per-point wall-clock records; a point's tracking
+    timing_summary.txt  per-point tracking seconds; a point's tracking
                         time is its equal share of its batch's
     real_counts.csv     grid export (mesh runs with --export-csv)
 
@@ -298,12 +298,11 @@ def _build_tracker_config(config: dict) -> TrackerConfig:
 
 
 def _sweep_setting(config: dict, args, key: str, default):
+    """The flag's value, else the CONFIG value, else ``default``; a bad
+    CONFIG value is refused even when the flag overrides it."""
+    value = _parse_int(key, config[key]) if key in config else default
     cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    if key in config:
-        return _parse_int(key, config[key])
-    return default
+    return value if cli_val is None else cli_val
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +590,12 @@ def write_failure_report(sweep: SweepResult) -> str:
 
 
 def write_timing_summary(sweep: SweepResult) -> str:
-    lines = ["index track_seconds serialize_seconds"]
+    lines = ["index track_seconds"]
     # stable: the retry rounds of one index stay in round order
     for rec in sorted(sweep.timings, key=lambda r: r.index):
-        lines.append(f"{rec.index} {rec.track_seconds:.6f} {rec.serialize_seconds:.6f}")
+        lines.append(f"{rec.index} {rec.track_seconds:.6f}")
     total_track = sum(r.track_seconds for r in sweep.timings)
-    total_ser = sum(r.serialize_seconds for r in sweep.timings)
-    lines.append(f"# totals: points={len(sweep.timings)} "
-                 f"track={total_track:.3f}s serialize={total_ser:.3f}s")
+    lines.append(f"# totals: points={len(sweep.timings)} track={total_track:.3f}s")
     return "\n".join(lines) + "\n"
 
 
@@ -661,9 +658,9 @@ def cmd_solve(args) -> int:
     max_retries = _sweep_setting(inp.config, args, "max_retries", 2)
     batch_size = _sweep_setting(inp.config, args, "batch_size", None)
     check_sweep_settings(workers, max_retries, batch_size)
-    do_verify = args.verify_step1 or _parse_bool(
+    do_verify = _parse_bool(
         "verify_step1", inp.config.get("verify_step1", "0")
-    )
+    ) or args.verify_step1
     r1 = None
     if args.reuse_step1:
         r1 = load_step1(os.path.join(args.reuse_step1, "step1.json"), sysm)

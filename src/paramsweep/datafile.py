@@ -1,16 +1,12 @@
-"""Line-oriented text format for sweep records.
+"""Line-oriented text format of the collected data file.
 
-One format serves both the per-worker spill files and the final collected
-data file, and each record is one ``paramhom.PointResult``: the worker
-writes the attempt it solved, and both files read back as
-``PointResult``s.  The merge splits the spill files into record texts
-(``split_records``) and copies the text of the attempt that stands into
-the collected file, with its retry count (``set_retries``); so
-``write_collected`` takes the records as text.  Floats are written with
-``repr``, so reading a file back reproduces every value exactly.  A
-record's solutions are a ``tracker.ClassifiedSolutions`` of arrays, one
-``S`` line per row; a record with no ``S`` line reads back as a record
-of 0 rows.
+Each record is one ``paramhom.PointResult``: the coordinator writes each
+point's result once, after the sweep (``write_collected``), and
+``read_collected`` reads the file back as ``PointResult``s.  Floats are
+written with ``repr``, so reading a file back reproduces every value
+exactly.  A record's solutions are a ``tracker.ClassifiedSolutions`` of
+arrays, one ``S`` line per row; a record with no ``S`` line reads back
+as a record of 0 rows.
 
 Record layout (one parameter point per record)::
 
@@ -18,9 +14,9 @@ Record layout (one parameter point per record)::
     S <singular> <real> <multiplicity> <residual> <re im ...>     (x nsols)
     D <index> <free-text note>                                    (optional)
 
-``kinds`` is ``-`` or comma-joined ``name:count`` pairs.  The ``nsols``
-count lets ``split_records`` detect and drop a record truncated by a
-crashed writer.  The collected file carries a ``#`` header block in front.
+``kinds`` is ``-`` or comma-joined ``name:count`` pairs, and ``nsols``
+counts the ``S`` lines that follow.  The collected file carries a ``#``
+header block in front.
 """
 
 from __future__ import annotations
@@ -34,8 +30,6 @@ from paramsweep.tracker import ClassifiedSolutions
 
 __all__ = [
     "serialize_record",
-    "split_records",
-    "set_retries",
     "parse_records",
     "write_collected",
     "read_collected",
@@ -89,43 +83,6 @@ def serialize_record(pr: PointResult) -> str:
     if pr.note:
         lines.append(f"D {pr.index} {pr.note}")
     return "\n".join(lines) + "\n"
-
-
-def split_records(text: str) -> list[tuple[int, int, str]]:
-    """Split a spill file into its complete records, as ``(index, round,
-    text)``, without parsing their numbers.
-
-    A crashed writer can stop anywhere, inside a number too, which would
-    still parse: the text is cut at its last newline, and a record with
-    fewer ``S`` lines than its ``nsols`` ends the file.
-    """
-    lines = text[: text.rfind("\n") + 1].splitlines(keepends=True)
-    records = []
-    i = 0
-    while i < len(lines):
-        toks = lines[i].split(" ", 9)
-        if toks[0] != "P":
-            raise ValueError(f"line {i + 1}: expected record line, got {lines[i][:40]!r}")
-        try:
-            index, rnd, nsols = int(toks[1]), int(toks[2]), int(toks[8])
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"line {i + 1}: malformed point record: {exc}") from exc
-        end = i + 1 + nsols
-        if end > len(lines) or not all(
-            line.startswith("S ") for line in lines[i + 1 : end]
-        ):
-            break
-        records.append((index, rnd, "".join(lines[i:end])))
-        i = end
-    return records
-
-
-def set_retries(text: str, retries: int) -> str:
-    """The text of a record with ``retries`` in place of its retry count;
-    every other byte is copied as written."""
-    head = text.split(" ", 5)  # "P <index> <round> <status> <retries> <rest>"
-    head[4] = str(retries)
-    return " ".join(head)
 
 
 def parse_records(text: str) -> list[PointResult]:
@@ -215,8 +172,8 @@ class CollectedHeader:
     param_names: tuple[str, ...] = ()
 
 
-def write_collected(path, header: CollectedHeader, body: str) -> None:
-    """Write the header block, then ``body``, the records as text."""
+def write_collected(path, header: CollectedHeader, results: list[PointResult]) -> None:
+    """Write the header block, then one record per result."""
     names = header.param_names or tuple(
         f"p{i}" for i in range(header.n_params)
     )
@@ -230,7 +187,8 @@ def write_collected(path, header: CollectedHeader, body: str) -> None:
         )
         f.write(f"# params {' '.join(names)}\n")
         f.write(f"# p0 {_floats(header.p0)}\n")
-        f.write(body)
+        for pr in results:
+            f.write(serialize_record(pr))
 
 
 def read_collected(path) -> tuple[CollectedHeader, list[PointResult]]:
@@ -276,7 +234,19 @@ def read_collected(path) -> tuple[CollectedHeader, list[PointResult]]:
         param_names=param_names,
     )
     records = parse_records(text)  # skips the header's "#" lines
-    for r in records:
+    # parse_records makes one record per "P" line, in file order
+    record_lines = (
+        n for n, line in enumerate(lines, start=1) if line.strip().startswith("P ")
+    )
+    seen = set()
+    for r, lineno in zip(records, record_lines):
+        if not 0 <= r.index < header.n_points:
+            raise ValueError(
+                f"line {lineno}: point index {r.index} is outside [0, {header.n_points})"
+            )
+        if r.index in seen:
+            raise ValueError(f"line {lineno}: point index {r.index} repeats")
+        seen.add(r.index)
         if len(r.p) != header.n_params:
             raise ValueError(
                 f"collected data file: the record of point {r.index} has "

@@ -2,9 +2,8 @@
 
 A mesh is the Cartesian product of per-parameter grids, each axis either
 a fixed complex value or an inclusive real range.  Points are ordered
-with the FIRST parameter varying fastest: ``index_to_multi`` gives the
-grid position of a flat point index, as
-``np.unravel_index(index, counts, order="F")`` does.
+with the FIRST parameter varying fastest: point i lies at the grid
+position ``np.unravel_index(i, counts, order="F")``.
 
 Point files are whitespace-separated real/imaginary pairs, one parameter
 point per line::
@@ -30,7 +29,6 @@ __all__ = [
     "MeshSpec",
     "PointList",
     "generate_mesh",
-    "index_to_multi",
     "load_param_file",
     "finite_float",
 ]
@@ -97,22 +95,9 @@ class PointList:
 
 def generate_mesh(spec: MeshSpec) -> PointList:
     """Cartesian product of the axis grids, first parameter fastest."""
-    grids = [ax.grid() for ax in spec.axes]
-    points = []
-    for flat in range(spec.size):
-        multi = index_to_multi(spec, flat)
-        points.append(np.array([grids[j][multi[j]] for j in range(len(grids))]))
+    axes = np.meshgrid(*(ax.grid() for ax in spec.axes), indexing="ij")
+    points = np.stack([a.ravel(order="F") for a in axes], axis=1)
     return PointList(points=tuple(points), source="mesh")
-
-
-def index_to_multi(spec: MeshSpec, index: int) -> tuple[int, ...]:
-    if not (0 <= index < spec.size):
-        raise IndexError(f"index {index} out of range for mesh of {spec.size}")
-    multi = []
-    for c in spec.counts:
-        multi.append(index % c)
-        index //= c
-    return tuple(multi)
 
 
 def finite_float(tok: str) -> float:

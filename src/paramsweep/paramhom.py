@@ -15,20 +15,19 @@ points costs m + k*l paths (one generic solve of m paths plus l paths per
 point) instead of k*m for repeated one-off solves.
 
 A solved point is a ``PointResult`` from ``step2`` to the exports: the
-spill record, the collected data file and the sweep's results all hold
-it, and ``step2`` gives each attempt its status (``attempt_status``).
-The retry policy, ``sweep_with_runner``, sees only a ``PointSummary`` per
-attempt (its status and timings), never the solutions, and decides what
-a spill record cannot know: the retries and the round that stands, or
-the note on a point whose worker crashed.  ``scheduler.run_parallel`` is
-the sweep entry point: it supplies the round runner and reads the
-results back from the spill files.
+worker's report, the collected data file and the sweep's results all
+hold it, and ``step2`` gives each attempt its status (``attempt_status``).
+The retry policy, ``sweep_with_runner``, keeps the newest attempt per
+point and adds what no attempt knows: its retries, or the Unresolved
+record of a point whose worker crashed.  ``scheduler.run_parallel`` is
+the sweep entry point: it supplies the round runner and writes the
+results to the collected data file.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Collection, NamedTuple, Sequence
 
@@ -103,7 +102,8 @@ class PointStatus(Enum):
 
 @dataclass(frozen=True)
 class PointResult:
-    """One attempt at one point, and once merged, the point's result."""
+    """One attempt at one point, and once the retry policy has kept it,
+    the point's result."""
 
     index: int
     p: np.ndarray
@@ -128,18 +128,15 @@ def attempt_status(failures: int, diverged: int) -> PointStatus:
 
 
 class PointSummary(NamedTuple):
-    """A round runner's report on one attempt, and the sweep's timing record.
+    """The sweep's timing record of one attempt.
 
-    The solutions are in the spill record of the attempt; the status is
-    all the retry policy needs.  ``track_seconds`` is the point's equal
-    share of its batch's tracking time, since every point of a batch is
-    tracked in one call.
+    ``track_seconds`` is the point's equal share of its batch's tracking
+    time, since every point of a batch is tracked in one call.
     """
 
     index: int
     status: PointStatus
     track_seconds: float
-    serialize_seconds: float
 
 
 @dataclass
@@ -316,23 +313,10 @@ def step2(
     return attempts
 
 
-class PointVerdict(NamedTuple):
-    """What the coordinator adds to the spill record of one point.
-
-    ``standing`` is the round of the attempt that stands, whose spill
-    record holds the solutions and the status, or the diagnostic note of a
-    point whose worker crashed.
-    """
-
-    index: int
-    retries_used: int
-    standing: int | str
-
-
 # A round runner solves a set of targets from a common start point and
-# its (l, N) array of start solutions, and maps each index to its
-# PointSummary, or to a diagnostic string when the worker solving it
-# crashed.
+# its (l, N) array of start solutions.  It maps each index to its attempt,
+# stamped with the index and the round, and the attempt's tracking
+# seconds, or to a diagnostic string when the worker solving it crashed.
 RoundRunner = Callable[[int, list[int], np.ndarray, np.ndarray], dict]
 
 
@@ -344,18 +328,21 @@ def sweep_with_runner(
     max_retries: int,
     rng: np.random.Generator,
     round_runner: RoundRunner,
-) -> tuple[list[PointVerdict], int, list[PointSummary]]:
+) -> tuple[list[PointResult], int, list[PointSummary]]:
     """The retry policy: the initial pass plus the mitigation loop.
 
     The random p' draws happen here, on the coordinating side, so the
     result is independent of how the round runner schedules its work.
-    Returns the verdict per point, the total path count and the timings,
-    one ``PointSummary`` per attempt.
+    Returns the result per point, in index order, the total path count and
+    the timings, one ``PointSummary`` per attempt.  A point's result is
+    its newest attempt with its retries; a point whose worker crashed is
+    Unresolved, with no solutions, all paths failed and the crash note,
+    in the round whose batch crashed.
     """
     n_points = len(points)
     n_starts = len(r1.solutions)
     total_paths = r1.paths_tracked_step1
-    standing: dict[int, int | str] = {}
+    standing: dict[int, PointResult] = {}
     retries = dict.fromkeys(range(n_points), 0)
     timings: list[PointSummary] = []
 
@@ -366,13 +353,27 @@ def sweep_with_runner(
         for idx in indices:
             res = result_map[idx]
             if isinstance(res, str):  # crash diagnostic: reported, not retried
-                standing[idx] = res
-                timings.append(PointSummary(idx, PointStatus.UNRESOLVED, 0.0, 0.0))
+                standing[idx] = PointResult(
+                    index=idx,
+                    p=points[idx],
+                    solutions=ClassifiedSolutions.empty(sys.n_vars),
+                    status=PointStatus.UNRESOLVED,
+                    retries_used=retries[idx],
+                    path_failures=n_starts,
+                    diverged_paths=0,
+                    note=res,
+                    round=round_no,
+                )
+                timings.append(PointSummary(idx, PointStatus.UNRESOLVED, 0.0))
                 continue
-            standing[idx] = round_no
+            attempt, track_seconds = res
+            # its retries are final: they grow only before a round that retries it
+            if retries[idx]:
+                attempt = replace(attempt, retries_used=retries[idx])
+            standing[idx] = attempt
             total_paths += n_starts
-            timings.append(res)
-            if res.status is PointStatus.UNRESOLVED:
+            timings.append(PointSummary(idx, attempt.status, track_seconds))
+            if attempt.status is PointStatus.UNRESOLVED:
                 again.append(idx)
         return again
 
@@ -396,8 +397,7 @@ def sweep_with_runner(
             retries[idx] += 1
         targets = absorb(k, targets, round_runner(k, targets, p_prime, s_prime.distinct))
 
-    verdicts = [PointVerdict(i, retries[i], standing[i]) for i in range(n_points)]
-    return verdicts, total_paths, timings
+    return [standing[i] for i in range(n_points)], total_paths, timings
 
 
 def parameter_sweep_path_count(m: int, k: int, l: int) -> int:

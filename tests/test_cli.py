@@ -113,6 +113,7 @@ def test_parse_input_rejects_unknown_config_key():
     ("max_newton_iters: 0;", [], "max_newton_iters"),
     ("max_newton_iters: -2;", [], "max_newton_iters"),
     ("workers: 0;", [], "workers"),
+    ("workers: two;", ["--workers", "1"], "workers"),
 ])
 def test_solve_names_bad_config_numbers(tmp_path, caplog, entry, flags, key):
     text = CUBE_INPUT.replace("seed: 7;", f"seed: 7;\n  {entry}")
@@ -192,12 +193,15 @@ def test_parse_input_system_errors_report_file_lines():
     assert "line 12" in str(err.value)
 
 
-@pytest.mark.parametrize("value", ["ture", "True2", "", "2"])
-def test_config_booleans_reject_anything_else(tmp_path, caplog, value):
+@pytest.mark.parametrize("value, flags", [
+    ("ture", []), ("True2", []), ("", []), ("2", []), ("ture", ["--verify-step1"]),
+], ids=["ture", "True2", "", "2", "ture-flag-given"])
+def test_config_booleans_reject_anything_else(tmp_path, caplog, value, flags):
+    # the flag turns the check on, but the CONFIG value is still read
     text = CUBE_INPUT.replace("seed: 7;", f"seed: 7;\n  verify_step1: {value};")
     out = tmp_path / "run"
     with caplog.at_level(logging.ERROR, logger="paramsweep"):
-        assert main(["solve", _write_input(tmp_path, text), "--out", str(out)]) == 1
+        assert main(["solve", _write_input(tmp_path, text), "--out", str(out), *flags]) == 1
     assert "'verify_step1'" in caplog.text
     assert not (out / "step1.json").exists()
 
@@ -615,18 +619,20 @@ def test_verify_step1_checks_the_counts_of_a_reused_artifact(tmp_path, caplog):
 def test_timing_summary_rows_sorted_by_index():
     # arrival order of two batches, then a retry round of index 2
     done = PointStatus.COMPLETE
-    timings = [PointSummary(i, PointStatus.UNRESOLVED if i == 2 else done, 0.5 + i, 0.001)
+    timings = [PointSummary(i, PointStatus.UNRESOLVED if i == 2 else done, 0.5 + i)
                for i in (2, 3, 0, 1)]
-    timings.append(PointSummary(2, done, 9.0, 0.002))
+    timings.append(PointSummary(2, done, 9.0))
     sweep = SweepResult([], 0, [], None, timings)
-    rows = write_timing_summary(sweep).splitlines()[1:-1]
-    assert rows == [
-        "0 0.500000 0.001000",
-        "1 1.500000 0.001000",
-        "2 2.500000 0.001000",
-        "2 9.000000 0.002000",
-        "3 3.500000 0.001000",
+    lines = write_timing_summary(sweep).splitlines()
+    assert lines[0] == "index track_seconds"
+    assert lines[1:-1] == [
+        "0 0.500000",
+        "1 1.500000",
+        "2 2.500000",
+        "2 9.000000",
+        "3 3.500000",
     ]
+    assert lines[-1] == "# totals: points=5 track=17.000s"
 
 
 def test_export_subcommand(tmp_path):

@@ -9,7 +9,6 @@ from paramsweep.datafile import (
     parse_records,
     read_collected,
     serialize_record,
-    split_records,
     write_collected,
 )
 from paramsweep.paramhom import PointResult, PointStatus
@@ -62,37 +61,6 @@ def test_record_roundtrip_exact():
     assert sb.n_real == sa.n_real == 1
 
 
-def _spill_text(*records):
-    # a worker's spill record: retries 0 and no note
-    return "".join(
-        serialize_record(dataclasses.replace(r, retries_used=0)) for r in records
-    )
-
-
-def test_truncated_tail_dropped_when_tolerated():
-    first = _spill_text(_sample_record(1))
-    text = first + _spill_text(_sample_record(2))
-    cut = text[: text.rfind("S ") + 10]  # chop inside the last record
-    assert split_records(cut) == [(1, 1, first)]
-    # cut between the S lines of the last record
-    assert split_records(text[: text.rfind("S ")]) == [(1, 1, first)]
-    assert split_records(text) == [(1, 1, first), (2, 1, text[len(first):])]
-    with pytest.raises(ValueError):
-        parse_records(cut)
-
-
-def test_record_cut_inside_a_number_dropped_when_tolerated():
-    last = dataclasses.replace(
-        _sample_record(2),
-        solutions=_solutions(np.array([[1.0 + 0.123456789j]])),
-    )
-    first = _spill_text(_sample_record(1))
-    cut = (first + _spill_text(last))[:-3]
-    # the writer stopped inside the last number, which parses
-    assert float(cut.split()[-1]) != 0.123456789
-    assert split_records(cut) == [(1, 1, first)]
-
-
 def test_complex_values_roundtrip_bit_for_bit():
     coords = np.array([complex(1.5, -0.0), complex(-0.0, np.inf), complex(2.0, np.nan)])
     rec = PointResult(
@@ -122,7 +90,7 @@ def test_collected_file_roundtrip(tmp_path):
         parse_records(serialize_record(_sample_record(1)))[0],
     ]
     path = tmp_path / "collected.dat"
-    write_collected(path, header, "".join(map(serialize_record, records)))
+    write_collected(path, header, records)
     h2, r2 = read_collected(path)
     assert (h2.n_vars, h2.n_params, h2.n_points) == (1, 2, 2)
     assert (h2.step1_paths, h2.seed, h2.max_retries) == (6, 7, 3)
@@ -132,7 +100,7 @@ def test_collected_file_roundtrip(tmp_path):
     assert [r.index for r in r2] == [0, 1]
     # byte-for-byte identical when rewritten
     path2 = tmp_path / "again.dat"
-    write_collected(path2, h2, "".join(map(serialize_record, r2)))
+    write_collected(path2, h2, r2)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -153,14 +121,17 @@ def test_read_collected_rejects_garbage(tmp_path):
      "the record of point 0 has 3 parameter values, nparams=2"),
     (" inf -1.0 0.0\n", " inf -1.0 0.0 2.0 0.0\n",
      "line 5: the solutions of point 0 differ in length"),
-], ids=["nvars", "p0-odd", "p0-count", "record-params", "ragged-solutions"])
+    ("P 1 1 ", "P 0 1 ", "line 8: point index 0 repeats"),
+    ("P 1 1 ", "P 2 1 ", "line 8: point index 2 is outside [0, 2)"),
+], ids=["nvars", "p0-odd", "p0-count", "record-params", "ragged-solutions",
+        "index-repeats", "index-outside"])
 def test_read_collected_names_what_is_wrong(tmp_path, old, new, message):
     header = CollectedHeader(
         n_vars=1, n_params=2, n_points=2, step1_paths=6, seed=7, max_retries=3,
         p0=np.array([0.25 + 0.5j, 0.75 + 0.125j]),
     )
     path = tmp_path / "collected.dat"
-    write_collected(path, header, "".join(serialize_record(_sample_record(k)) for k in (0, 1)))
+    write_collected(path, header, [_sample_record(k) for k in (0, 1)])
     text = path.read_text()
     assert old in text
     path.write_text(text.replace(old, new, 1))
@@ -190,8 +161,3 @@ def test_many_notes_parse_as_before():
     assert [r.index for r in back] == list(range(2000))
     assert [r.note for r in back] == [f"note {k}" for k in range(2000)]
     assert "".join(map(serialize_record, back)) == text
-
-
-def test_split_records_refuses_a_line_outside_a_record():
-    with pytest.raises(ValueError, match="line 1: expected record line"):
-        split_records("S 0 0 1 1e-12 1.0 0.0\n")

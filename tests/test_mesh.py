@@ -7,7 +7,6 @@ from paramsweep.mesh import (
     MeshSpec,
     Range,
     generate_mesh,
-    index_to_multi,
     load_param_file,
 )
 
@@ -54,21 +53,24 @@ def test_invalid_ranges():
         Range(2.0, 1.0, 5)
 
 
+def _grid_position(spec, point):
+    """The position of ``point`` on each axis grid of ``spec``."""
+    return tuple(int(np.flatnonzero(ax.grid() == c)[0]) for ax, c in zip(spec.axes, point))
+
+
 def test_index_multi_basics():
     spec = MeshSpec((Range(0, 1, 2), Range(0, 1, 3)))
-    assert index_to_multi(spec, 0) == (0, 0)
-    assert index_to_multi(spec, 1) == (1, 0)  # first parameter fastest
-    assert index_to_multi(spec, 2) == (0, 1)
-    with pytest.raises(IndexError):
-        index_to_multi(spec, 6)
-    with pytest.raises(IndexError):
-        index_to_multi(spec, -1)
+    pl = generate_mesh(spec)
+    assert _grid_position(spec, pl.points[0]) == (0, 0)
+    assert _grid_position(spec, pl.points[1]) == (1, 0)  # first parameter fastest
+    assert _grid_position(spec, pl.points[2]) == (0, 1)
+    assert len(pl) == 6
 
 
 def test_index_multi_roundtrip_4x5x6():
     # every grid position once, in column-major order
     spec = MeshSpec((Range(0, 1, 4), Range(0, 1, 5), Range(0, 1, 6)))
-    multis = [index_to_multi(spec, i) for i in range(spec.size)]
+    multis = [_grid_position(spec, p) for p in generate_mesh(spec).points]
     assert multis == [tuple(m[::-1]) for m in np.ndindex(*spec.counts[::-1])]
 
 
@@ -142,4 +144,5 @@ def test_roundtrip_property(counts, data):
     spec = MeshSpec(tuple(Range(0.0, 1.0, c) for c in counts))
     idx = data.draw(st.integers(0, spec.size - 1))
     expected = np.unravel_index(idx, spec.counts, order="F")
-    assert index_to_multi(spec, idx) == tuple(int(m) for m in expected)
+    point = generate_mesh(spec).points[idx]
+    assert _grid_position(spec, point) == tuple(int(m) for m in expected)

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from paramsweep import paramhom
 from paramsweep.paramhom import (
     FaultInjection,
+    PointResult,
     PointStatus,
     PointSummary,
-    PointVerdict,
     Step1Empty,
     parameter_sweep_path_count,
     random_parameter_point,
@@ -23,7 +24,7 @@ from paramsweep.datafile import serialize_record
 from paramsweep.poly import parse_system
 from paramsweep.scheduler import run_parallel
 from paramsweep.startsys import random_gamma
-from paramsweep.tracker import TrackerConfig, classify_endpoints
+from paramsweep.tracker import ClassifiedSolutions, TrackerConfig, classify_endpoints
 from conftest import set_distance
 
 CFG = TrackerConfig()
@@ -307,7 +308,15 @@ def test_retry_policy_against_a_scripted_round_runner(quad_system):
     }
     r1 = step1(quad_system, CFG, np.random.default_rng(43))
     m, l = r1.paths_tracked_step1, len(r1.solutions)
+    points = [np.array([complex(v)]) for v in range(1, 7)]
     calls = []
+
+    def attempt(i, round_no, status, **kw):
+        return PointResult(
+            index=i, p=points[i], solutions=ClassifiedSolutions.empty(1), status=status,
+            retries_used=0, path_failures=int(status is U), diverged_paths=0,
+            round=round_no, **kw,
+        )
 
     def runner(round_no, indices, from_point, starts):
         calls.append(round_no)
@@ -316,28 +325,31 @@ def test_retry_policy_against_a_scripted_round_runner(quad_system):
         if round_no == 0:
             assert from_point is r1.p0 and starts is r1.solutions.distinct
         return {
-            i: res if isinstance(res, str) else PointSummary(i, res, 0.5, 0.25)
+            i: res if isinstance(res, str) else (attempt(i, round_no, res), 0.5)
             for i, res in script[round_no].items()
         }
 
-    points = [np.array([complex(v)]) for v in range(1, 7)]
-    verdicts, total_paths, timings = sweep_with_runner(
+    results, total_paths, timings = sweep_with_runner(
         quad_system, r1, points, CFG, 2, np.random.default_rng(5), runner
     )
     assert calls == [0, 1, 2]
-    assert verdicts == [
-        PointVerdict(0, 1, 1),
-        PointVerdict(1, 0, 0),
-        PointVerdict(2, 0, "crashed"),
-        PointVerdict(3, 2, 2),
-        PointVerdict(4, 0, 0),
-        PointVerdict(5, 1, "crashed"),
+    # the newest attempt under its retries; a crashed point is Unresolved,
+    # all paths failed, in the round whose batch crashed
+    crashed = dict(path_failures=l, note="crashed")
+    expected = [
+        replace(attempt(0, 1, C), retries_used=1),
+        attempt(1, 0, H),
+        replace(attempt(2, 0, U), **crashed),
+        replace(attempt(3, 2, U), retries_used=2),
+        attempt(4, 0, C),
+        replace(attempt(5, 1, U), retries_used=1, **crashed),
     ]
+    assert list(map(serialize_record, results)) == list(map(serialize_record, expected))
     reported = sum(not isinstance(res, str) for rnd in script.values() for res in rnd.values())
     assert total_paths == m + l * reported + l * 2  # two p' solves
     # one timing record per attempt, in round order
     assert timings == [
-        PointSummary(i, U, 0.0, 0.0) if isinstance(res, str) else PointSummary(i, res, 0.5, 0.25)
+        PointSummary(i, U, 0.0) if isinstance(res, str) else PointSummary(i, res, 0.5)
         for rnd in script.values() for i, res in rnd.items()
     ]
 

@@ -1,6 +1,6 @@
 import dataclasses
-import io
 import os
+import struct
 import threading
 import time
 from multiprocessing.connection import Connection
@@ -19,8 +19,8 @@ from paramsweep.paramhom import (
     FaultInjection,
     PointResult,
     PointStatus,
-    PointVerdict,
     step1,
+    sweep_with_runner,
 )
 from paramsweep.scheduler import (
     WorkBatch,
@@ -82,7 +82,7 @@ def test_timing_records_cover_all_points(quad_setup):
     )
     assert len(sweep.timings) == len(points)
     assert sorted(t.index for t in sweep.timings) == list(range(len(points)))
-    assert all(t.track_seconds >= 0 and t.serialize_seconds >= 0 for t in sweep.timings)
+    assert all(t.track_seconds >= 0 for t in sweep.timings)
 
 
 def test_collected_file_deterministic_for_single_worker(quad_setup, tmp_path):
@@ -94,7 +94,7 @@ def test_collected_file_deterministic_for_single_worker(quad_setup, tmp_path):
             sysq, r1, points, CFG, max_retries=0, workers=1,
             rng=np.random.default_rng(1), out_dir=str(out),
         )
-        assert not list(out.glob("*.part"))  # spill files merged and removed
+        assert [f.name for f in out.iterdir()] == ["collected.dat"]
         blobs.append((out / "collected.dat").read_bytes())
     assert blobs[0] == blobs[1]
 
@@ -163,8 +163,8 @@ def test_crash_requeue_then_unresolved(quad_setup, tmp_path):
 
 def test_crash_keeps_records_of_reported_batches(quad_setup, tmp_path):
     # the last index is dispatched last, after both workers have reported
-    # one-point batches; the crashing worker's records of those batches
-    # must reach collected.dat from its spill file
+    # one-point batches; the crashing worker's reports of those batches
+    # must reach collected.dat
     sysq, r1, points = quad_setup
     last = len(points) - 1
     runs = {}
@@ -212,87 +212,82 @@ def test_crash_during_a_report_blocks_no_other_worker(quad_setup, monkeypatch):
     assert [pr.index for pr in swept[0].point_results if pr.note] == [2]
 
 
-def test_records_of_a_crashed_batch_change_nothing(quad_setup, tmp_path, monkeypatch):
-    # unbuffered spill files: the records a worker wrote before it crashed
-    # reach its spill file, and both runs of the batch leave them there
+def _cut_once_in_a_report(marker):
+    """Connection._send_bytes, but a worker dies once while it sends a
+    report: it writes the report's length and half of its bytes."""
+    coordinator = os.getpid()
+    send = Connection._send_bytes
+
+    def cut_once(self, buf):
+        if os.getpid() != coordinator and not os.path.exists(marker):
+            open(marker, "w").close()
+            self._send(struct.pack("!i", len(buf)) + bytes(buf)[: len(buf) // 2])
+            os._exit(13)
+        send(self, buf)
+
+    return cut_once
+
+
+def test_crash_inside_a_report_is_requeued(quad_setup, tmp_path, monkeypatch):
+    # the coordinator reads a cut report as a crash: the batch is requeued
+    # to a replacement worker, and the crash leaves no trace
+    sysq, r1, points = quad_setup
+    marker = str(tmp_path / "crashed")
+    blobs = []
+    for name in ("clean", "cut"):
+        if name == "cut":
+            monkeypatch.setattr(Connection, "_send_bytes", _cut_once_in_a_report(marker))
+        out = tmp_path / name
+        sweep = run_parallel(
+            sysq, r1, points, CFG, max_retries=2, workers=2,
+            rng=np.random.default_rng(1), batch_size=4, out_dir=str(out),
+            fault_injection=FaultInjection.at(0, 5),
+        )
+        assert sweep.unresolved_indices == []
+        blobs.append((out / "collected.dat").read_bytes())
+    assert os.path.exists(marker)
+    assert blobs[0] == blobs[1]
+
+
+def test_crash_right_after_a_report_loses_no_report(quad_setup, tmp_path, monkeypatch):
+    # every worker dies right after it sends a report, and the coordinator
+    # sees the death before it reads the report: the report must still be
+    # read, so that no batch is solved twice and given up as crashed twice
     sysq, r1, points = quad_setup
     import paramsweep.scheduler as sched
 
-    def unbuffered(path, mode="r"):
-        return open(path, mode, buffering=0 if "b" in mode else -1)
+    coordinator = os.getpid()
+    send, wait = Connection._send_bytes, sched.wait
+
+    def send_then_die(self, buf):
+        send(self, buf)
+        if os.getpid() != coordinator:
+            os._exit(13)
+
+    def late_wait(objects):
+        time.sleep(0.05)
+        return wait(objects)
 
     blobs = []
-    for name in ("buffered", "unbuffered"):
-        if name == "unbuffered":
-            monkeypatch.setattr(sched, "open", unbuffered, raising=False)
+    for name in ("clean", "dying"):
+        if name == "dying":
+            monkeypatch.setattr(Connection, "_send_bytes", send_then_die)
+            monkeypatch.setattr(sched, "wait", late_wait)
         out = tmp_path / name
-        run_parallel(
+        sweep = run_parallel(
             sysq, r1, points, CFG, max_retries=0, workers=2,
             rng=np.random.default_rng(1), batch_size=4, out_dir=str(out),
-            crash_injection=frozenset({3}),
         )
+        assert sweep.unresolved_indices == []
         blobs.append((out / "collected.dat").read_bytes())
     assert blobs[0] == blobs[1]
 
 
-def test_stale_spill_files_are_not_merged(quad_setup, tmp_path):
+@pytest.mark.parametrize("sweep_kind", ["clean", "retry", "crash-twice"])
+def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, sweep_kind):
+    # collected.dat must read back into the sweep's own results, which
+    # write_collected turns into the same bytes
     sysq, r1, points = quad_setup
-    blobs = []
-    for sub in ("fresh", "stale"):
-        out = tmp_path / sub
-        out.mkdir()
-        if sub == "stale":
-            # an earlier, aborted sweep with other results left this behind
-            (out / "step2_worker0.part").write_text(
-                "P 0 5 Complete 0 0 0 - 0 9.0 0.0\n"
-            )
-        run_parallel(
-            sysq, r1, points, CFG, max_retries=0, workers=1,
-            rng=np.random.default_rng(1), out_dir=str(out),
-        )
-        blobs.append((out / "collected.dat").read_bytes())
-    assert blobs[0] == blobs[1]
-
-
-def _crash_once_in_record(marker, index, cut):
-    """A spill file whose worker dies once, while writing the first-round
-    record of ``index``, after the first ``cut(record)`` bytes of it."""
-
-    class CrashOnce(io.FileIO):
-        def write(self, data):
-            if data.startswith(f"P {index} 0 ".encode()) and not os.path.exists(marker):
-                open(marker, "w").close()
-                super().write(data[: cut(data)])
-                os._exit(13)
-            return super().write(data)
-
-    def spill_open(path, mode="r"):
-        return CrashOnce(path, mode) if "a" in mode else open(path, mode)
-
-    return spill_open
-
-
-@pytest.mark.parametrize("sweep_kind", [
-    "clean", "retry", "crash-requeued", "crash-twice",
-    "cut-inside-a-number", "cut-between-solutions",
-])
-def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, monkeypatch, sweep_kind):
-    # the merge copies spill records as text: collected.dat must read back
-    # into records that write_collected turns into the same bytes, and a
-    # crash the requeue recovers from must leave no trace
-    sysq, r1, points = quad_setup
-    import paramsweep.scheduler as sched
-
-    cuts = {
-        "crash-requeued": lambda rec: 0,
-        "cut-inside-a-number": lambda rec: len(rec) - 3,
-        "cut-between-solutions": lambda rec: rec.index(b"\nS ") + 1,
-    }
-    if sweep_kind in cuts:
-        marker = str(tmp_path / "crashed")
-        monkeypatch.setattr(
-            sched, "open", _crash_once_in_record(marker, 3, cuts[sweep_kind]), raising=False
-        )
     out = tmp_path / sweep_kind
     sweep = run_parallel(
         sysq, r1, points, CFG, max_retries=2, workers=2,
@@ -300,11 +295,9 @@ def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, monkeypatch,
         fault_injection=FaultInjection.at(0, 5) if sweep_kind == "retry" else None,
         crash_injection=frozenset({3}) if sweep_kind == "crash-twice" else frozenset(),
     )
-    if sweep_kind in cuts:
-        assert os.path.exists(marker)
     merged = (out / "collected.dat").read_bytes()
     header, records = read_collected(out / "collected.dat")
-    write_collected(tmp_path / "again.dat", header, "".join(map(serialize_record, records)))
+    write_collected(tmp_path / "again.dat", header, records)
     assert (tmp_path / "again.dat").read_bytes() == merged
     assert list(map(serialize_record, sweep.point_results)) == list(map(serialize_record, records))
     retried = {pr.index: pr.retries_used for pr in records if pr.retries_used}
@@ -319,18 +312,10 @@ def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, monkeypatch,
     else:
         assert retried == noted == {}
         assert all(pr.status is PointStatus.COMPLETE for pr in records)
-    if sweep_kind in cuts:
-        monkeypatch.undo()
-        clean = tmp_path / "clean"
-        run_parallel(
-            sysq, r1, points, CFG, max_retries=2, workers=2,
-            rng=np.random.default_rng(1), batch_size=4, out_dir=str(clean),
-        )
-        assert (clean / "collected.dat").read_bytes() == merged
 
 
 def _attempt(index, rnd, failures=0):
-    roots = np.array([[0.1 * index + 1j, -2.5e-7], [float(rnd), -0.0]])
+    roots = np.array([[0.1 * index + 1j], [complex(rnd, -0.0)]])
     return PointResult(
         index=index, p=np.array([index + 0.5j]),
         solutions=ClassifiedSolutions(
@@ -343,43 +328,38 @@ def _attempt(index, rnd, failures=0):
     )
 
 
-def test_merge_copies_the_standing_spill_records(tmp_path):
-    # the merged file holds what serializing the standing attempts, under
-    # the retries of their verdicts, would write; a crashed point gets an
-    # Unresolved record with the crash note
+def test_collected_file_holds_the_standing_results(quad_setup, tmp_path):
+    # the collected file holds the newest attempt of each point under its
+    # retries, and a crashed point's Unresolved record with the crash note
+    sysq, r1, _ = quad_setup
     a0, a1, a1_retry, a2 = _attempt(0, 0), _attempt(1, 0, 1), _attempt(1, 1), _attempt(2, 0)
-    crashed_cut = serialize_record(_attempt(3, 0))[:-5]
-    (tmp_path / "step2_worker0.part").write_text(
-        serialize_record(a0) + serialize_record(a1) + serialize_record(a2)
-    )
-    (tmp_path / "step2_worker1.part").write_text(serialize_record(a1_retry) + crashed_cut)
     points = [a.p for a in (a0, a1, a2)] + [np.array([3.5 + 0j])]
-    verdicts = [
-        PointVerdict(0, 0, 0),
-        PointVerdict(1, 1, 1),
-        PointVerdict(2, 0, 0),
-        PointVerdict(3, 0, "worker crashed twice"),
-    ]
+    reports = {
+        0: {0: (a0, 0.5), 1: (a1, 0.5), 2: (a2, 0.5), 3: "worker crashed twice"},
+        1: {1: (a1_retry, 0.5)},
+    }
+    results, _, _ = sweep_with_runner(
+        sysq, r1, points, CFG, 2, np.random.default_rng(5),
+        lambda round_no, indices, from_point, starts: reports[round_no],
+    )
     header = CollectedHeader(
-        n_vars=2, n_params=1, n_points=4, step1_paths=2, seed=None, max_retries=2,
+        n_vars=1, n_params=1, n_points=4, step1_paths=2, seed=None, max_retries=2,
         p0=np.array([0.25 + 0.5j]), param_names=("q",),
     )
-    results = _merge_part_files(str(tmp_path), header, points, 2, verdicts)
+    _merge_part_files(str(tmp_path / "collected.dat"), header, results)
     expected = [
         a0,
         dataclasses.replace(a1_retry, retries_used=1),
         a2,
         PointResult(
-            index=3, p=points[3], solutions=ClassifiedSolutions.empty(2),
+            index=3, p=points[3], solutions=ClassifiedSolutions.empty(1),
             status=PointStatus.UNRESOLVED, retries_used=0, path_failures=2,
             diverged_paths=0, note="worker crashed twice",
         ),
     ]
-    body = "".join(map(serialize_record, expected))
-    write_collected(tmp_path / "expected.dat", header, body)
+    write_collected(tmp_path / "expected.dat", header, expected)
     assert (tmp_path / "collected.dat").read_bytes() == (tmp_path / "expected.dat").read_bytes()
-    assert "".join(map(serialize_record, results)) == body
-    assert not list(tmp_path.glob("*.part"))
+    assert list(map(serialize_record, results)) == list(map(serialize_record, expected))
 
 
 def test_crash_injection_needs_two_workers(quad_setup):
@@ -421,23 +401,23 @@ def test_flush_failure_aborts_sweep(quad_setup, tmp_path, monkeypatch):
     sysq, r1, points = quad_setup
     out = tmp_path / "abort"
 
-    import paramsweep.scheduler as sched
+    import paramsweep.datafile as datafile
 
     class FullDisk:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
         def write(self, data):
             raise OSError("disk full")
 
-        def flush(self):
-            pass
+    def open_on_full_disk(path, *args):
+        return FullDisk() if str(path).endswith("collected.dat") else open(path, *args)
 
-        def close(self):
-            pass
-
-    def open_spill_on_full_disk(path, *args):
-        return FullDisk() if str(path).endswith(".part") else open(path, *args)
-
-    # the in-process worker's spill file refuses every write
-    monkeypatch.setattr(sched, "open", open_spill_on_full_disk, raising=False)
+    # the collected data file refuses every write
+    monkeypatch.setattr(datafile, "open", open_on_full_disk, raising=False)
     with pytest.raises(OSError, match="disk full"):
         run_parallel(
             sysq, r1, points, CFG, max_retries=0, workers=1,
