@@ -212,16 +212,18 @@ def test_crash_during_a_report_blocks_no_other_worker(quad_setup, monkeypatch):
     assert [pr.index for pr in swept[0].point_results if pr.note] == [2]
 
 
-def _cut_once_in_a_report(marker):
+def _cut_once_in_a_report(marker, kept=lambda buf: len(buf) // 2):
     """Connection._send_bytes, but a worker dies once while it sends a
-    report: it writes the report's length and half of its bytes."""
+    report: it writes the report's length and the first kept(buf) of its
+    bytes, or nothing at all when kept is None."""
     coordinator = os.getpid()
     send = Connection._send_bytes
 
     def cut_once(self, buf):
         if os.getpid() != coordinator and not os.path.exists(marker):
             open(marker, "w").close()
-            self._send(struct.pack("!i", len(buf)) + bytes(buf)[: len(buf) // 2])
+            if kept is not None:
+                self._send(struct.pack("!i", len(buf)) + bytes(buf)[: kept(buf)])
             os._exit(13)
         send(self, buf)
 
@@ -283,11 +285,16 @@ def test_crash_right_after_a_report_loses_no_report(quad_setup, tmp_path, monkey
     assert blobs[0] == blobs[1]
 
 
-@pytest.mark.parametrize("sweep_kind", ["clean", "retry", "crash-twice"])
-def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, sweep_kind):
+@pytest.mark.parametrize("sweep_kind", ["clean", "retry", "crash-requeued", "crash-twice"])
+def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, monkeypatch, sweep_kind):
     # collected.dat must read back into the sweep's own results, which
-    # write_collected turns into the same bytes
+    # write_collected turns into the same bytes, and a crash the requeue
+    # recovers from must leave no trace
     sysq, r1, points = quad_setup
+    marker = str(tmp_path / "crashed")
+    if sweep_kind == "crash-requeued":
+        # a worker dies once before it sends a single byte of a report
+        monkeypatch.setattr(Connection, "_send_bytes", _cut_once_in_a_report(marker, None))
     out = tmp_path / sweep_kind
     sweep = run_parallel(
         sysq, r1, points, CFG, max_retries=2, workers=2,
@@ -295,6 +302,7 @@ def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, sweep_kind):
         fault_injection=FaultInjection.at(0, 5) if sweep_kind == "retry" else None,
         crash_injection=frozenset({3}) if sweep_kind == "crash-twice" else frozenset(),
     )
+    assert os.path.exists(marker) == (sweep_kind == "crash-requeued")
     merged = (out / "collected.dat").read_bytes()
     header, records = read_collected(out / "collected.dat")
     write_collected(tmp_path / "again.dat", header, records)
