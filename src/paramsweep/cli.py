@@ -22,26 +22,29 @@ Input files are Bertini-style section blocks::
 CONFIG accepts the tracker setting ``max_newton_iters`` (the one field of
 TrackerConfig; the step control, the tolerances and the divergence
 threshold are constants of ``tracker``), the sweep settings ``seed``,
-``workers``, ``max_retries``, ``batch_size``, ``verify_step1``, the Step 1
-start point ``p0: re im re im ...;`` and ``param_file: <path>;`` as the
-alternative to a MESH section (exactly one of the two must be present).
-``verify_step1`` takes 1/0/true/false/yes/no/on/off in any case; the other
-numbers must be integers, and parameter values must be finite.
-Command-line flags override CONFIG values, and a CONFIG value is checked
-even when a flag overrides it.  ``%`` and ``#`` start comments.
+``max_retries``, ``batch_size``, ``verify_step1``, the Step 1 start point
+``p0: re im re im ...;`` and ``param_file: <path>;`` as the alternative to
+a MESH section (exactly one of the two must be present).  Each value is
+parsed on its own line, and an error names that line: ``verify_step1``
+takes 1/0/true/false/yes/no/on/off in any case, the other numbers must be
+integers, and parameter values must be finite.  Each setting has one
+source: the worker count is the ``--workers`` flag, the run directory
+``--out``, and everything else CONFIG.  ``%`` and ``#`` start comments.
 
 A run directory receives::
 
     collected.dat       the sweep's results, one record per parameter point
     step1.json          the generic-solve artifact (reusable via --reuse-step1)
-    solutions.json      full machine-readable dump
+    solutions.json      full machine-readable dump: the header of
+                        collected.dat and its records, one per line
     failure_report.txt  failed/retried/degenerate points
     timing_summary.txt  per-point tracking seconds; a point's tracking
                         time is its equal share of its batch's
     real_counts.csv     grid export (mesh runs with --export-csv)
 
 ``solve`` writes the exports from the sweep it holds; ``export`` writes
-the same bytes from ``collected.dat``.
+the same bytes from ``collected.dat``.  Both files hold each point as the
+JSON line of ``datafile.serialize_record``.
 
 Exit codes: 0 success, 2 when any point is Unresolved, 1 on fatal errors,
 usage errors of the command line included.
@@ -52,14 +55,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from paramsweep.datafile import CollectedHeader, read_collected
+from paramsweep.datafile import CollectedHeader, pairs, read_collected, serialize_record
 from paramsweep.mesh import (
     Fixed,
     MeshSpec,
@@ -95,16 +97,6 @@ __all__ = [
 
 log = logging.getLogger("paramsweep")
 
-_CONFIG_KEYS = {
-    "max_newton_iters",
-    "seed",
-    "workers",
-    "max_retries",
-    "batch_size",
-    "verify_step1",
-    "p0",
-    "param_file",
-}
 _HARD_FAILURE_VALUES = {s.value for s in HARD_FAILURES}
 _BOOLEANS = {
     "1": True, "true": True, "yes": True, "on": True,
@@ -114,6 +106,33 @@ _BOOLEANS = {
 
 class InputError(ValueError):
     """Bad input file or configuration."""
+
+
+def _parse_bool(value: str) -> bool:
+    try:
+        return _BOOLEANS[value.lower()]
+    except KeyError:
+        raise ValueError(
+            f"must be one of 1/0/true/false/yes/no/on/off, got {value!r}"
+        ) from None
+
+
+def _parse_int(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {value!r}") from None
+
+
+_CONFIG_KEYS = {
+    "max_newton_iters": _parse_int,
+    "seed": _parse_int,
+    "max_retries": _parse_int,
+    "batch_size": _parse_int,
+    "verify_step1": _parse_bool,
+    "p0": lambda value: [finite_float(t) for t in value.split()],
+    "param_file": str,
+}
 
 
 @dataclass(frozen=True)
@@ -177,33 +196,11 @@ def _parse_config_body(start: int, lines: list[str]) -> dict:
             raise InputError(f"line {lineno}: unknown config key {key!r}")
         if key in config:
             raise InputError(f"line {lineno}: config key {key!r} given twice")
-        value = value.strip()
-        if key == "p0":
-            try:
-                value = [finite_float(t) for t in value.split()]
-            except ValueError as exc:
-                raise InputError(f"line {lineno}: p0: {exc}") from exc
-        config[key] = value
+        try:
+            config[key] = _CONFIG_KEYS[key](value.strip())
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: config key {key!r}: {exc}") from None
     return config
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    try:
-        return _BOOLEANS[value.strip().lower()]
-    except KeyError:
-        raise InputError(
-            f"config key {key!r} must be one of 1/0/true/false/yes/no/on/off, "
-            f"got {value!r}"
-        ) from None
-
-
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise InputError(
-            f"config key {key!r} must be an integer, got {value!r}"
-        ) from None
 
 
 def _parse_mesh_body(
@@ -286,23 +283,10 @@ def parse_input_file(text: str) -> InputFile:
 
 
 def _build_tracker_config(config: dict) -> TrackerConfig:
-    kwargs = {}
-    if "max_newton_iters" in config:
-        kwargs["max_newton_iters"] = _parse_int(
-            "max_newton_iters", config["max_newton_iters"]
-        )
     try:
-        return TrackerConfig(**kwargs)
+        return TrackerConfig(config.get("max_newton_iters", TrackerConfig.max_newton_iters))
     except ValueError as exc:
         raise InputError(f"bad tracker configuration: {exc}") from exc
-
-
-def _sweep_setting(config: dict, args, key: str, default):
-    """The flag's value, else the CONFIG value, else ``default``; a bad
-    CONFIG value is refused even when the flag overrides it."""
-    value = _parse_int(key, config[key]) if key in config else default
-    cli_val = getattr(args, key, None)
-    return value if cli_val is None else cli_val
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +294,8 @@ def _sweep_setting(config: dict, args, key: str, default):
 # ---------------------------------------------------------------------------
 
 
-def _pairs(vec) -> list[list[float]]:
-    return [[float(c.real), float(c.imag)] for c in vec]
-
-
-def _unpairs(pairs) -> np.ndarray:
-    return np.array([complex(finite_float(re), finite_float(im)) for re, im in pairs])
+def _unpairs(nested) -> np.ndarray:
+    return np.array([complex(finite_float(re), finite_float(im)) for re, im in nested])
 
 
 def save_step1(path, r1: Step1Result) -> None:
@@ -323,14 +303,14 @@ def save_step1(path, r1: Step1Result) -> None:
     doc = {
         "version": 1,
         "n_params": len(r1.p0),
-        "p0": _pairs(r1.p0),
+        "p0": pairs(r1.p0),
         "gamma": [r1.gamma.real, r1.gamma.imag],
         "seed": r1.seed,
         "paths_tracked": r1.paths_tracked_step1,
         "suspected_crossings": [list(p) for p in r1.suspected_crossings],
         "path_statuses": dict(r1.path_statuses),
         "solutions": [
-            {"coords": _pairs(pt), "real": rf, "residual": res, "multiplicity": mult}
+            {"coords": pairs(pt), "real": rf, "residual": res, "multiplicity": mult}
             for pt, rf, res, mult in zip(
                 sols.distinct,
                 sols.real_flags.tolist(),
@@ -421,115 +401,12 @@ def export_real_count_grid(
     return "\n".join(out) + "\n"
 
 
-# float.__repr__ spellings json writes differently
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-_SOLUTIONS_JSON = """{
- "version": 1,
- "n_vars": %d,
- "n_params": %d,
- "n_points": %d,
- "step1_paths": %d,
- "seed": %s,
- "max_retries": %d,
- "source": %s,
- "param_names": %s,
- "p0": %s,
- "points": %s
-}"""
-
-_POINT_JSON = """{
-   "index": %d,
-   "params": %s,
-   "status": %s,
-   "retries": %d,
-   "path_failures": %d,
-   "diverged": %d,
-   "note": %s,
-   "solutions": %s
-  }"""
-
-_SOLUTION_JSON = """{
-     "coords": %s,
-     "singular": %s,
-     "real": %s,
-     "multiplicity": %d,
-     "residual": %s
-    }"""
-
-
-def _json_float(x: float) -> str:
-    s = repr(x)
-    return _JSON_FLOATS.get(s, s)
-
-
-def _json_list(items: list[str], depth: int) -> str:
-    """A list of encoded items, laid out as json.dumps(indent=1) lays out
-    a list opened at nesting ``depth``."""
-    if not items:
-        return "[]"
-    sep = "\n" + " " * (depth + 1)
-    return "[" + sep + ("," + sep).join(items) + "\n" + " " * depth + "]"
-
-
-def _json_pairs(vec, depth: int) -> str:
-    """``_pairs(vec)`` as json.dumps(indent=1) writes it at nesting ``depth``."""
-    nums = np.ascontiguousarray(vec, dtype=complex).view(float).tolist()
-    inner = "\n" + " " * (depth + 2)
-    pair = "[" + inner + "%s," + inner + "%s\n" + " " * (depth + 1) + "]"
-    return _json_list(
-        [pair % (_json_float(re), _json_float(im)) for re, im in zip(nums[::2], nums[1::2])],
-        depth,
-    )
-
-
 def export_solutions_json(header: CollectedHeader, results: list[PointResult]) -> str:
-    """Full dump: every point, every solution as [re, im] arrays.
-
-    Returns the bytes ``json.dumps(doc, indent=1)`` would write for the
-    document as nested dicts and lists, but lays them out itself: the
-    pure-Python encoder that ``indent`` selects costs more than the sweep
-    of a cheap system.  Floats are spelled as json spells them, strings go
-    through json.dumps, and an infinite residual is written as null.
-    """
-    points = []
-    for pr in sorted(results, key=lambda r: r.index):
-        sols = pr.solutions
-        solutions = [
-            _SOLUTION_JSON % (
-                _json_pairs(coords, 5),
-                "true" if singular else "false",
-                "true" if real else "false",
-                mult,
-                "null" if math.isinf(res) else _json_float(res),
-            )
-            for coords, singular, real, mult, res in zip(
-                sols.distinct, sols.singular_flags.tolist(), sols.real_flags.tolist(),
-                sols.multiplicities.tolist(), sols.residuals.tolist(),
-            )
-        ]
-        points.append(_POINT_JSON % (
-            pr.index,
-            _json_pairs(pr.p, 3),
-            json.dumps(pr.status.value),
-            pr.retries_used,
-            pr.path_failures,
-            pr.diverged_paths,
-            json.dumps(pr.note),
-            _json_list(solutions, 3),
-        ))
-    return _SOLUTIONS_JSON % (
-        header.n_vars,
-        header.n_params,
-        header.n_points,
-        header.step1_paths,
-        "null" if header.seed is None else header.seed,
-        header.max_retries,
-        json.dumps(header.source),
-        _json_list([json.dumps(name) for name in header.param_names], 1),
-        _json_pairs(header.p0, 1),
-        _json_list(points, 1),
-    )
+    """Full dump: the collected file's header, then under ``"points"`` each
+    point's ``serialize_record`` line, in index order."""
+    head = json.dumps({"version": 1, **header.doc()})
+    points = ",\n".join(serialize_record(pr) for pr in sorted(results, key=lambda r: r.index))
+    return f'{head[:-1]}, "points": [\n{points}\n]}}\n'
 
 
 def _fmt_point(p: np.ndarray) -> str:
@@ -653,19 +530,15 @@ def cmd_solve(args) -> int:
     fault = _parse_fault(args.inject_failure_at, len(points.points))
 
     cfg = _build_tracker_config(inp.config)
-    seed = _sweep_setting(inp.config, args, "seed", 0)
-    workers = _sweep_setting(inp.config, args, "workers", 1)
-    max_retries = _sweep_setting(inp.config, args, "max_retries", 2)
-    batch_size = _sweep_setting(inp.config, args, "batch_size", None)
-    check_sweep_settings(workers, max_retries, batch_size)
-    do_verify = _parse_bool(
-        "verify_step1", inp.config.get("verify_step1", "0")
-    ) or args.verify_step1
+    seed = inp.config.get("seed", 0)
+    max_retries = inp.config.get("max_retries", 2)
+    batch_size = inp.config.get("batch_size")
+    check_sweep_settings(args.workers, max_retries, batch_size)
     r1 = None
     if args.reuse_step1:
         r1 = load_step1(os.path.join(args.reuse_step1, "step1.json"), sysm)
 
-    out_dir = args.out or os.environ.get("SWEEP_OUT_DIR")
+    out_dir = args.out
     if out_dir is None:
         stem = "sweep" if args.input == "-" else os.path.splitext(
             os.path.basename(args.input)
@@ -686,7 +559,7 @@ def cmd_solve(args) -> int:
         log.info("step1: reusing %d solutions from %s", r1.n_solutions, args.reuse_step1)
     save_step1(os.path.join(out_dir, "step1.json"), r1)
 
-    if do_verify:
+    if inp.config.get("verify_step1", False):
         hard = [(k, n) for k, n in r1.path_statuses if k in _HARD_FAILURE_VALUES]
         if hard:
             log.error(
@@ -709,7 +582,7 @@ def cmd_solve(args) -> int:
         return 0
 
     sweep = run_parallel(
-        sysm, r1, list(points.points), cfg, max_retries, workers, rng,
+        sysm, r1, list(points.points), cfg, max_retries, args.workers, rng,
         batch_size=batch_size, out_dir=out_dir, fault_injection=fault,
         source=points.source,
     )
@@ -757,17 +630,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the two-step sweep")
     solve.add_argument("input", help="input file path, or '-' for stdin")
-    solve.add_argument("--out", help="output directory "
-                       "(default: $SWEEP_OUT_DIR or <input>_run)")
-    solve.add_argument("--workers", type=int, help="worker processes (default 1)")
-    solve.add_argument("--seed", type=int, help="master RNG seed (default 0)")
-    solve.add_argument("--max-retries", type=int, dest="max_retries",
-                       help="retry rounds from fresh start points (default 2)")
-    solve.add_argument("--batch-size", type=int, dest="batch_size",
-                       help="points per work batch")
-    solve.add_argument("--verify-step1", action="store_true",
-                       help="fail if a generic-solve path failed other than "
-                       "by diverging; else re-run it and compare counts")
+    solve.add_argument("--out", help="output directory (default: <input>_run)")
+    solve.add_argument("--workers", type=int, default=1,
+                       help="worker processes (default 1)")
     solve.add_argument("--step1-only", action="store_true",
                        help="stop after writing step1.json")
     solve.add_argument("--reuse-step1", metavar="DIR",

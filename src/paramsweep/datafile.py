@@ -1,27 +1,29 @@
-"""Line-oriented text format of the collected data file.
+"""One JSON record per point: the collected data file and the points of
+``solutions.json``.
 
-Each record is one ``paramhom.PointResult``: the coordinator writes each
-point's result once, after the sweep (``write_collected``), and
-``read_collected`` reads the file back as ``PointResult``s.  Floats are
-written with ``repr``, so reading a file back reproduces every value
-exactly.  A record's solutions are a ``tracker.ClassifiedSolutions`` of
-arrays, one ``S`` line per row; a record with no ``S`` line reads back
-as a record of 0 rows.
+Each record is one ``paramhom.PointResult`` written by ``serialize_record``
+as one JSON object on one line, and read back by ``parse_records``::
 
-Record layout (one parameter point per record)::
+    {"index": 3, "params": [[0.5, -0.25]], "status": "Complete", "round": 0,
+     "retries": 0, "path_failures": 0, "diverged": 0, "failure_kinds": {},
+     "note": "", "solutions": [{"coords": [[1.0, 0.0]], "singular": false,
+     "real": true, "multiplicity": 1, "residual": 1e-16}]}
 
-    P <index> <round> <status> <retries> <failures> <diverged> <kinds> <nsols> <re im ...>
-    S <singular> <real> <multiplicity> <residual> <re im ...>     (x nsols)
-    D <index> <free-text note>                                    (optional)
+Complex values are ``[re, im]`` pairs.  Floats are written as ``json``
+writes them (``repr``, and NaN/Infinity for the values JSON lacks), so
+reading a record back reproduces every value exactly.  A record with no
+solutions reads back as a ``ClassifiedSolutions`` of 0 rows.
 
-``kinds`` is ``-`` or comma-joined ``name:count`` pairs, and ``nsols``
-counts the ``S`` lines that follow.  The collected file carries a ``#``
-header block in front.
+The collected file (``write_collected``, ``read_collected``) is the line
+``# paramsweep collected v2``, one JSON line with the header
+(``CollectedHeader.doc``), then one record per line.  Records are
+self-delimiting lines, so a reader needs nothing but the line to parse one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,128 +37,90 @@ __all__ = [
     "read_collected",
 ]
 
-FORMAT_HEADER = "# paramsweep collected v1"
-# the fields of the header's second line that every collected file has
-_HEADER_FIELDS = ("nvars", "nparams", "npoints", "step1_paths", "seed", "max_retries")
+FORMAT_HEADER = "# paramsweep collected v2"
+_INT_FIELDS = ("n_vars", "n_params", "n_points", "step1_paths", "max_retries")
 
 
-def _floats(vec: np.ndarray) -> str:
-    return " ".join(f"{float(c.real)!r} {float(c.imag)!r}" for c in vec)
+def pairs(values) -> list:
+    """Complex ``values`` as nested lists with an [re, im] pair per value."""
+    values = np.ascontiguousarray(values, dtype=complex)
+    return values.view(float).reshape(*values.shape, 2).tolist()
 
 
-def _complexes(tokens: list[str]) -> np.ndarray:
-    if len(tokens) % 2:
-        raise ValueError(f"{len(tokens)} numbers are not re/im pairs")
+def _complexes(nested) -> np.ndarray:
+    """Nested ``[re, im]`` pairs as a complex array of the nesting's shape."""
+    arr = np.array(nested, dtype=float)
+    if arr.shape[-1:] != (2,):
+        raise ValueError(f"numbers of shape {arr.shape} are not [re, im] pairs")
     # a view keeps each (re, im) pair as written; re + 1j*im would turn
     # an imaginary -0.0 into 0.0 and an infinite one into a nan real part
-    return np.array([float(t) for t in tokens]).view(complex)
-
-
-def _kinds_str(kinds) -> str:
-    if not kinds:
-        return "-"
-    return ",".join(f"{name}:{count}" for name, count in kinds)
-
-
-def _parse_kinds(tok: str) -> tuple[tuple[str, int], ...]:
-    if tok == "-":
-        return ()
-    out = []
-    for part in tok.split(","):
-        name, count = part.rsplit(":", 1)
-        out.append((name, int(count)))
-    return tuple(out)
+    return arr.view(complex)[..., 0]
 
 
 def serialize_record(pr: PointResult) -> str:
+    """The point's record: one JSON object on one line, with no newline."""
     sols = pr.solutions
-    lines = [
-        f"P {pr.index} {pr.round} {pr.status.value} {pr.retries_used} "
-        f"{pr.path_failures} {pr.diverged_paths} {_kinds_str(pr.failure_kinds)} "
-        f"{len(sols)} {_floats(pr.p)}"
-    ]
-    for coords, singular, real, mult, res in zip(
-        sols.distinct, sols.singular_flags.tolist(), sols.real_flags.tolist(),
-        sols.multiplicities.tolist(), sols.residuals.tolist(),
-    ):
-        lines.append(f"S {int(singular)} {int(real)} {mult} {res!r} {_floats(coords)}")
-    if pr.note:
-        lines.append(f"D {pr.index} {pr.note}")
-    return "\n".join(lines) + "\n"
+    return json.dumps({
+        "index": pr.index,
+        "params": pairs(pr.p),
+        "status": pr.status.value,
+        "round": pr.round,
+        "retries": pr.retries_used,
+        "path_failures": pr.path_failures,
+        "diverged": pr.diverged_paths,
+        "failure_kinds": dict(pr.failure_kinds),
+        "note": pr.note,
+        "solutions": [
+            {"coords": coords, "singular": singular, "real": real,
+             "multiplicity": mult, "residual": res}
+            for coords, singular, real, mult, res in zip(
+                pairs(sols.distinct), sols.singular_flags.tolist(), sols.real_flags.tolist(),
+                sols.multiplicities.tolist(), sols.residuals.tolist(),
+            )
+        ],
+    })
+
+
+def _parse_record(line: str, lineno: int) -> PointResult:
+    try:
+        rec = json.loads(line)
+        if type(rec["index"]) is not int:
+            raise ValueError(f"index {rec['index']!r} is not an integer")
+        sols = rec["solutions"]
+        solutions = ClassifiedSolutions.empty(0)
+        if sols:
+            solutions = ClassifiedSolutions(
+                _complexes([s["coords"] for s in sols]),
+                np.array([s["singular"] for s in sols], dtype=bool),
+                np.array([s["real"] for s in sols], dtype=bool),
+                np.array([s["residual"] for s in sols], dtype=float),
+                np.array([s["multiplicity"] for s in sols], dtype=int),
+            )
+        return PointResult(
+            index=rec["index"],
+            p=_complexes(rec["params"]),
+            solutions=solutions,
+            status=PointStatus(rec["status"]),
+            retries_used=rec["retries"],
+            path_failures=rec["path_failures"],
+            diverged_paths=rec["diverged"],
+            failure_kinds=tuple(rec["failure_kinds"].items()),
+            note=rec["note"],
+            round=rec["round"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"line {lineno}: record has no {exc.args[0]!r} entry") from None
+    except json.JSONDecodeError as exc:  # cut short, or not JSON at all
+        raise ValueError(
+            f"line {lineno}: not a JSON record: {exc.msg} at column {exc.colno}"
+        ) from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"line {lineno}: malformed point record: {exc}") from None
 
 
 def parse_records(text: str) -> list[PointResult]:
-    """Parse concatenated records; a ``D`` line notes the record of its index."""
-    records: list[PointResult] = []
-    position: dict[int, int] = {}  # index -> position of its latest record
-    lines = text.splitlines()
-    i = 0
-
-    def bad(msg, lineno):
-        return ValueError(f"line {lineno + 1}: {msg}")
-
-    while i < len(lines):
-        line = lines[i].strip()
-        if not line or line.startswith("#"):
-            i += 1
-            continue
-        if line.startswith("D "):
-            _, idx_tok, note = line.split(" ", 2)
-            k = position.get(int(idx_tok))
-            if k is not None:
-                records[k] = replace(records[k], note=note)
-            i += 1
-            continue
-        if not line.startswith("P "):
-            raise bad(f"expected record line, got {line[:40]!r}", i)
-        toks = line.split()
-        try:
-            index, rnd = int(toks[1]), int(toks[2])
-            status = PointStatus(toks[3])
-            retries, failures, diverged = int(toks[4]), int(toks[5]), int(toks[6])
-            kinds = _parse_kinds(toks[7])
-            nsols = int(toks[8])
-            params = _complexes(toks[9:])
-        except (IndexError, ValueError) as exc:
-            raise bad(f"malformed point record: {exc}", i) from exc
-        rows = []  # (coords, singular, real, residual, multiplicity)
-        for k in range(nsols):
-            j = i + 1 + k
-            if j >= len(lines) or not lines[j].startswith("S "):
-                raise bad(f"record for point {index} is truncated", i)
-            stoks = lines[j].split()
-            try:
-                rows.append((
-                    _complexes(stoks[5:]),
-                    bool(int(stoks[1])),
-                    bool(int(stoks[2])),
-                    float(stoks[4]),
-                    int(stoks[3]),
-                ))
-            except (IndexError, ValueError) as exc:
-                raise bad(f"malformed solution record: {exc}", j) from exc
-        solutions = ClassifiedSolutions.empty(0)
-        if rows:
-            try:
-                solutions = ClassifiedSolutions(*map(np.array, zip(*rows)))
-            except ValueError:
-                raise bad(f"the solutions of point {index} differ in length", i) from None
-        position[index] = len(records)
-        records.append(
-            PointResult(
-                index=index,
-                p=params,
-                solutions=solutions,
-                status=status,
-                retries_used=retries,
-                path_failures=failures,
-                diverged_paths=diverged,
-                failure_kinds=kinds,
-                round=rnd,
-            )
-        )
-        i += 1 + nsols
-    return records
+    """Parse one record per line; a ValueError names the line at fault."""
+    return [_parse_record(line, n) for n, line in enumerate(text.splitlines(), start=1)]
 
 
 @dataclass(frozen=True)
@@ -171,75 +135,78 @@ class CollectedHeader:
     source: str = "mesh"  # "mesh" or "file"
     param_names: tuple[str, ...] = ()
 
+    def doc(self) -> dict:
+        """The header as the JSON object of the collected file's second
+        line, whose keys ``solutions.json`` has at its top level."""
+        return {
+            "n_vars": self.n_vars,
+            "n_params": self.n_params,
+            "n_points": self.n_points,
+            "step1_paths": self.step1_paths,
+            "seed": self.seed,
+            "max_retries": self.max_retries,
+            "source": self.source,
+            "param_names": list(self.param_names),
+            "p0": pairs(self.p0),
+        }
+
 
 def write_collected(path, header: CollectedHeader, results: list[PointResult]) -> None:
-    """Write the header block, then one record per result."""
-    names = header.param_names or tuple(
-        f"p{i}" for i in range(header.n_params)
-    )
+    """Write the version line and the header, then one record per result."""
     with open(path, "w") as f:
-        f.write(FORMAT_HEADER + "\n")
-        f.write(
-            f"# nvars={header.n_vars} nparams={header.n_params} "
-            f"npoints={header.n_points} step1_paths={header.step1_paths} "
-            f"seed={'none' if header.seed is None else header.seed} "
-            f"max_retries={header.max_retries} source={header.source}\n"
-        )
-        f.write(f"# params {' '.join(names)}\n")
-        f.write(f"# p0 {_floats(header.p0)}\n")
+        f.write(f"{FORMAT_HEADER}\n{json.dumps(header.doc())}\n")
         for pr in results:
-            f.write(serialize_record(pr))
+            f.write(serialize_record(pr) + "\n")
+
+
+def _read_header(line: str) -> CollectedHeader:
+    try:
+        doc = json.loads(line)
+        fields = {key: doc[key] for key in (*_INT_FIELDS, "seed", "source", "param_names")}
+        p0 = doc["p0"]
+    except KeyError as exc:
+        raise ValueError(
+            f"collected data file header has no {exc.args[0]!r} entry"
+        ) from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"collected data file header: {exc}") from None
+    try:
+        p0 = _complexes(p0)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"collected data file header: p0: {exc}") from None
+    for key in (*_INT_FIELDS, "seed"):
+        value = fields[key]
+        if type(value) is not int and not (key == "seed" and value is None):
+            raise ValueError(
+                f"collected data file header: {key}={value!r} is not an integer"
+            )
+    if len(p0) != fields["n_params"]:
+        raise ValueError(
+            f"collected data file header: p0 has {len(p0)} values, "
+            f"n_params={fields['n_params']}"
+        )
+    fields["param_names"] = tuple(fields["param_names"])
+    return CollectedHeader(p0=p0, **fields)
 
 
 def read_collected(path) -> tuple[CollectedHeader, list[PointResult]]:
     with open(path) as f:
-        text = f.read()
-    lines = text.splitlines()
+        lines = f.read().splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
-        raise ValueError("not a collected data file (bad or missing header)")
-    for n, prefix in enumerate(("# nvars=", "# params ", "# p0 "), start=2):
-        if len(lines) < n or not lines[n - 1].startswith(prefix):
-            raise ValueError(f"collected data file lacks its {prefix.strip()!r} header line")
-    fields = dict(tok.partition("=")[::2] for tok in lines[1][2:].split())
-    ints = {}
-    for key in _HEADER_FIELDS:
-        value = fields.get(key)
-        if value is None:
-            raise ValueError(f"collected data file header has no {key}= field")
-        try:
-            ints[key] = None if (key, value) == ("seed", "none") else int(value)
-        except ValueError:
+        version = lines[0] if lines else ""
+        if version.startswith("# paramsweep collected "):
             raise ValueError(
-                f"collected data file header: {key}={value!r} is not an integer"
-            ) from None
-    param_names = tuple(lines[2].split()[2:])
-    try:
-        p0 = _complexes(lines[3].split()[2:])
-    except ValueError as exc:
-        raise ValueError(f"collected data file '# p0' line: {exc}") from None
-    if len(p0) != ints["nparams"]:
-        raise ValueError(
-            f"collected data file '# p0' line has {len(p0)} values, "
-            f"nparams={ints['nparams']}"
-        )
-    header = CollectedHeader(
-        n_vars=ints["nvars"],
-        n_params=ints["nparams"],
-        n_points=ints["npoints"],
-        step1_paths=ints["step1_paths"],
-        seed=ints["seed"],
-        max_retries=ints["max_retries"],
-        p0=p0,
-        source=fields.get("source", "mesh"),
-        param_names=param_names,
-    )
-    records = parse_records(text)  # skips the header's "#" lines
-    # parse_records makes one record per "P" line, in file order
-    record_lines = (
-        n for n, line in enumerate(lines, start=1) if line.strip().startswith("P ")
-    )
+                f"collected data file is {version.split()[-1]}, this program "
+                f"reads {FORMAT_HEADER.split()[-1]}"
+            )
+        raise ValueError("not a collected data file (bad or missing header)")
+    if len(lines) < 2:
+        raise ValueError("collected data file lacks its header line")
+    header = _read_header(lines[1])
+    records = []
     seen = set()
-    for r, lineno in zip(records, record_lines):
+    for lineno, line in enumerate(lines[2:], start=3):
+        r = _parse_record(line, lineno)
         if not 0 <= r.index < header.n_points:
             raise ValueError(
                 f"line {lineno}: point index {r.index} is outside [0, {header.n_points})"
@@ -249,9 +216,10 @@ def read_collected(path) -> tuple[CollectedHeader, list[PointResult]]:
         seen.add(r.index)
         if len(r.p) != header.n_params:
             raise ValueError(
-                f"collected data file: the record of point {r.index} has "
-                f"{len(r.p)} parameter values, nparams={header.n_params}"
+                f"line {lineno}: the record of point {r.index} has "
+                f"{len(r.p)} parameter values, n_params={header.n_params}"
             )
+        records.append(r)
     if len(records) != header.n_points:
         raise ValueError(
             f"collected file holds {len(records)} records, header says "

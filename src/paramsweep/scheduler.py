@@ -15,7 +15,8 @@ With one worker no process is started, and the coordinator runs each
 batch itself through the same batch function.
 
 A worker that dies is seen from its process sentinel, after any report
-already in its pipe is read.  Its in-flight batch is requeued once to a
+already in its pipe is read, or when it is found dead as it is due a
+batch, before it gets one.  Its in-flight batch is requeued once to a
 replacement worker; if it crashes again, its points are marked
 Unresolved with a diagnostic note.  All random draws happen at the
 coordinator, so the solution sets are independent of worker count and
@@ -212,6 +213,11 @@ class _Pool:
         def dispatch():
             while idle and batches:
                 wid = idle.pop()
+                if not self._workers[wid][0].is_alive():
+                    # it died after its last report: replace it, and charge
+                    # no batch with a crash it could not have caused
+                    retire(wid)
+                    continue
                 batch = batches.popleft()
                 dispatch_counts[batch.indices] = dispatch_counts.get(batch.indices, 0) + 1
                 in_flight[wid] = batch

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from paramsweep.cli import (
     write_failure_report,
     write_timing_summary,
 )
-from paramsweep.datafile import CollectedHeader, read_collected
+from paramsweep.datafile import CollectedHeader, read_collected, serialize_record, write_collected
 from paramsweep.mesh import MeshSpec, Range
 from paramsweep.paramhom import PointResult, PointStatus, PointSummary, SweepResult, step1
 from paramsweep.scheduler import run_parallel
@@ -68,7 +69,7 @@ def test_parse_input_file_full():
     inp = parse_input_file(CUBE_INPUT)
     assert inp.system.var_names == ("z",)
     assert inp.system.param_names == ("x", "y")
-    assert inp.config["seed"] == "7"
+    assert inp.config == {"seed": 7, "max_retries": 2}  # parsed to their types
     assert inp.mesh == MeshSpec((Range(-1.5, 1.5, 5), Range(-1.5, 1.5, 5)))
     assert inp.param_file is None
 
@@ -109,13 +110,14 @@ def test_parse_input_rejects_unknown_config_key():
     ("max_newton_iters: 1e4;", [], "max_newton_iters"),
     ("max_newton_iters: three;", [], "max_newton_iters"),
     ("workers: two;", [], "workers"),
-    ("", ["--batch-size", "0"], "batch_size"),
+    ("max_retries: two;", [], "max_retries"),
     ("max_newton_iters: 0;", [], "max_newton_iters"),
     ("max_newton_iters: -2;", [], "max_newton_iters"),
     ("workers: 0;", [], "workers"),
     ("workers: two;", ["--workers", "1"], "workers"),
 ])
 def test_solve_names_bad_config_numbers(tmp_path, caplog, entry, flags, key):
+    # the worker count is the --workers flag alone: CONFIG refuses the key
     text = CUBE_INPUT.replace("seed: 7;", f"seed: 7;\n  {entry}")
     out = tmp_path / "run"
     with caplog.at_level(logging.ERROR, logger="paramsweep"):
@@ -164,6 +166,11 @@ def test_solve_refuses_a_repeated_config_key(tmp_path, caplog):
     ["--workers", "two"],
     ["--max-norm", "1e5"],
     ["--p0", "f"],
+    # CONFIG is the one source of these settings
+    ["--seed", "7"],
+    ["--max-retries", "1"],
+    ["--batch-size", "2"],
+    ["--verify-step1"],
 ])
 def test_solve_usage_errors_exit_1(tmp_path, capsys, flags):
     # exit code 2 would read as a finished sweep with an Unresolved point
@@ -175,7 +182,7 @@ def test_solve_usage_errors_exit_1(tmp_path, capsys, flags):
 
 def test_help_exits_0(capsys):
     assert main(["solve", "--help"]) == 0
-    assert "--batch-size" in capsys.readouterr().out
+    assert "--workers" in capsys.readouterr().out
 
 
 def test_parse_input_mesh_errors():
@@ -193,16 +200,13 @@ def test_parse_input_system_errors_report_file_lines():
     assert "line 12" in str(err.value)
 
 
-@pytest.mark.parametrize("value, flags", [
-    ("ture", []), ("True2", []), ("", []), ("2", []), ("ture", ["--verify-step1"]),
-], ids=["ture", "True2", "", "2", "ture-flag-given"])
-def test_config_booleans_reject_anything_else(tmp_path, caplog, value, flags):
-    # the flag turns the check on, but the CONFIG value is still read
+@pytest.mark.parametrize("value", ["ture", "True2", "", "2"], ids=["ture", "True2", "", "2"])
+def test_config_booleans_reject_anything_else(tmp_path, caplog, value):
     text = CUBE_INPUT.replace("seed: 7;", f"seed: 7;\n  verify_step1: {value};")
     out = tmp_path / "run"
     with caplog.at_level(logging.ERROR, logger="paramsweep"):
-        assert main(["solve", _write_input(tmp_path, text), "--out", str(out), *flags]) == 1
-    assert "'verify_step1'" in caplog.text
+        assert main(["solve", _write_input(tmp_path, text), "--out", str(out)]) == 1
+    assert "line 5: config key 'verify_step1'" in caplog.text
     assert not (out / "step1.json").exists()
 
 
@@ -214,7 +218,7 @@ def test_config_booleans_accept_any_case(tmp_path, caplog):
     assert code == 0
     assert "step1: 6 solutions, verified" in caplog.text
     for value, expected in (("ON", True), ("Yes", True), ("off", False), ("FALSE", False)):
-        assert _parse_bool("verify_step1", value) is expected
+        assert _parse_bool(value) is expected
 
 
 @pytest.mark.parametrize("old, new, line", [
@@ -239,13 +243,10 @@ def test_parse_input_inline_p0():
 
 
 def test_solve_end_to_end(tmp_path, caplog):
-    inp = _write_input(tmp_path)
+    inp = _write_input(tmp_path, CUBE_INPUT.replace("seed: 7;", "seed: 7;\n  verify_step1: 1;"))
     out = tmp_path / "run"
     with caplog.at_level(logging.INFO, logger="paramsweep"):
-        code = main([
-            "solve", inp, "--out", str(out), "--workers", "2",
-            "--verify-step1", "--export-csv",
-        ])
+        code = main(["solve", inp, "--out", str(out), "--workers", "2", "--export-csv"])
     assert code == 0
     assert "step1: 6 solutions, verified" in caplog.text
 
@@ -293,19 +294,21 @@ def test_solve_missing_input_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--max-retries", "-1"], "max_retries must be >= 0"),
-        (["--batch-size", "-2", "--workers", "1"], "batch_size must be >= 1"),
-        (["--batch-size", "-2", "--workers", "2"], "batch_size must be >= 1"),
+        (["max_retries: -1;"], "max_retries must be >= 0"),
+        (["batch_size: -2;", "--workers", "1"], "batch_size must be >= 1"),
+        (["batch_size: -2;", "--workers", "2"], "batch_size must be >= 1"),
         (["--workers", "0"], "workers must be >= 1"),
-        (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        (["batch_size: 0;"], "batch_size must be >= 1, got 0"),
     ],
 )
 def test_solve_rejects_bad_sweep_settings(tmp_path, capsys, caplog, flags, message):
-    # refused before the generic solve: nothing is written
-    inp = _write_input(tmp_path)
+    # refused before the generic solve: nothing is written.  A setting
+    # that ends in ';' is a CONFIG entry, the rest are command-line flags
+    entries = [f for f in flags if f.endswith(";")]
+    inp = _write_input(tmp_path, CUBE_INPUT.replace("max_retries: 2;", "\n  ".join(entries)))
     out = tmp_path / "bad"
     with caplog.at_level(logging.INFO, logger="paramsweep"):
-        code = main(["solve", inp, "--out", str(out), *flags])
+        code = main(["solve", inp, "--out", str(out), *(f for f in flags if f not in entries)])
     assert code == 1
     assert message in caplog.text
     assert "step1:" not in caplog.text
@@ -314,12 +317,9 @@ def test_solve_rejects_bad_sweep_settings(tmp_path, capsys, caplog, flags, messa
 
 
 def test_solve_exit_2_on_unresolved(tmp_path):
-    inp = _write_input(tmp_path)
+    inp = _write_input(tmp_path, CUBE_INPUT.replace("max_retries: 2;", "max_retries: 0;"))
     out = tmp_path / "run2"
-    code = main([
-        "solve", inp, "--out", str(out), "--max-retries", "0",
-        "--inject-failure-at", "3",
-    ])
+    code = main(["solve", inp, "--out", str(out), "--inject-failure-at", "3"])
     assert code == 2
     _, records = read_collected(out / "collected.dat")
     assert records[3].status is PointStatus.UNRESOLVED
@@ -331,10 +331,7 @@ def test_solve_exit_2_on_unresolved(tmp_path):
 def test_solve_injected_failure_resolved_and_reported(tmp_path):
     inp = _write_input(tmp_path)
     out = tmp_path / "run3"
-    code = main([
-        "solve", inp, "--out", str(out), "--max-retries", "2",
-        "--inject-failure-at", "3",
-    ])
+    code = main(["solve", inp, "--out", str(out), "--inject-failure-at", "3"])
     assert code == 0
     report = (out / "failure_report.txt").read_text()
     assert "points resolved after retries:" in report
@@ -413,15 +410,6 @@ def test_solve_reads_stdin(tmp_path, monkeypatch):
     code = main(["solve", "-", "--out", str(out)])
     assert code == 0
     assert (out / "collected.dat").exists()
-
-
-def test_solve_out_dir_from_environment(tmp_path, monkeypatch):
-    inp = _write_input(tmp_path)
-    env_out = tmp_path / "env_run"
-    monkeypatch.setenv("SWEEP_OUT_DIR", str(env_out))
-    monkeypatch.chdir(tmp_path)
-    assert main(["solve", inp]) == 0
-    assert (env_out / "collected.dat").exists()
 
 
 def test_solve_with_param_file(tmp_path):
@@ -509,10 +497,11 @@ def test_verify_step1_fails_on_a_hard_failure_shortfall(tmp_path, caplog, monkey
     # a 15-attempt budget stops some Step 1 paths in MAX_STEPS: a shortfall
     # that divergence does not explain
     monkeypatch.setattr("paramsweep.tracker.MAX_ATTEMPTS", 15)
-    inp = _write_input(tmp_path, MONKS_SHORT_BUDGET, name="monks.input")
+    verified = MONKS_SHORT_BUDGET.replace("seed: 7;", "seed: 7;\n  verify_step1: 1;")
+    inp = _write_input(tmp_path, verified, name="verified.input")
     out = tmp_path / "verified"
     with caplog.at_level(logging.INFO, logger="paramsweep"):
-        code = main(["solve", inp, "--out", str(out), "--verify-step1"])
+        code = main(["solve", inp, "--out", str(out)])
     assert code == 1
     assert "step1 verification failed" in caplog.text
     assert "max_steps:" in caplog.text
@@ -520,6 +509,7 @@ def test_verify_step1_fails_on_a_hard_failure_shortfall(tmp_path, caplog, monkey
 
     # without verification the shortfall is a warning only
     caplog.clear()
+    inp = _write_input(tmp_path, MONKS_SHORT_BUDGET, name="monks.input")
     out = tmp_path / "unverified"
     with caplog.at_level(logging.INFO, logger="paramsweep"):
         code = main(["solve", inp, "--out", str(out), "--step1-only"])
@@ -602,7 +592,10 @@ def test_verify_step1_checks_the_counts_of_a_reused_artifact(tmp_path, caplog):
     doc = json.loads(artifact.read_text())
     doc["path_statuses"] = {"success": 5, "min_step": 1}
     artifact.write_text(json.dumps(doc))
-    reuse = ["solve", inp, "--step1-only", "--verify-step1", "--reuse-step1", str(first)]
+    verified = _write_input(
+        tmp_path, CUBE_INPUT.replace("seed: 7;", "seed: 7;\n  verify_step1: 1;"), "verified.input"
+    )
+    reuse = ["solve", verified, "--step1-only", "--reuse-step1", str(first)]
     with caplog.at_level(logging.INFO, logger="paramsweep"):
         assert main([*reuse, "--out", str(tmp_path / "counted")]) == 1
     assert "1 of 6 paths failed (min_step:1, success:5)" in caplog.text
@@ -656,14 +649,14 @@ def test_export_subcommand(tmp_path):
 
 
 @pytest.mark.parametrize("head, complaint", [
-    ("", "lacks its '# nvars=' header line"),
-    ("# nvars=1\n", "lacks its '# params' header line"),
-    ("# nvars=1\n# params x y\n# p0 0.5 0.0 0.5 0.0\n", "header has no nparams= field"),
-])
+    ("# paramsweep collected v2\n", "lacks its header line"),
+    ('# paramsweep collected v2\n{"n_vars": 1}\n', "header has no 'n_params' entry"),
+    ("# paramsweep collected v1\n# nvars=1 nparams=2\n", "is v1, this program reads v2"),
+], ids=["no-header", "header-key", "version-1"])
 def test_export_names_what_a_damaged_collected_header_lacks(tmp_path, caplog, head, complaint):
     run = tmp_path / "run"
     run.mkdir()
-    (run / "collected.dat").write_text("# paramsweep collected v1\n" + head)
+    (run / "collected.dat").write_text(head)
     with caplog.at_level(logging.ERROR, logger="paramsweep"):
         code = main(["export", _write_input(tmp_path), str(run), "--json", str(tmp_path / "s.json")])
     assert code == 1
@@ -673,8 +666,8 @@ def test_export_names_what_a_damaged_collected_header_lacks(tmp_path, caplog, he
     assert not (tmp_path / "s.json").exists()
 
 
-def _reference_solutions_json(header, results):
-    """The document export_solutions_json lays out, through json.dumps."""
+def _reference_doc(header, results):
+    """The document of export_solutions_json, as dicts and lists."""
 
     def pairs(vec):
         return [[float(c.real), float(c.imag)] for c in vec]
@@ -695,9 +688,11 @@ def _reference_solutions_json(header, results):
                 "index": pr.index,
                 "params": pairs(pr.p),
                 "status": pr.status.value,
+                "round": pr.round,
                 "retries": pr.retries_used,
                 "path_failures": pr.path_failures,
                 "diverged": pr.diverged_paths,
+                "failure_kinds": dict(pr.failure_kinds),
                 "note": pr.note,
                 "solutions": [
                     {
@@ -705,7 +700,7 @@ def _reference_solutions_json(header, results):
                         "singular": bool(singular),
                         "real": bool(real),
                         "multiplicity": int(mult),
-                        "residual": None if np.isinf(res) else float(res),
+                        "residual": float(res),
                     }
                     for coords, singular, real, mult, res in zip(
                         pr.solutions.distinct,
@@ -719,11 +714,25 @@ def _reference_solutions_json(header, results):
             for pr in sorted(results, key=lambda r: r.index)
         ],
     }
-    return json.dumps(doc, indent=1)
+    return doc
+
+
+def _bits(doc):
+    """``doc`` with each float as its 8 bytes, so that == compares floats
+    bit for bit (-0.0 is not 0.0, and nan equals nan)."""
+    if isinstance(doc, float):
+        return struct.pack("<d", doc)
+    if isinstance(doc, dict):
+        return {k: _bits(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_bits(v) for v in doc]
+    return doc
 
 
 @pytest.mark.parametrize("seed, names", [(None, ()), (7, ("x", "y\u00e9"))])
-def test_solutions_json_is_what_json_dumps_writes(seed, names):
+def test_solutions_json_is_what_json_dumps_writes(tmp_path, seed, names):
+    # the odd floats, notes and names survive solutions.json and a round
+    # trip through collected.dat, bit for bit
     header = CollectedHeader(
         n_vars=2, n_params=2, n_points=3, step1_paths=6, seed=seed, max_retries=2,
         p0=np.array([0.25 - 0.5j, 1e16 + 1e-05j]), source="file", param_names=names,
@@ -758,8 +767,17 @@ def test_solutions_json_is_what_json_dumps_writes(seed, names):
             status=PointStatus.COMPLETE, retries_used=0, path_failures=0, diverged_paths=0,
         ),
     ]
-    assert export_solutions_json(header, results) == _reference_solutions_json(header, results)
-    assert export_solutions_json(header, []) == _reference_solutions_json(header, [])
+    text = export_solutions_json(header, results)
+    assert _bits(json.loads(text)) == _bits(_reference_doc(header, results))
+    # one point per line, each its collected.dat record
+    records = [serialize_record(pr) for pr in sorted(results, key=lambda r: r.index)]
+    assert text.splitlines()[1:] == [r + "," for r in records[:-1]] + [records[-1], "]}"]
+    write_collected(tmp_path / "collected.dat", header, results)
+    back_header, back = read_collected(tmp_path / "collected.dat")
+    assert export_solutions_json(back_header, back) == text
+    assert [serialize_record(pr) for pr in back] == list(map(serialize_record, results))
+    empty = export_solutions_json(header, [])
+    assert _bits(json.loads(empty)) == _bits(_reference_doc(header, []))
 
 
 def test_failure_report_lists_singular_endpoint_without_retry(tmp_path, quad_system):

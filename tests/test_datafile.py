@@ -95,7 +95,7 @@ def test_collected_file_roundtrip(tmp_path):
     assert (h2.n_vars, h2.n_params, h2.n_points) == (1, 2, 2)
     assert (h2.step1_paths, h2.seed, h2.max_retries) == (6, 7, 3)
     assert h2.source == "mesh"
-    assert h2.param_names == ("p0", "p1")  # default names
+    assert h2.param_names == ()
     assert np.array_equal(h2.p0, header.p0)
     assert [r.index for r in r2] == [0, 1]
     # byte-for-byte identical when rewritten
@@ -112,19 +112,29 @@ def test_read_collected_rejects_garbage(tmp_path):
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("nvars=1", "nvars=one", "header: nvars='one' is not an integer"),
-    ("# p0 0.25 0.5 0.75 0.125", "# p0 0.25 0.5 0.75 0.125 1.0",
-     "'# p0' line: 5 numbers are not re/im pairs"),
-    ("# p0 0.25 0.5 0.75 0.125", "# p0 0.25 0.5 0.75 0.125 1.0 0.0",
-     "'# p0' line has 3 values, nparams=2"),
-    ("2 0.5 -0.25 1.0 0.0\n", "2 0.5 -0.25 1.0 0.0 2.0 0.0\n",
-     "the record of point 0 has 3 parameter values, nparams=2"),
-    (" inf -1.0 0.0\n", " inf -1.0 0.0 2.0 0.0\n",
-     "line 5: the solutions of point 0 differ in length"),
-    ("P 1 1 ", "P 0 1 ", "line 8: point index 0 repeats"),
-    ("P 1 1 ", "P 2 1 ", "line 8: point index 2 is outside [0, 2)"),
+    ('"n_vars": 1,', '"n_vars": "one",', "header: n_vars='one' is not an integer"),
+    ('"p0": [[0.25, 0.5], [0.75, 0.125]]', '"p0": [[0.25, 0.5, 0.75, 0.125]]',
+     "header: p0: numbers of shape (1, 4) are not [re, im] pairs"),
+    ('"p0": [[0.25, 0.5], [0.75, 0.125]]', '"p0": [[0.25, 0.5], [0.75, 0.125], [1.0, 0.0]]',
+     "header: p0 has 3 values, n_params=2"),
+    ("[[0.5, -0.25], [1.0, 0.0]]", "[[0.5, -0.25], [1.0, 0.0], [2.0, 0.0]]",
+     "line 3: the record of point 0 has 3 parameter values, n_params=2"),
+    ("[[-1.0, 0.0]]", "[[-1.0, 0.0], [2.0, 0.0]]",
+     "line 3: malformed point record: setting an array element with a sequence"),
+    ('{"index": 1,', '{"index": 0,', "line 4: point index 0 repeats"),
+    ('{"index": 1,', '{"index": 2,', "line 4: point index 2 is outside [0, 2)"),
+    ('Infinity}]}\n{"index": 1', 'Infinity}\n{"index": 1',
+     "line 3: not a JSON record: Expecting ',' delimiter at column"),
+    ('{"index": 1,', "P 1 1 Complete", "line 4: not a JSON record: Expecting value at column 1"),
+    ('"retries": 1, ', "", "line 3: record has no 'retries' entry"),
+    ('{"index": 1,', '{"index": "1",', "line 4: malformed point record: index '1' is not an integer"),
+    ('"status": "HadFailures"', '"status": "Done"', "line 3: malformed point record: 'Done'"),
+    ('"n_points": 2', '"n_points": 3', "collected file holds 2 records, header says 3"),
+    ('"n_params": 2, ', "", "collected data file header has no 'n_params' entry"),
+    ("collected v2", "collected v1", "collected data file is v1, this program reads v2"),
 ], ids=["nvars", "p0-odd", "p0-count", "record-params", "ragged-solutions",
-        "index-repeats", "index-outside"])
+        "index-repeats", "index-outside", "cut-short", "not-json", "record-key",
+        "record-index", "record-status", "record-count", "header-key", "version-1"])
 def test_read_collected_names_what_is_wrong(tmp_path, old, new, message):
     header = CollectedHeader(
         n_vars=1, n_params=2, n_points=2, step1_paths=6, seed=7, max_retries=3,
@@ -139,25 +149,37 @@ def test_read_collected_names_what_is_wrong(tmp_path, old, new, message):
         read_collected(path)
 
 
-def test_notes_land_on_their_records():
+def _write_header(path, records):
+    header = CollectedHeader(
+        n_vars=1, n_params=2, n_points=len(records), step1_paths=6, seed=None,
+        max_retries=3, p0=np.array([0.25 + 0.5j, 0.75 + 0.125j]),
+    )
+    write_collected(path, header, records)
+
+
+def test_notes_land_on_their_records(tmp_path):
     records = [
         _sample_record(0, note="first"),
         _sample_record(1),
-        _sample_record(2, note='a "b" \\ c'),
+        _sample_record(2, note='a "b" \\ c\nnext line caf\u00e9'),
     ]
-    back = parse_records("".join(map(serialize_record, records)))
-    assert [r.note for r in back] == ["first", "", 'a "b" \\ c']
-    # a D line names its record by index, wherever it stands
-    text = "".join(serialize_record(_sample_record(k)) for k in range(3))
-    back = parse_records(text + "D 2 last\nD 0 first\n")
-    assert [r.note for r in back] == ["first", "", "last"]
+    path = tmp_path / "collected.dat"
+    _write_header(path, records)
+    assert len(path.read_text().splitlines()) == 2 + len(records)
+    _, back = read_collected(path)
+    assert [r.note for r in back] == ["first", "", 'a "b" \\ c\nnext line caf\u00e9']
+    # each record is a line of its own, so the records of a file may stand
+    # in any order, each with its own note
+    _write_header(path, records[::-1])
+    _, back = read_collected(path)
+    assert [(r.index, r.note) for r in back] == [(2, records[2].note), (1, ""), (0, "first")]
 
 
 def test_many_notes_parse_as_before():
     text = "".join(
-        serialize_record(_sample_record(k, note=f"note {k}")) for k in range(2000)
+        serialize_record(_sample_record(k, note=f"note {k}")) + "\n" for k in range(2000)
     )
     back = parse_records(text)
     assert [r.index for r in back] == list(range(2000))
     assert [r.note for r in back] == [f"note {k}" for k in range(2000)]
-    assert "".join(map(serialize_record, back)) == text
+    assert "".join(serialize_record(r) + "\n" for r in back) == text

@@ -175,12 +175,11 @@ def test_crash_keeps_records_of_reported_batches(quad_setup, tmp_path):
             rng=np.random.default_rng(1), batch_size=1, out_dir=str(out),
             crash_injection=crash,
         )
-        runs[name] = (out / "collected.dat").read_text()
-    clean = runs["clean"].split("\nP ")[1:]
-    crashed = runs["crash"].split("\nP ")[1:]
+        runs[name] = read_collected(out / "collected.dat")[1]
+    clean, crashed = (list(map(serialize_record, runs[k])) for k in ("clean", "crash"))
     assert len(clean) == len(crashed) == len(points)
     assert crashed[:last] == clean[:last]
-    assert "crash" in crashed[last]
+    assert "crash" in runs["crash"][last].note
 
 
 def test_crash_during_a_report_blocks_no_other_worker(quad_setup, monkeypatch):
@@ -285,6 +284,28 @@ def test_crash_right_after_a_report_loses_no_report(quad_setup, tmp_path, monkey
     assert blobs[0] == blobs[1]
 
 
+def test_crash_of_an_idle_worker_charges_no_batch(quad_setup, tmp_path, monkeypatch):
+    # both workers die while idle, before the round: no batch is sent to
+    # them, so the one real crash (a replacement that dies before its
+    # report) is the only one charged, and every point is solved
+    sysq, r1, points = quad_setup
+    import paramsweep.scheduler as sched
+
+    marker = str(tmp_path / "crashed")
+    monkeypatch.setattr(Connection, "_send_bytes", _cut_once_in_a_report(marker, None))
+    pool = sched._Pool(sched._Job(sysq, CFG, None, frozenset()), 2, 4, points)
+    try:
+        for proc, _ in pool._workers.values():
+            proc.kill()
+            proc.join()
+        results = pool.run_round(0, range(len(points)), r1.p0, r1.solutions.distinct)
+    finally:
+        pool.shutdown()
+    assert os.path.exists(marker)
+    assert sorted(results) == list(range(len(points)))
+    assert [idx for idx, res in results.items() if isinstance(res, str)] == []
+
+
 @pytest.mark.parametrize("sweep_kind", ["clean", "retry", "crash-requeued", "crash-twice"])
 def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, monkeypatch, sweep_kind):
     # collected.dat must read back into the sweep's own results, which
@@ -316,7 +337,7 @@ def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, monkeypatch,
     elif sweep_kind == "crash-twice":
         # the whole batch of four points is given up
         assert noted == dict.fromkeys(range(4), PointStatus.UNRESOLVED)
-        assert b"\nD 3 worker crashed twice" in merged
+        assert records[3].note.startswith("worker crashed twice")
     else:
         assert retried == noted == {}
         assert all(pr.status is PointStatus.COMPLETE for pr in records)
