@@ -1,4 +1,4 @@
-"""Command-line driver and file formats.
+"""Command-line driver: the input file, the commands and the exports.
 
 Input files are Bertini-style section blocks::
 
@@ -34,17 +34,20 @@ source: the worker count is the ``--workers`` flag, the run directory
 A run directory receives::
 
     collected.dat       the sweep's results, one record per parameter point
-    step1.json          the generic-solve artifact (reusable via --reuse-step1)
+    step1.json          the generic-solve artifact (v2, reusable via
+                        --reuse-step1), its roots in the record's layout
     solutions.json      full machine-readable dump: the header of
-                        collected.dat and its records, one per line
+                        collected.dat and its record lines, one per line
     failure_report.txt  failed/retried/degenerate points
     timing_summary.txt  per-point tracking seconds; a point's tracking
                         time is its equal share of its batch's
     real_counts.csv     grid export (mesh runs with --export-csv)
 
-``solve`` writes the exports from the sweep it holds; ``export`` writes
-the same bytes from ``collected.dat``.  Both files hold each point as the
-JSON line of ``datafile.serialize_record``.
+``datafile`` owns the JSON layout of every file here but the CSV and
+the two text reports.  ``solve`` builds ``solutions.json`` from the record
+lines it wrote to ``collected.dat``, so each record is encoded once;
+``export`` builds it from the lines it reads back, and writes the same
+bytes.
 
 Exit codes: 0 success, 2 when any point is Unresolved, 1 on fatal errors,
 usage errors of the command line included.
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from paramsweep.datafile import CollectedHeader, pairs, read_collected, serialize_record
+from paramsweep.datafile import CollectedHeader, load_step1, read_collected, save_step1
 from paramsweep.mesh import (
     Fixed,
     MeshSpec,
@@ -75,7 +78,6 @@ from paramsweep.paramhom import (
     FaultInjection,
     PointResult,
     PointStatus,
-    Step1Result,
     SweepResult,
     Step1Empty,
     step1,
@@ -83,8 +85,8 @@ from paramsweep.paramhom import (
     verify_step1,
 )
 from paramsweep.poly import ParamSystem, ParseError, parse_system, strip_comment
-from paramsweep.scheduler import check_sweep_settings, run_parallel
-from paramsweep.tracker import HARD_FAILURES, ClassifiedSolutions, TrackerConfig
+from paramsweep.scheduler import COLLECTED_NAME, check_sweep_settings, run_parallel
+from paramsweep.tracker import TrackerConfig
 
 __all__ = [
     "InputFile",
@@ -97,7 +99,6 @@ __all__ = [
 
 log = logging.getLogger("paramsweep")
 
-_HARD_FAILURE_VALUES = {s.value for s in HARD_FAILURES}
 _BOOLEANS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
@@ -290,90 +291,6 @@ def _build_tracker_config(config: dict) -> TrackerConfig:
 
 
 # ---------------------------------------------------------------------------
-# Step 1 artifact
-# ---------------------------------------------------------------------------
-
-
-def _unpairs(nested) -> np.ndarray:
-    return np.array([complex(finite_float(re), finite_float(im)) for re, im in nested])
-
-
-def save_step1(path, r1: Step1Result) -> None:
-    sols = r1.solutions
-    doc = {
-        "version": 1,
-        "n_params": len(r1.p0),
-        "p0": pairs(r1.p0),
-        "gamma": [r1.gamma.real, r1.gamma.imag],
-        "seed": r1.seed,
-        "paths_tracked": r1.paths_tracked_step1,
-        "suspected_crossings": [list(p) for p in r1.suspected_crossings],
-        "path_statuses": dict(r1.path_statuses),
-        "solutions": [
-            {"coords": pairs(pt), "real": rf, "residual": res, "multiplicity": mult}
-            for pt, rf, res, mult in zip(
-                sols.distinct,
-                sols.real_flags.tolist(),
-                sols.residuals.tolist(),
-                sols.multiplicities.tolist(),
-            )
-        ],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
-
-
-def load_step1(path, sysm: ParamSystem) -> Step1Result:
-    """Read a Step 1 artifact, refusing one that lacks a key or solutions,
-    holds a number that is not finite, or whose parameters or solution
-    coordinates do not fit ``sysm``."""
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("version") != 1:
-        raise InputError(f"{path}: unsupported step1 artifact version")
-    try:
-        sols = doc["solutions"]
-        distinct = np.array([_unpairs(s["coords"]) for s in sols], dtype=complex)
-        classified = ClassifiedSolutions(
-            distinct=distinct,
-            singular_flags=np.zeros(len(sols), dtype=bool),
-            real_flags=np.array([bool(s["real"]) for s in sols], dtype=bool),
-            residuals=np.array([float(s["residual"]) for s in sols]),
-            multiplicities=np.array([int(s["multiplicity"]) for s in sols], dtype=int),
-        )
-        r1 = Step1Result(
-            p0=_unpairs(doc["p0"]),
-            solutions=classified,
-            paths_tracked_step1=int(doc["paths_tracked"]),
-            seed=doc["seed"],
-            gamma=complex(doc["gamma"][0], doc["gamma"][1]),
-            suspected_crossings=tuple(tuple(p) for p in doc["suspected_crossings"]),
-            path_statuses=tuple(sorted(
-                (k, int(v)) for k, v in doc.get("path_statuses", {}).items()
-            )),
-        )
-        n_params = doc["n_params"]
-    except KeyError as exc:
-        raise InputError(f"{path}: artifact has no {exc.args[0]!r} entry") from None
-    except ValueError as exc:  # a non-finite number, or coordinate lists of two lengths
-        raise InputError(f"{path}: {exc}") from None
-    for what, n in (("parameters", n_params), ("p0 values", len(r1.p0))):
-        if n != sysm.n_params:
-            raise InputError(
-                f"{path}: artifact has {n} {what}, system has {sysm.n_params}"
-            )
-    if not len(distinct):
-        raise InputError(f"{path}: artifact has no solutions to start Step 2 from")
-    if distinct.shape[1] != sysm.n_vars:
-        raise InputError(
-            f"{path}: artifact solutions have {distinct.shape[1]} coordinates, "
-            f"system has {sysm.n_vars} variables"
-        )
-    return r1
-
-
-# ---------------------------------------------------------------------------
 # Exports
 # ---------------------------------------------------------------------------
 
@@ -401,11 +318,11 @@ def export_real_count_grid(
     return "\n".join(out) + "\n"
 
 
-def export_solutions_json(header: CollectedHeader, results: list[PointResult]) -> str:
-    """Full dump: the collected file's header, then under ``"points"`` each
-    point's ``serialize_record`` line, in index order."""
+def export_solutions_json(header: CollectedHeader, records: list[str]) -> str:
+    """Full dump: the collected file's header, then under ``"points"`` its
+    record lines, which the caller gives in index order."""
     head = json.dumps({"version": 1, **header.doc()})
-    points = ",\n".join(serialize_record(pr) for pr in sorted(results, key=lambda r: r.index))
+    points = ",\n".join(records)
     return f'{head[:-1]}, "points": [\n{points}\n]}}\n'
 
 
@@ -560,22 +477,12 @@ def cmd_solve(args) -> int:
     save_step1(os.path.join(out_dir, "step1.json"), r1)
 
     if inp.config.get("verify_step1", False):
-        hard = [(k, n) for k, n in r1.path_statuses if k in _HARD_FAILURE_VALUES]
-        if hard:
-            log.error(
-                "step1 verification failed: %d of %d paths failed (%s), which "
-                "divergence does not explain; re-run with a different seed or "
-                "supply p0",
-                sum(n for _, n in hard), r1.paths_tracked_step1,
-                ", ".join(f"{k}:{n}" for k, n in r1.path_statuses),
-            )
+        failure = verify_step1(sysm, cfg, r1, rng)
+        if failure is not None:
+            log.error("step1 verification failed: %s; re-run with a different "
+                      "seed or supply p0", failure)
             return 1
-        if verify_step1(sysm, cfg, r1, rng):
-            log.info("step1: %d solutions, verified", r1.n_solutions)
-        else:
-            log.error("step1 verification failed: solution counts differ; "
-                      "re-run with a different seed or supply p0")
-            return 1
+        log.info("step1: %d solutions, verified", r1.n_solutions)
 
     if args.step1_only:
         log.info("step1 artifact written to %s", out_dir)
@@ -588,7 +495,7 @@ def cmd_solve(args) -> int:
     )
 
     with open(os.path.join(out_dir, "solutions.json"), "w") as f:
-        f.write(export_solutions_json(sweep.header, sweep.point_results))
+        f.write(export_solutions_json(sweep.header, sweep.records))
     with open(os.path.join(out_dir, "failure_report.txt"), "w") as f:
         f.write(write_failure_report(sweep))
     with open(os.path.join(out_dir, "timing_summary.txt"), "w") as f:
@@ -607,7 +514,7 @@ def cmd_solve(args) -> int:
 
 def cmd_export(args) -> int:
     inp = parse_input_file(_read_text(args.input))
-    header, records = read_collected(os.path.join(args.run_dir, "collected.dat"))
+    header, records, lines = read_collected(os.path.join(args.run_dir, COLLECTED_NAME))
     if args.csv:
         if inp.mesh is None:
             log.error("CSV export requires a MESH-based input file")
@@ -615,8 +522,9 @@ def cmd_export(args) -> int:
         with open(args.csv, "w") as f:
             f.write(export_real_count_grid(header, records, inp.mesh))
     if args.json:
+        order = sorted(range(len(records)), key=lambda k: records[k].index)
         with open(args.json, "w") as f:
-            f.write(export_solutions_json(header, records))
+            f.write(export_solutions_json(header, [lines[k] for k in order]))
     return 0
 
 

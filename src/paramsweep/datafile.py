@@ -1,5 +1,5 @@
-"""One JSON record per point: the collected data file and the points of
-``solutions.json``.
+"""The JSON layout of a run's roots and records: the collected data file,
+the points of ``solutions.json`` and the Step 1 artifact ``step1.json``.
 
 Each record is one ``paramhom.PointResult`` written by ``serialize_record``
 as one JSON object on one line, and read back by ``parse_records``::
@@ -11,13 +11,17 @@ as one JSON object on one line, and read back by ``parse_records``::
 
 Complex values are ``[re, im]`` pairs.  Floats are written as ``json``
 writes them (``repr``, and NaN/Infinity for the values JSON lacks), so
-reading a record back reproduces every value exactly.  A record with no
-solutions reads back as a ``ClassifiedSolutions`` of 0 rows.
+reading a record back reproduces every value exactly.  A root set is a
+``"solutions"`` list, written by ``_solution_list`` and read by
+``_read_solutions`` for both the record and the Step 1 artifact (v2,
+``save_step1``, ``load_step1``); the reader refuses a root whose
+coordinate count is not ``n_vars``, and reads no roots as (0, n_vars).
 
 The collected file (``write_collected``, ``read_collected``) is the line
 ``# paramsweep collected v2``, one JSON line with the header
-(``CollectedHeader.doc``), then one record per line.  Records are
-self-delimiting lines, so a reader needs nothing but the line to parse one.
+(``CollectedHeader.doc``), then one self-delimiting record per line.
+``write_collected`` returns its record lines, from which ``solutions.json``
+is built, so no record is encoded twice.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from paramsweep.paramhom import PointResult, PointStatus
+from paramsweep.paramhom import PointResult, PointStatus, Step1Result
+from paramsweep.poly import ParamSystem
 from paramsweep.tracker import ClassifiedSolutions
 
 __all__ = [
@@ -35,9 +40,12 @@ __all__ = [
     "parse_records",
     "write_collected",
     "read_collected",
+    "save_step1",
+    "load_step1",
 ]
 
 FORMAT_HEADER = "# paramsweep collected v2"
+STEP1_VERSION = 2
 _INT_FIELDS = ("n_vars", "n_params", "n_points", "step1_paths", "max_retries")
 
 
@@ -57,9 +65,38 @@ def _complexes(nested) -> np.ndarray:
     return arr.view(complex)[..., 0]
 
 
+def _solution_list(sols: ClassifiedSolutions) -> list[dict]:
+    """The roots of ``sols`` as the ``"solutions"`` list of a record."""
+    return [
+        {"coords": coords, "singular": singular, "real": real,
+         "multiplicity": mult, "residual": res}
+        for coords, singular, real, mult, res in zip(
+            pairs(sols.distinct), sols.singular_flags.tolist(), sols.real_flags.tolist(),
+            sols.multiplicities.tolist(), sols.residuals.tolist(),
+        )
+    ]
+
+
+def _read_solutions(entries: list, n_vars: int) -> ClassifiedSolutions:
+    """The root set of a ``"solutions"`` list of roots of ``n_vars`` coordinates."""
+    if not entries:
+        return ClassifiedSolutions.empty(n_vars)
+    distinct = _complexes([s["coords"] for s in entries])
+    if distinct.shape[1] != n_vars:
+        raise ValueError(
+            f"solutions have {distinct.shape[1]} coordinates, system has {n_vars} variables"
+        )
+    return ClassifiedSolutions(
+        distinct,
+        np.array([s["singular"] for s in entries], dtype=bool),
+        np.array([s["real"] for s in entries], dtype=bool),
+        np.array([s["residual"] for s in entries], dtype=float),
+        np.array([s["multiplicity"] for s in entries], dtype=int),
+    )
+
+
 def serialize_record(pr: PointResult) -> str:
     """The point's record: one JSON object on one line, with no newline."""
-    sols = pr.solutions
     return json.dumps({
         "index": pr.index,
         "params": pairs(pr.p),
@@ -70,36 +107,19 @@ def serialize_record(pr: PointResult) -> str:
         "diverged": pr.diverged_paths,
         "failure_kinds": dict(pr.failure_kinds),
         "note": pr.note,
-        "solutions": [
-            {"coords": coords, "singular": singular, "real": real,
-             "multiplicity": mult, "residual": res}
-            for coords, singular, real, mult, res in zip(
-                pairs(sols.distinct), sols.singular_flags.tolist(), sols.real_flags.tolist(),
-                sols.multiplicities.tolist(), sols.residuals.tolist(),
-            )
-        ],
+        "solutions": _solution_list(pr.solutions),
     })
 
 
-def _parse_record(line: str, lineno: int) -> PointResult:
+def _parse_record(line: str, lineno: int, n_vars: int) -> PointResult:
     try:
         rec = json.loads(line)
         if type(rec["index"]) is not int:
             raise ValueError(f"index {rec['index']!r} is not an integer")
-        sols = rec["solutions"]
-        solutions = ClassifiedSolutions.empty(0)
-        if sols:
-            solutions = ClassifiedSolutions(
-                _complexes([s["coords"] for s in sols]),
-                np.array([s["singular"] for s in sols], dtype=bool),
-                np.array([s["real"] for s in sols], dtype=bool),
-                np.array([s["residual"] for s in sols], dtype=float),
-                np.array([s["multiplicity"] for s in sols], dtype=int),
-            )
         return PointResult(
             index=rec["index"],
             p=_complexes(rec["params"]),
-            solutions=solutions,
+            solutions=_read_solutions(rec["solutions"], n_vars),
             status=PointStatus(rec["status"]),
             retries_used=rec["retries"],
             path_failures=rec["path_failures"],
@@ -118,9 +138,10 @@ def _parse_record(line: str, lineno: int) -> PointResult:
         raise ValueError(f"line {lineno}: malformed point record: {exc}") from None
 
 
-def parse_records(text: str) -> list[PointResult]:
-    """Parse one record per line; a ValueError names the line at fault."""
-    return [_parse_record(line, n) for n, line in enumerate(text.splitlines(), start=1)]
+def parse_records(text: str, n_vars: int) -> list[PointResult]:
+    """Parse one record of ``n_vars`` variables per line; a ValueError
+    names the line at fault."""
+    return [_parse_record(line, n, n_vars) for n, line in enumerate(text.splitlines(), start=1)]
 
 
 @dataclass(frozen=True)
@@ -151,12 +172,14 @@ class CollectedHeader:
         }
 
 
-def write_collected(path, header: CollectedHeader, results: list[PointResult]) -> None:
-    """Write the version line and the header, then one record per result."""
+def write_collected(path, header: CollectedHeader, results: list[PointResult]) -> list[str]:
+    """Write the version line and the header, then one record per result;
+    return the record lines, without their newlines."""
+    lines = [serialize_record(pr) for pr in results]
     with open(path, "w") as f:
         f.write(f"{FORMAT_HEADER}\n{json.dumps(header.doc())}\n")
-        for pr in results:
-            f.write(serialize_record(pr) + "\n")
+        f.writelines(line + "\n" for line in lines)
+    return lines
 
 
 def _read_header(line: str) -> CollectedHeader:
@@ -189,7 +212,9 @@ def _read_header(line: str) -> CollectedHeader:
     return CollectedHeader(p0=p0, **fields)
 
 
-def read_collected(path) -> tuple[CollectedHeader, list[PointResult]]:
+def read_collected(path) -> tuple[CollectedHeader, list[PointResult], list[str]]:
+    """The header, the records and the record lines of a collected data
+    file, the records and their lines in the file's order."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or lines[0] != FORMAT_HEADER:
@@ -206,7 +231,7 @@ def read_collected(path) -> tuple[CollectedHeader, list[PointResult]]:
     records = []
     seen = set()
     for lineno, line in enumerate(lines[2:], start=3):
-        r = _parse_record(line, lineno)
+        r = _parse_record(line, lineno, header.n_vars)
         if not 0 <= r.index < header.n_points:
             raise ValueError(
                 f"line {lineno}: point index {r.index} is outside [0, {header.n_points})"
@@ -225,4 +250,59 @@ def read_collected(path) -> tuple[CollectedHeader, list[PointResult]]:
             f"collected file holds {len(records)} records, header says "
             f"{header.n_points}"
         )
-    return header, records
+    return header, records, lines[2:]
+
+
+def save_step1(path, r1: Step1Result) -> None:
+    """Write the Step 1 artifact, its roots in the record's layout."""
+    doc = {
+        "version": STEP1_VERSION,
+        "n_params": len(r1.p0),
+        "p0": pairs(r1.p0),
+        "gamma": pairs([r1.gamma])[0],
+        "seed": r1.seed,
+        "paths_tracked": r1.paths_tracked_step1,
+        "suspected_crossings": [list(p) for p in r1.suspected_crossings],
+        "path_statuses": dict(r1.path_statuses),
+        "solutions": _solution_list(r1.solutions),
+    }
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+
+
+def load_step1(path, sysm: ParamSystem) -> Step1Result:
+    """Read a Step 1 artifact, refusing one of another version, one that
+    lacks a key or solutions, holds a number that is not finite, or whose
+    parameters or solution coordinates do not fit ``sysm``."""
+    with open(path) as f:
+        doc = json.load(f)
+    try:
+        version = doc["version"]
+        if version != STEP1_VERSION:
+            raise ValueError(f"step1 artifact is v{version}, this program reads v{STEP1_VERSION}")
+        p0, gamma = _complexes(doc["p0"]), complex(_complexes(doc["gamma"]))
+        solutions = _read_solutions(doc["solutions"], sysm.n_vars)
+        numbers = np.concatenate([p0, [gamma], solutions.distinct.ravel()]).view(float)
+        if not np.isfinite(numbers).all():
+            raise ValueError(f"non-finite value {numbers[~np.isfinite(numbers)][0]}")
+        for key in ("seed", "paths_tracked"):  # the collected file's header holds both
+            if type(doc[key]) is not int and not (key == "seed" and doc[key] is None):
+                raise ValueError(f"{key}={doc[key]!r} is not an integer")
+        r1 = Step1Result(
+            p0=p0, solutions=solutions, paths_tracked_step1=doc["paths_tracked"],
+            seed=doc["seed"], gamma=gamma,
+            suspected_crossings=tuple(map(tuple, doc["suspected_crossings"])),
+            path_statuses=tuple(sorted((k, int(n)) for k, n in doc["path_statuses"].items())),
+        )
+        n_params = doc["n_params"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: artifact has no {exc.args[0]!r} entry") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for what, n in (("parameters", n_params), ("p0 values", len(p0))):
+        if n != sysm.n_params:
+            raise ValueError(f"{path}: artifact has {n} {what}, system has {sysm.n_params}")
+    if not len(solutions):
+        raise ValueError(f"{path}: artifact has no solutions to start Step 2 from")
+    return r1

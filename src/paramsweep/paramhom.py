@@ -21,7 +21,8 @@ The retry policy, ``sweep_with_runner``, keeps the newest attempt per
 point and adds what no attempt knows: its retries, or the Unresolved
 record of a point whose worker crashed.  ``scheduler.run_parallel`` is
 the sweep entry point: it supplies the round runner and writes the
-results to the collected data file.
+results to the collected data file.  ``verify_step1`` is the one check
+of a Step 1 result, fresh or read back by ``datafile.load_step1``.
 """
 
 from __future__ import annotations
@@ -85,8 +86,7 @@ class Step1Result:
     seed: int | None
     gamma: complex
     suspected_crossings: tuple[tuple[int, int], ...] = ()
-    # Step 1 paths by PathStatus value, as sorted (value, count) pairs;
-    # empty for an artifact written before the counts were recorded
+    # Step 1 paths by PathStatus value, as sorted (value, count) pairs
     path_statuses: tuple[tuple[str, int], ...] = ()
 
     @property
@@ -146,6 +146,7 @@ class SweepResult:
     unresolved_indices: list[int]
     header: CollectedHeader  # of the collected data file
     timings: list[PointSummary] = field(default_factory=list)
+    records: list[str] = field(default_factory=list)  # collected.dat's lines, if written
 
 
 @dataclass(frozen=True)
@@ -259,17 +260,21 @@ def verify_step1(
     cfg: TrackerConfig,
     r1: Step1Result,
     rng: np.random.Generator,
-) -> bool:
-    """Re-run the generic solve from a fresh point; True iff counts agree."""
+) -> str | None:
+    """Why the Step 1 result fails its check, or None: a hard path failure
+    fails it, else a second generic solve from a fresh point must find as
+    many solutions."""
+    hard = sum(n for k, n in r1.path_statuses if k in {s.value for s in HARD_FAILURES})
+    if hard:
+        counts = ", ".join(f"{k}:{n}" for k, n in r1.path_statuses)
+        return (f"{hard} of {r1.paths_tracked_step1} paths failed ({counts}), "
+                "which divergence does not explain")
     again = step1(sys, cfg, rng)
-    ok = again.n_solutions == r1.n_solutions
-    if not ok:
-        log.warning(
-            "step1 verification mismatch: %d vs %d solutions",
-            r1.n_solutions,
-            again.n_solutions,
-        )
-    return ok
+    if again.n_solutions != r1.n_solutions:
+        log.warning("step1 verification mismatch: %d vs %d solutions",
+                    r1.n_solutions, again.n_solutions)
+        return "solution counts differ"
+    return None
 
 
 def step2(

@@ -280,13 +280,14 @@ class _Pool:
             conn.close()
 
 
-def _merge_part_files(path: str, header: CollectedHeader, results: list[PointResult]) -> None:
-    """Write the sweep's results to the collected data file at ``path``.
+def _merge_part_files(path: str, header: CollectedHeader, results: list[PointResult]) -> list:
+    """Write the sweep's results to the collected data file at ``path``;
+    return its record lines.
 
     The benchmark's tracer (``sweepbench/tracer.py``) times this step by
     this name.
     """
-    write_collected(path, header, results)
+    return write_collected(path, header, results)
 
 
 def run_parallel(
@@ -308,10 +309,10 @@ def run_parallel(
     that is 1.
 
     ``SweepResult.header`` is the header of the collected data file, which
-    is written to ``out_dir`` when that is given; without ``out_dir``
-    nothing is written.  ``crash_injection`` (test hook) simulates a worker
-    crash at the given point indices and requires at least two workers and
-    two points.
+    is written to ``out_dir`` when that is given, and ``.records`` its
+    record lines; without ``out_dir`` nothing is encoded or written.
+    ``crash_injection`` (test hook) simulates a worker crash at the given
+    point indices and requires at least two workers and two points.
     """
     check_sweep_settings(workers, max_retries, batch_size)
     points = [np.asarray(p, dtype=complex) for p in points]
@@ -341,6 +342,7 @@ def run_parallel(
 
     job = _Job(sysm, cfg, fault_injection, crash_injection)
     pool = _Pool(job, workers, batch_size, points)
+    records = []
     try:
         try:
             point_results, total_paths, timings = sweep_with_runner(
@@ -349,7 +351,8 @@ def run_parallel(
         finally:
             pool.shutdown()
         if out_dir is not None:
-            _merge_part_files(os.path.join(out_dir, COLLECTED_NAME), header, point_results)
+            path = os.path.join(out_dir, COLLECTED_NAME)
+            records = _merge_part_files(path, header, point_results)
     except Exception as exc:
         if marker is not None:
             with open(marker, "w") as f:
@@ -363,4 +366,5 @@ def run_parallel(
         ],
         header=header,
         timings=timings,
+        records=records,
     )

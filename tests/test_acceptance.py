@@ -313,7 +313,7 @@ def test_criterion_9_gamma_zero_slice(tmp_path):
     assert "divergent paths" in rep
     assert len(sweep.point_results) == 100
 
-    header, records = read_collected(tmp_path / "collected.dat")
+    header, records, _ = read_collected(tmp_path / "collected.dat")
     csv = export_real_count_grid(header, records, spec)
     n_real = [int(line.split(",")[3]) for line in csv.splitlines()[1:]]
     bad = {v for v in n_real if v != 1}

@@ -6,19 +6,26 @@ import struct
 import numpy as np
 import pytest
 
+import paramsweep.cli as cli
+import paramsweep.datafile as datafile
 from paramsweep.cli import (
     InputError,
     _parse_bool,
     export_real_count_grid,
     export_solutions_json,
-    load_step1,
     main,
     parse_input_file,
-    save_step1,
     write_failure_report,
     write_timing_summary,
 )
-from paramsweep.datafile import CollectedHeader, read_collected, serialize_record, write_collected
+from paramsweep.datafile import (
+    CollectedHeader,
+    load_step1,
+    read_collected,
+    save_step1,
+    serialize_record,
+    write_collected,
+)
 from paramsweep.mesh import MeshSpec, Range
 from paramsweep.paramhom import PointResult, PointStatus, PointSummary, SweepResult, step1
 from paramsweep.scheduler import run_parallel
@@ -250,7 +257,7 @@ def test_solve_end_to_end(tmp_path, caplog):
     assert code == 0
     assert "step1: 6 solutions, verified" in caplog.text
 
-    header, records = read_collected(out / "collected.dat")
+    header, records, _ = read_collected(out / "collected.dat")
     assert header.n_points == 25
     assert header.param_names == ("x", "y")
     assert len(records) == 25
@@ -321,7 +328,7 @@ def test_solve_exit_2_on_unresolved(tmp_path):
     out = tmp_path / "run2"
     code = main(["solve", inp, "--out", str(out), "--inject-failure-at", "3"])
     assert code == 2
-    _, records = read_collected(out / "collected.dat")
+    _, records, _ = read_collected(out / "collected.dat")
     assert records[3].status is PointStatus.UNRESOLVED
     report = (out / "failure_report.txt").read_text()
     assert "unresolved points:" in report
@@ -356,7 +363,7 @@ def test_solve_step1_only_and_reuse(tmp_path, caplog):
     # reused p0 must match the artifact
     sysm = parse_input_file(CUBE_INPUT).system
     r1 = load_step1(out1 / "step1.json", sysm)
-    header, _ = read_collected(out2 / "collected.dat")
+    header, _, _ = read_collected(out2 / "collected.dat")
     assert np.array_equal(header.p0, r1.p0)
 
 
@@ -393,13 +400,35 @@ def test_load_step1_without_path_statuses(tmp_path):
     assert main(["solve", inp, "--out", str(out), "--step1-only"]) == 0
     doc = json.loads((out / "step1.json").read_text())
     assert doc["path_statuses"] == {"success": 6}
-    # an artifact written before the counts were recorded still loads
+    # a v2 artifact always records the counts: one without them is refused
     del doc["path_statuses"]
     (out / "step1.json").write_text(json.dumps(doc))
     sysm = parse_input_file(CUBE_INPUT).system
-    r1 = load_step1(out / "step1.json", sysm)
-    assert r1.path_statuses == ()
-    assert r1.n_solutions == 6
+    with pytest.raises(ValueError, match="artifact has no 'path_statuses' entry"):
+        load_step1(out / "step1.json", sysm)
+
+
+def test_solve_encodes_each_record_once(tmp_path, monkeypatch):
+    # solutions.json is built from the record lines of collected.dat, so a
+    # solve encodes each point once, retried points included
+    calls = []
+    encode = datafile.serialize_record
+
+    def counted(pr):
+        calls.append(pr.index)
+        return encode(pr)
+
+    # an encoding through either module's name counts
+    monkeypatch.setattr(datafile, "serialize_record", counted)
+    monkeypatch.setattr(cli, "serialize_record", counted, raising=False)
+    out = tmp_path / "run"
+    assert main(["solve", _write_input(tmp_path), "--out", str(out),
+                 "--inject-failure-at", "3,7"]) == 0
+    assert sorted(calls) == list(range(25))
+    lines = (out / "collected.dat").read_text().splitlines()[2:]
+    assert (out / "solutions.json").read_text().splitlines()[1:-1] == [
+        line + "," for line in lines[:-1]
+    ] + lines[-1:]
 
 
 def test_solve_reads_stdin(tmp_path, monkeypatch):
@@ -419,7 +448,7 @@ def test_solve_with_param_file(tmp_path):
     inp = _write_input(tmp_path, text=text, name="filecube.input")
     out = tmp_path / "file_run"
     assert main(["solve", inp, "--out", str(out)]) == 0
-    header, records = read_collected(out / "collected.dat")
+    header, records, _ = read_collected(out / "collected.dat")
     assert header.source == "file"
     assert header.n_points == 2
     # CSV export must be refused for file-based runs
@@ -544,6 +573,7 @@ ONE_SQUARE_INPUT = TWO_SQUARES_INPUT.replace("variable x, y;", "variable z;").re
     ("long p0", "artifact has 2 p0 values, system has 1"),
     ("nan coordinate", "non-finite value nan"),
     ("ragged coordinates", "setting an array element with a sequence"),
+    ("string seed", "seed='seven' is not an integer"),
 ])
 def test_solve_refuses_a_step1_artifact_that_does_not_fit(tmp_path, caplog, case, message):
     # read before the run directory is made; the two systems have one
@@ -570,6 +600,8 @@ def test_solve_refuses_a_step1_artifact_that_does_not_fit(tmp_path, caplog, case
         doc["solutions"][1]["coords"][0][1] = float("nan")
     elif case == "ragged coordinates":
         doc["solutions"][1]["coords"].append([0.5, 0.25])
+    elif case == "string seed":  # the run's collected.dat would refuse it
+        doc["seed"] = "seven"
     if case == "missing file":
         artifact.unlink()
     else:
@@ -600,13 +632,15 @@ def test_verify_step1_checks_the_counts_of_a_reused_artifact(tmp_path, caplog):
         assert main([*reuse, "--out", str(tmp_path / "counted")]) == 1
     assert "1 of 6 paths failed (min_step:1, success:5)" in caplog.text
 
-    # an artifact written before the counts were recorded is not checked
+    # an artifact without the counts is refused, not left unchecked
     del doc["path_statuses"]
     artifact.write_text(json.dumps(doc))
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="paramsweep"):
-        assert main([*reuse, "--out", str(tmp_path / "uncounted")]) == 0
-    assert "step1: 6 solutions, verified" in caplog.text
+        assert main([*reuse, "--out", str(tmp_path / "uncounted")]) == 1
+    assert "artifact has no 'path_statuses' entry" in caplog.text
+    assert "verified" not in caplog.text
+    assert not (tmp_path / "uncounted").exists()
 
 
 def test_timing_summary_rows_sorted_by_index():
@@ -644,6 +678,12 @@ def test_export_subcommand(tmp_path):
     assert code == 0
     assert csv_path.read_text().startswith("x,y,n_solutions")
     assert json.loads(json_path.read_text())["n_points"] == 25
+    assert csv_path.read_bytes() == (out / "real_counts.csv").read_bytes()
+    assert json_path.read_bytes() == (out / "solutions.json").read_bytes()
+    # records may stand in any order in collected.dat; the exports sort them
+    lines = (out / "collected.dat").read_text().splitlines()
+    (out / "collected.dat").write_text("\n".join(lines[:2] + lines[:1:-1]) + "\n")
+    assert main(["export", inp, str(out), "--csv", str(csv_path), "--json", str(json_path)]) == 0
     assert csv_path.read_bytes() == (out / "real_counts.csv").read_bytes()
     assert json_path.read_bytes() == (out / "solutions.json").read_bytes()
 
@@ -767,15 +807,17 @@ def test_solutions_json_is_what_json_dumps_writes(tmp_path, seed, names):
             status=PointStatus.COMPLETE, retries_used=0, path_failures=0, diverged_paths=0,
         ),
     ]
-    text = export_solutions_json(header, results)
+    in_order = sorted(results, key=lambda r: r.index)
+    records = write_collected(tmp_path / "collected.dat", header, in_order)
+    assert records == [serialize_record(pr) for pr in in_order]
+    text = export_solutions_json(header, records)
     assert _bits(json.loads(text)) == _bits(_reference_doc(header, results))
     # one point per line, each its collected.dat record
-    records = [serialize_record(pr) for pr in sorted(results, key=lambda r: r.index)]
     assert text.splitlines()[1:] == [r + "," for r in records[:-1]] + [records[-1], "]}"]
-    write_collected(tmp_path / "collected.dat", header, results)
-    back_header, back = read_collected(tmp_path / "collected.dat")
-    assert export_solutions_json(back_header, back) == text
-    assert [serialize_record(pr) for pr in back] == list(map(serialize_record, results))
+    back_header, back, lines = read_collected(tmp_path / "collected.dat")
+    assert lines == records
+    assert export_solutions_json(back_header, lines) == text
+    assert [serialize_record(pr) for pr in back] == records
     empty = export_solutions_json(header, [])
     assert _bits(json.loads(empty)) == _bits(_reference_doc(header, []))
 

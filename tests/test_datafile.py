@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 
 from paramsweep.datafile import (
     CollectedHeader,
+    load_step1,
     parse_records,
     read_collected,
+    save_step1,
     serialize_record,
     write_collected,
 )
-from paramsweep.paramhom import PointResult, PointStatus
+from paramsweep.paramhom import PointResult, PointStatus, Step1Result
 from paramsweep.tracker import ClassifiedSolutions
 
 
@@ -47,7 +50,7 @@ def _sample_record(idx=3, note=""):
 
 def test_record_roundtrip_exact():
     rec = _sample_record(note="requeued once")
-    back = parse_records(serialize_record(rec))
+    back = parse_records(serialize_record(rec), 1)
     assert len(back) == 1
     b = back[0]
     assert (b.index, b.round, b.status, b.note) == (rec.index, rec.round, rec.status, rec.note)
@@ -69,7 +72,7 @@ def test_complex_values_roundtrip_bit_for_bit():
         status=PointStatus.COMPLETE, retries_used=0, path_failures=0, diverged_paths=0,
     )
     text = serialize_record(rec)
-    back = parse_records(text)[0]
+    back = parse_records(text, 3)[0]
     assert serialize_record(back) == text
     assert np.signbit(back.p[0].imag)
     assert np.isinf(back.solutions.distinct[0][1].imag)
@@ -86,12 +89,12 @@ def test_collected_file_roundtrip(tmp_path):
         p0=np.array([0.25 + 0.5j, 0.75 + 0.125j]),
     )
     records = [
-        parse_records(serialize_record(_sample_record(0)))[0],
-        parse_records(serialize_record(_sample_record(1)))[0],
+        parse_records(serialize_record(_sample_record(0)), 1)[0],
+        parse_records(serialize_record(_sample_record(1)), 1)[0],
     ]
     path = tmp_path / "collected.dat"
     write_collected(path, header, records)
-    h2, r2 = read_collected(path)
+    h2, r2, _ = read_collected(path)
     assert (h2.n_vars, h2.n_params, h2.n_points) == (1, 2, 2)
     assert (h2.step1_paths, h2.seed, h2.max_retries) == (6, 7, 3)
     assert h2.source == "mesh"
@@ -132,9 +135,12 @@ def test_read_collected_rejects_garbage(tmp_path):
     ('"n_points": 2', '"n_points": 3', "collected file holds 2 records, header says 3"),
     ('"n_params": 2, ', "", "collected data file header has no 'n_params' entry"),
     ("collected v2", "collected v1", "collected data file is v1, this program reads v2"),
+    ('"n_vars": 1,', '"n_vars": 2,',
+     "line 3: malformed point record: solutions have 1 coordinates, system has 2 variables"),
 ], ids=["nvars", "p0-odd", "p0-count", "record-params", "ragged-solutions",
         "index-repeats", "index-outside", "cut-short", "not-json", "record-key",
-        "record-index", "record-status", "record-count", "header-key", "version-1"])
+        "record-index", "record-status", "record-count", "header-key", "version-1",
+        "root-coords"])
 def test_read_collected_names_what_is_wrong(tmp_path, old, new, message):
     header = CollectedHeader(
         n_vars=1, n_params=2, n_points=2, step1_paths=6, seed=7, max_retries=3,
@@ -166,12 +172,12 @@ def test_notes_land_on_their_records(tmp_path):
     path = tmp_path / "collected.dat"
     _write_header(path, records)
     assert len(path.read_text().splitlines()) == 2 + len(records)
-    _, back = read_collected(path)
+    _, back, _ = read_collected(path)
     assert [r.note for r in back] == ["first", "", 'a "b" \\ c\nnext line caf\u00e9']
     # each record is a line of its own, so the records of a file may stand
     # in any order, each with its own note
     _write_header(path, records[::-1])
-    _, back = read_collected(path)
+    _, back, _ = read_collected(path)
     assert [(r.index, r.note) for r in back] == [(2, records[2].note), (1, ""), (0, "first")]
 
 
@@ -179,7 +185,77 @@ def test_many_notes_parse_as_before():
     text = "".join(
         serialize_record(_sample_record(k, note=f"note {k}")) + "\n" for k in range(2000)
     )
-    back = parse_records(text)
+    back = parse_records(text, 1)
     assert [r.index for r in back] == list(range(2000))
     assert [r.note for r in back] == [f"note {k}" for k in range(2000)]
     assert "".join(serialize_record(r) + "\n" for r in back) == text
+
+
+def test_a_record_without_roots_keeps_its_dimension(tmp_path):
+    # a point with no roots reads back as (0, n_vars), as the sweep holds it
+    rec = dataclasses.replace(_sample_record(0), solutions=ClassifiedSolutions.empty(1))
+    (back,) = parse_records(serialize_record(rec), 1)
+    assert back.solutions.distinct.shape == (0, 1)
+    _write_header(tmp_path / "collected.dat", [rec])
+    _, (back,), _ = read_collected(tmp_path / "collected.dat")
+    assert back.solutions.distinct.shape == (0, 1)
+    assert back.solutions.distinct.dtype == complex
+
+
+def _bits(values):
+    return np.asarray(values).tobytes()
+
+
+def test_step1_artifact_round_trips_bit_for_bit(tmp_path, cube_system):
+    r1 = Step1Result(
+        p0=np.array([complex(0.25, -0.0), complex(-0.5, -0.0)]),
+        solutions=ClassifiedSolutions(
+            np.array([[complex(1.5, -0.0)], [-0.0 + 1e16j]]),
+            np.array([False, False]), np.array([True, False]),
+            np.array([3.2e-16, 5e-324]), np.array([1, 2]),
+        ),
+        paths_tracked_step1=6,
+        seed=7,
+        gamma=complex(0.6, -0.0),
+        suspected_crossings=((0, 3),),
+        path_statuses=(("diverged", 2), ("max_steps", 1), ("success", 3)),
+    )
+    path = tmp_path / "step1.json"
+    save_step1(path, r1)
+    back = load_step1(path, cube_system)
+    for field in dataclasses.fields(ClassifiedSolutions):
+        a, b = getattr(r1.solutions, field.name), getattr(back.solutions, field.name)
+        assert a.dtype == b.dtype and _bits(a) == _bits(b), field.name
+    assert _bits(back.p0) == _bits(r1.p0) and np.signbit(back.p0.imag).all()
+    assert _bits(back.gamma) == _bits(r1.gamma) and np.signbit(back.gamma.imag)
+    assert np.signbit(back.solutions.distinct[0, 0].imag)
+    assert (back.paths_tracked_step1, back.seed) == (6, 7)
+    assert back.suspected_crossings == ((0, 3),)
+    assert back.path_statuses == r1.path_statuses
+    # the roots are a record's "solutions" list
+    rec = PointResult(
+        index=0, p=r1.p0, solutions=r1.solutions, status=PointStatus.COMPLETE,
+        retries_used=0, path_failures=0, diverged_paths=0,
+    )
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    assert doc["solutions"] == json.loads(serialize_record(rec))["solutions"]
+
+
+def test_a_v1_step1_artifact_is_refused(tmp_path, quad_system):
+    r1 = Step1Result(
+        p0=np.array([0.25 + 0.5j]), solutions=ClassifiedSolutions(
+            np.array([[1.0 + 0j]]), np.array([False]), np.array([True]),
+            np.array([1e-16]), np.array([1]),
+        ),
+        paths_tracked_step1=2, seed=None, gamma=0.6 + 0.8j,
+    )
+    path = tmp_path / "step1.json"
+    save_step1(path, r1)
+    doc = json.loads(path.read_text())
+    doc["version"] = 1
+    for entry in doc["solutions"]:  # v1 wrote no "singular" entry
+        entry.pop("singular", None)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="step1 artifact is v1, this program reads v2"):
+        load_step1(path, quad_system)

@@ -151,7 +151,7 @@ def test_step1_empty_raises():
 def test_verify_step1_counts_match(quad_system):
     rng = np.random.default_rng(11)
     r1 = step1(quad_system, CFG, rng)
-    assert verify_step1(quad_system, CFG, r1, rng) is True
+    assert verify_step1(quad_system, CFG, r1, rng) is None
 
 
 def test_verify_step1_detects_mismatch(quad_system, monkeypatch):
@@ -177,7 +177,25 @@ def test_verify_step1_detects_mismatch(quad_system, monkeypatch):
         )
 
     monkeypatch.setattr(ph, "step1", fake_step1)
-    assert ph.verify_step1(quad_system, CFG, smaller, rng) is False
+    assert ph.verify_step1(quad_system, CFG, smaller, rng) == "solution counts differ"
+
+
+def test_verify_step1_fails_a_hard_failure_without_a_second_solve(quad_system, monkeypatch):
+    r1 = step1(quad_system, CFG, np.random.default_rng(11))
+    failed = replace(r1, path_statuses=(("max_steps", 1), ("success", 1)))
+
+    def no_second_solve(*a, **k):
+        raise AssertionError("a hard failure needs no second generic solve")
+
+    monkeypatch.setattr(paramhom, "step1", no_second_solve)
+    assert verify_step1(quad_system, CFG, failed, np.random.default_rng(1)) == (
+        "1 of 2 paths failed (max_steps:1, success:1), "
+        "which divergence does not explain"
+    )
+    # divergent paths alone pass to the count check
+    diverged = replace(r1, path_statuses=(("diverged", 1), ("success", 1)))
+    with pytest.raises(AssertionError, match="second generic solve"):
+        verify_step1(quad_system, CFG, diverged, np.random.default_rng(1))
 
 
 def test_step2_single_quadratic(quad_system):

@@ -157,7 +157,7 @@ def test_crash_requeue_then_unresolved(quad_setup, tmp_path):
     assert all(pr.status is PointStatus.COMPLETE for pr in undamaged)
     assert len(undamaged) >= len(points) - 2
     # merged output still contains one record per point
-    _, records = read_collected(out / "collected.dat")
+    _, records, _ = read_collected(out / "collected.dat")
     assert len(records) == len(points)
 
 
@@ -325,7 +325,8 @@ def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, monkeypatch,
     )
     assert os.path.exists(marker) == (sweep_kind == "crash-requeued")
     merged = (out / "collected.dat").read_bytes()
-    header, records = read_collected(out / "collected.dat")
+    header, records, lines = read_collected(out / "collected.dat")
+    assert sweep.records == lines
     write_collected(tmp_path / "again.dat", header, records)
     assert (tmp_path / "again.dat").read_bytes() == merged
     assert list(map(serialize_record, sweep.point_results)) == list(map(serialize_record, records))
@@ -454,6 +455,33 @@ def test_flush_failure_aborts_sweep(quad_setup, tmp_path, monkeypatch):
         )
     assert (out / "PARTIAL_OUTPUT").exists()
     # a successful re-run into the same directory is not partial
+    monkeypatch.undo()
+    run_parallel(
+        sysq, r1, points, CFG, max_retries=0, workers=1,
+        rng=np.random.default_rng(1), out_dir=str(out),
+    )
+    assert not (out / "PARTIAL_OUTPUT").exists()
+    assert (out / "collected.dat").exists()
+
+
+def test_aborted_sweep_leaves_its_marker(quad_setup, tmp_path, monkeypatch):
+    import paramsweep.scheduler as sched
+
+    sysq, r1, points = quad_setup
+    out = tmp_path / "abort"
+
+    def no_sweep(*args):
+        raise RuntimeError("no round could run")
+
+    monkeypatch.setattr(sched, "sweep_with_runner", no_sweep)
+    with pytest.raises(RuntimeError, match="no round could run"):
+        run_parallel(
+            sysq, r1, points, CFG, max_retries=0, workers=2,
+            rng=np.random.default_rng(1), out_dir=str(out),
+        )
+    assert (out / "PARTIAL_OUTPUT").read_text() == "sweep aborted: no round could run\n"
+    assert not (out / "collected.dat").exists()
+    # the next sweep into the directory removes the stale marker
     monkeypatch.undo()
     run_parallel(
         sysq, r1, points, CFG, max_retries=0, workers=1,
