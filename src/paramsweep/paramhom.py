@@ -34,8 +34,13 @@ from typing import TYPE_CHECKING, Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
 
-from paramsweep.poly import ParamSystem, instantiate, variable_degrees
-from paramsweep.startsys import build_homotopy, random_gamma, total_degree_start
+from paramsweep.poly import ParamSystem, variable_degrees
+from paramsweep.startsys import (
+    build_homotopy,
+    random_gamma,
+    total_degree_homotopy,
+    total_degree_start,
+)
 from paramsweep.tracker import (
     ENDGAME_BOUNDARY,
     HARD_FAILURES,
@@ -215,7 +220,7 @@ def step1(
     p0, gamma = step1_draws(sys, rng, p0_override)
 
     start = total_degree_start(variable_degrees(sys))
-    h = build_homotopy(instantiate(sys, p0), start, gamma)
+    h = total_degree_homotopy(sys, start, p0, gamma)
     paths = track_many(h, start.solutions(), cfg)
 
     at_boundary = paths.boundary[~np.isnan(paths.boundary).any(axis=-1)]
@@ -295,7 +300,7 @@ def step2(
     ``force_first_failure`` (test hook) holds positions in ``targets``
     whose first path's status is set to MIN_STEP.
     """
-    h = build_homotopy([instantiate(sys, p) for p in targets], instantiate(sys, from_point))
+    h = build_homotopy(sys, targets, from_point)
     paths = track_many(h, starts, cfg)
     paths.status[list(force_first_failure), :1] = PathStatus.MIN_STEP.code
     counts = _status_counts(paths)

@@ -400,11 +400,17 @@ class TermStructure:
     performed segment-by-segment in stored term order, which keeps results
     deterministic.
 
-    Every evaluation takes one point z of shape (N,) or a batch of B points
-    of shape (B, N), with coefficients of shape (n_terms,), shared by the
-    batch, or (B, n_terms), one row per point.  Row b of a batched result is
-    bit-identical to the result for point b alone: each row sees the same
-    multiplications and the same segment sums.
+    Every term has one parameter monomial.  The terms are grouped by it
+    into blocks: ``block_exps`` (n_blocks, M) holds each distinct monomial's
+    exponents, and ``block`` (n_terms,) each term's block, so a term's
+    coefficient at p is ``base_coeffs[k] * param_monomials(p)[block[k]]``.
+
+    Coefficients are term-major: (n_terms, B), one column per point, B = 1
+    for one system.  Every evaluation takes one point z of shape (N,), with
+    one column, or a batch of B points of shape (B, N), with one column per
+    point or one shared column.  Row b of a batched result is bit-identical
+    to the result for point b alone: each row sees the same multiplications
+    and the same segment sums.
     """
 
     def __init__(self, n_vars: int, n_params: int, functions: tuple[tuple[Term, ...], ...]):
@@ -419,6 +425,9 @@ class TermStructure:
         self.param_exps = np.array(
             [t.param_exps for t in terms], dtype=np.intp
         ).reshape(self.n_terms, n_params)
+        block_exps, block = np.unique(self.param_exps, axis=0, return_inverse=True)
+        self.block_exps = block_exps
+        self.block = block.reshape(self.n_terms)
 
         # evaluation segments: function i owns terms [fn_offsets[i], fn_offsets[i+1])
         counts = [len(fn) for fn in functions]
@@ -486,7 +495,7 @@ class TermStructure:
         """(B, N) function values from (n_terms, B) monomials."""
         out = np.zeros((self.n_vars, mono.shape[1]), dtype=complex)
         if self.n_terms:
-            vals = _term_major(coeffs) * mono
+            vals = coeffs * mono
             out[self.eval_fn_ids] = np.add.reduceat(vals, self.eval_starts, axis=0)
         return out.T
 
@@ -495,23 +504,21 @@ class TermStructure:
         n = self.n_vars
         jac = np.zeros((n * n, mono.shape[1]), dtype=complex)
         if len(self.jac_src):
-            vals = _term_major(coeffs)[self.jac_src] * self.jac_fac[:, None] * mono
+            vals = coeffs[self.jac_src] * self.jac_fac[:, None] * mono
             jac[self.jac_cells] = np.add.reduceat(vals, self.jac_starts, axis=0)
         return jac.T.reshape(-1, n, n)
 
-    def param_factors(self, p: np.ndarray) -> np.ndarray:
-        """p^param_exps per term, for instantiation."""
+    def param_monomials(self, points: np.ndarray) -> np.ndarray:
+        """(n_blocks, k) parameter monomials p^block_exps of the (k, M) ``points``."""
         if self.n_params == 0:
-            return np.ones(self.n_terms, dtype=complex)
-        pw = np.empty((self.max_param_deg + 1, self.n_params), dtype=complex)
+            return np.ones((len(self.block_exps), len(points)), dtype=complex)
+        pw = np.empty((self.max_param_deg + 1,) + points.shape, dtype=complex)
         pw[0] = 1.0
         for k in range(1, self.max_param_deg + 1):
-            pw[k] = pw[k - 1] * p
-        if self.n_terms == 0:
-            return np.empty(0, dtype=complex)
-        m = pw[self.param_exps[:, 0], 0].copy()
+            pw[k] = pw[k - 1] * points
+        m = pw[self.block_exps[:, 0], :, 0]
         for j in range(1, self.n_params):
-            m *= pw[self.param_exps[:, j], j]
+            m *= pw[self.block_exps[:, j], :, j]
         return m
 
     # the value or the Jacobian alone; sweepbench/tracer.py wraps both by name
@@ -530,9 +537,9 @@ class TermStructure:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Value and Jacobian in one pass over a shared power table.
 
-        The two coefficient arrays may differ, which lets a homotopy pair
-        dH/dt (for prediction) with the Jacobian of H at the same point.
-        ``z`` is one point, shape (N,), or a batch, shape (B, N).
+        The two (n_terms, B) coefficient arrays may differ, which lets a
+        homotopy pair dH/dt (for prediction) with the Jacobian of H at the
+        same point.  ``z`` is one point, shape (N,), or a batch, shape (B, N).
         """
         if z.ndim not in (1, 2) or z.shape[-1] != self.n_vars:
             raise ValueError(
@@ -546,13 +553,9 @@ class TermStructure:
         return (out[0], jac[0]) if z.ndim == 1 else (out, jac)
 
 
-def _term_major(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients as (n_terms, 1) or (n_terms, B), to scale (K, B) monomials."""
-    return coeffs.T if coeffs.ndim == 2 else coeffs[:, None]
-
-
 @functools.lru_cache(maxsize=64)
-def _structure(sys: ParamSystem) -> TermStructure:
+def term_structure(sys: ParamSystem) -> TermStructure:
+    """The term structure of ``sys``, built once per family."""
     return TermStructure(sys.n_vars, sys.n_params, sys.functions)
 
 
@@ -560,16 +563,13 @@ class InstantiatedSystem:
     """F(z, p) with p fixed: a closed polynomial system in z alone.
 
     Shares the parent's TermStructure, so building one is a single
-    coefficient computation, not a re-parse.
+    coefficient computation, not a re-parse.  ``coeffs`` is term-major,
+    (n_terms, B): one column, or one per point of a batch.
     """
 
     def __init__(self, structure: TermStructure, coeffs: np.ndarray):
         self.structure = structure
         self.coeffs = coeffs
-
-    @property
-    def n_vars(self) -> int:
-        return self.structure.n_vars
 
     def eval_and_jac(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.structure.eval_and_jac(self.coeffs, self.coeffs, z)
@@ -585,8 +585,8 @@ def instantiate(sys: ParamSystem, p: np.ndarray) -> InstantiatedSystem:
     p = np.asarray(p, dtype=complex)
     if p.shape != (sys.n_params,):
         raise ValueError(f"expected {sys.n_params} parameter values, got {p.shape}")
-    st = _structure(sys)
-    return InstantiatedSystem(st, st.base_coeffs * st.param_factors(p))
+    st = term_structure(sys)
+    return InstantiatedSystem(st, st.base_coeffs[:, None] * st.param_monomials(p[None])[st.block])
 
 
 def variable_degrees(sys: ParamSystem) -> tuple[int, ...]:

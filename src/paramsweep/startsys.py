@@ -1,32 +1,40 @@
-"""Total-degree start systems and homotopy construction.
+"""Total-degree start systems and the parameter homotopy of both steps.
 
 The start system g_i(z) = z_i^{d_i} - 1 has prod(d_i) trivially enumerable
-solutions (tuples of roots of unity).  A homotopy blends a target and a
-source system,
+solutions (tuples of roots of unity).
 
-    H(z, t) = target(z) * (1 - t) + source(z) * t * gamma,
+Every homotopy here is a parameter homotopy of one family F(z; p): it
+moves the parameters from a source point (t = 1) to a target point
+(t = 0).  Every term of a family has one parameter monomial q, so with
+the terms grouped into blocks by q (``TermStructure.block``), row b of a
+homotopy is
 
-so H(., 1) = gamma * source and H(., 0) = target.  For parameter
-homotopies (both endpoints instantiations of the same family) gamma is
-fixed at exactly 1; the randomness of the start parameter point already
-provides genericity.
+    H_b(z, t) = sum_k base_k * w_{q_k}(b, t) * z^{e_k},
+    w(b, t) = w_target[:, b] + t * (w_source - w_target[:, b]),
 
-Internally both endpoint systems are laid out on one shared term
-structure, so evaluating H, its z-Jacobian, or dH/dt at any t costs a
-single coefficient blend plus one sparse evaluation.  A homotopy may hold
-a stack of targets with one source, one homotopy per target, so that a
-batch of parameter points is tracked as one batch of rows.
+where w_target[:, b] holds the monomials of row b's target point and
+w_source those of the source.  dH/dt takes the weights w_source -
+w_target on the same terms.  Evaluating H, its z-Jacobian or dH/dt at any
+t costs one weight blend plus one sparse evaluation.  A homotopy holds a
+stack of targets with one source, so that a batch of parameter points is
+tracked as one batch of rows; a single target is a stack of one.
+
+Step 2 tracks from the round's start point to its batch of targets
+(``build_homotopy``).  Step 1 is a parameter homotopy too
+(``total_degree_homotopy``), of the extended family a*F(z; p) + s*g(z),
+the start terms appended after each function's own terms, from
+(p, a, s) = (0, 0, gamma), where H = gamma*g, to (p0, 1, 0), where
+H = F(., p0).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from paramsweep.poly import InstantiatedSystem, Term, TermStructure
+from paramsweep.poly import InstantiatedSystem, ParamSystem, Term, TermStructure, term_structure
 
 __all__ = [
     "StartSystem",
@@ -34,6 +42,7 @@ __all__ = [
     "total_degree_start",
     "random_gamma",
     "build_homotopy",
+    "total_degree_homotopy",
 ]
 
 
@@ -46,10 +55,6 @@ class StartSystem:
     def __post_init__(self):
         if any(d < 1 for d in self.degrees):
             raise ValueError(f"start system needs degrees >= 1, got {self.degrees}")
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.degrees)
 
     @property
     def n_solutions(self) -> int:
@@ -68,18 +73,6 @@ class StartSystem:
             for combo in itertools.product(*roots)
         ]
 
-    def as_instantiated(self) -> InstantiatedSystem:
-        n = self.n_vars
-        funcs = []
-        for i, d in enumerate(self.degrees):
-            mono = [0] * n
-            mono[i] = d
-            funcs.append(
-                (Term(-1.0 + 0j, (0,) * n, ()), Term(1.0 + 0j, tuple(mono), ()))
-            )
-        st = TermStructure(n, 0, tuple(funcs))
-        return InstantiatedSystem(st, st.base_coeffs.copy())
-
 
 def total_degree_start(degrees) -> StartSystem:
     """Start system for the given per-function variable degrees."""
@@ -93,50 +86,21 @@ def random_gamma(rng: np.random.Generator) -> complex:
 
 
 class Homotopy:
-    """H_k(z, t) = target_k(z)*(1-t) + source(z)*t*gamma on a shared structure.
+    """H_b(z, t) = sum_k base_k * w_{q_k}(b, t) * z^{e_k} on one term structure.
 
-    One homotopy per target of a stack: every target shares one term
-    structure, and all share the source and gamma.  The evaluations take a
-    batch of rows and ``point``, the index of each row's target (0 for a
-    stack of one); each row is computed exactly as it would be in a
-    homotopy of its target alone.  A stack of one target keeps 1-D
-    coefficients, which broadcast over the rows without a gather.
+    ``w_target`` (n_blocks, k) holds the parameter monomials of each
+    target of the stack, ``w_source`` (n_blocks,) those of the source.  The
+    evaluations take a batch of rows, each row's t and ``point``, the index
+    of its target; each row is computed exactly as it would be in a
+    homotopy of its target alone.
 
     Immutable after construction; safe to share across workers.
     """
 
-    def __init__(
-        self,
-        targets: InstantiatedSystem | Sequence[InstantiatedSystem],
-        source: InstantiatedSystem,
-        gamma: complex,
-    ):
-        if isinstance(targets, InstantiatedSystem):
-            targets = [targets]
-        st_a = targets[0].structure
-        if any(t.structure is not st_a for t in targets):
-            raise ValueError("the targets of a homotopy must share one term structure")
-        if st_a.n_vars != source.n_vars:
-            raise ValueError(
-                f"dimension mismatch: target has {st_a.n_vars} variables, "
-                f"source has {source.n_vars}"
-            )
-        c_a = np.array([t.coeffs for t in targets], dtype=complex)
-        if st_a is source.structure:
-            self._struct = st_a
-            c_b = source.coeffs
-        else:
-            self._struct, idx_a, idx_b = _union_structure(st_a, source.structure)
-            c_union = np.zeros((len(targets), self._struct.n_terms), dtype=complex)
-            c_union[:, idx_a] = c_a
-            c_a = c_union
-            c_b = np.zeros(self._struct.n_terms, dtype=complex)
-            c_b[idx_b] = source.coeffs
-        if len(targets) == 1:
-            c_a = c_a[0]
-        self._c_target = c_a
-        # c(t) = c_target + t * c_dt reproduces (1-t)*target + t*gamma*source
-        self._c_dt = complex(gamma) * c_b - c_a
+    def __init__(self, structure: TermStructure, w_target: np.ndarray, w_source: np.ndarray):
+        self._struct = structure
+        self._w_target = w_target
+        self._w_dt = w_source[:, None] - w_target
 
     @property
     def n_vars(self) -> int:
@@ -145,65 +109,68 @@ class Homotopy:
     @property
     def n_points(self) -> int:
         """The number of targets in the stack."""
-        return len(self._c_target) if self._c_target.ndim == 2 else 1
+        return self._w_target.shape[1]
 
-    def _rows(self, c: np.ndarray, point) -> np.ndarray:
-        return c if c.ndim == 1 else c[point]
+    def _coeffs(self, w: np.ndarray) -> np.ndarray:
+        """(n_terms, B) coefficients base * w[block] of (n_blocks, B) weights."""
+        c = w[self._struct.block]
+        c *= self._struct.base_coeffs[:, None]  # in place: one (n_terms, B) array, not two
+        return c
 
-    def coeffs_at(self, t, point=0) -> np.ndarray:
-        return self._rows(self._c_target, point) + t * self._rows(self._c_dt, point)
+    def at(self, t, point) -> InstantiatedSystem:
+        """The frozen systems H(., t), one column of coefficients per row."""
+        w = self._w_target[:, point] + t * self._w_dt[:, point]
+        return InstantiatedSystem(self._struct, self._coeffs(w))
 
-    def at(self, t, point=0) -> InstantiatedSystem:
-        """The frozen system H(., t), usable for Newton correction."""
-        return InstantiatedSystem(self._struct, self.coeffs_at(t, point))
-
-    def tangent_data(self, z: np.ndarray, t, point=0) -> tuple[np.ndarray, np.ndarray]:
+    def tangent_data(self, z: np.ndarray, t, point) -> tuple[np.ndarray, np.ndarray]:
         """(dH/dt, J_z) at (z, t) in a single fused evaluation."""
+        w_dt = self._w_dt[:, point]
         return self._struct.eval_and_jac(
-            self._rows(self._c_dt, point), self.coeffs_at(t, point), z
+            self._coeffs(w_dt), self._coeffs(self._w_target[:, point] + t * w_dt), z
         )
 
 
-def _union_structure(
-    st_a: TermStructure, st_b: TermStructure
-) -> tuple[TermStructure, np.ndarray, np.ndarray]:
-    """Interleave two structures function by function.
-
-    Returns the combined structure plus index arrays mapping each input
-    term to its slot, so endpoint coefficient vectors can be scattered in.
-    """
-    if st_a.n_vars != st_b.n_vars:
-        raise ValueError("cannot combine structures of different dimension")
-    n = st_a.n_vars
-    funcs = []
-    idx_a, idx_b = [], []
-    pos = 0
-    for i in range(n):
-        terms = []
-        for st, idx in ((st_a, idx_a), (st_b, idx_b)):
-            lo, hi = st.fn_offsets[i], st.fn_offsets[i + 1]
-            for k in range(lo, hi):
-                idx.append(pos)
-                terms.append(Term(0j, tuple(int(e) for e in st.var_exps[k]), ()))
-                pos += 1
-        funcs.append(tuple(terms))
-    union = TermStructure(n, 0, tuple(funcs))
-    return union, np.array(idx_a, dtype=np.intp), np.array(idx_b, dtype=np.intp)
+def build_homotopy(sys: ParamSystem, targets, source) -> Homotopy:
+    """The parameter homotopy of ``sys`` from the point ``source`` (t = 1)
+    to each row of the (k, M) array ``targets`` (t = 0)."""
+    targets = np.asarray(targets, dtype=complex)
+    source = np.asarray(source, dtype=complex)
+    m = sys.n_params
+    if targets.ndim != 2 or targets.shape[1] != m:
+        raise ValueError(
+            f"targets must be a (k, {m}) array for a family of {m} parameters, "
+            f"got shape {targets.shape}"
+        )
+    if source.shape != (m,):
+        raise ValueError(
+            f"the source must hold {m} parameter values, one per parameter of "
+            f"the family, got shape {source.shape}"
+        )
+    st = term_structure(sys)
+    return Homotopy(st, st.param_monomials(targets), st.param_monomials(source[None])[:, 0])
 
 
-def build_homotopy(
-    target: InstantiatedSystem | Sequence[InstantiatedSystem],
-    source: InstantiatedSystem | StartSystem,
-    gamma: complex = 1.0,
+def total_degree_homotopy(
+    sys: ParamSystem, start: StartSystem, p0: np.ndarray, gamma: complex
 ) -> Homotopy:
-    """Blend a target, or a stack of targets on one term structure, with a source.
+    """Step 1's homotopy from gamma*g at t = 1 to F(., p0) at t = 0.
 
-    A StartSystem source gives a total-degree homotopy (any unit gamma);
-    an instantiated source gives a parameter homotopy, where gamma must
-    be exactly 1.
+    It is the parameter homotopy of a*F(z; p) + s*g(z), the family with
+    two parameters more, from (0, 0, gamma) to (p0, 1, 0).
     """
-    if isinstance(source, StartSystem):
-        return Homotopy(target, source.as_instantiated(), gamma)
-    if gamma != 1.0:
-        raise ValueError("parameter homotopies require gamma = 1")
-    return Homotopy(target, source, 1.0)
+    n, m = sys.n_vars, sys.n_params
+    # exponents of (a, s): F's terms carry a, the start terms s
+    of_f, of_g = (1, 0), (0, 1)
+    functions = []
+    for i, (terms, d) in enumerate(zip(sys.functions, start.degrees, strict=True)):
+        z_d = tuple(d if j == i else 0 for j in range(n))
+        functions.append(
+            tuple(Term(t.coeff, t.var_exps, t.param_exps + of_f) for t in terms)
+            + (Term(-1.0 + 0j, (0,) * n, (0,) * m + of_g),
+               Term(1.0 + 0j, z_d, (0,) * m + of_g))
+        )
+    # the two names cannot clash with a parsed name: "(" starts none
+    family = ParamSystem(sys.var_names, sys.param_names + ("(a)", "(s)"), tuple(functions))
+    target = np.concatenate([np.asarray(p0, dtype=complex), [1.0, 0.0]])
+    source = np.concatenate([np.zeros(m), [0.0, gamma]])
+    return build_homotopy(family, target[None], source)

@@ -35,14 +35,15 @@ any other rejection.  This keeps each prediction close to a path where the
 path bends sharply, which is where paths come close to each other.  It
 makes a jump rare, not impossible.
 
-Every start point on every homotopy of a stack (one per target, see
-``startsys.Homotopy``) advances together as one (B, N) array, B being
-targets x starts; each row carries the index of its target.  Each path
-keeps its own t, step length, success streak, attempt and step counts,
-boundary point and status; a path that finishes or fails leaves the
-active set.  Every evaluation, solve and norm is one numpy call on the
-active rows, and each row of such a call is computed exactly as it would
-be alone, on its own target's coefficients.
+Every start point on every target of a homotopy (``startsys.Homotopy``,
+whose rows weigh one term structure's blocks by their target and t)
+advances together as one (B, N) array, B being targets x starts; each
+row carries the index of its target.  Each path keeps its own t, step
+length, success streak, attempt and step counts, boundary point and
+status; a path that finishes or fails leaves the active set.  Every
+evaluation, solve and norm is one numpy call on the active rows, and each
+row of such a call is computed exactly as it would be alone, on its own
+target's coefficients.
 
 ``track_many`` returns one ``Paths`` record, one array per field shaped
 (targets, starts, ...), not an object per path.  All failure modes are
@@ -229,7 +230,7 @@ def _predict(
     for c, weight in ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
         step = c * dt[live]
         dh_dt, jac = h.tangent_data(
-            z[live] + step[:, None] * slope, (t[live] + step)[:, None], point[live]
+            z[live] + step[:, None] * slope, t[live] + step, point[live]
         )
         slope, ok = _solve(jac, -dh_dt)
         ok &= np.isfinite(slope).all(axis=1)
@@ -247,7 +248,7 @@ def _newton_correct(
     """Newton iteration per row until the update norm drops below the row's
     tolerance.
 
-    ``sys_at_t`` holds one row of coefficients per point, at the rows' times
+    ``sys_at_t`` holds one column of coefficients per point, at the rows' times
     ``t``.  A row with t above ``ENDGAME_BOUNDARY`` has tolerance TRACK_TOL,
     any other row NEWTON_TOL.  A row above the boundary also fails when its
     first update exceeds PREDICT_TOL * (1 + |z|_inf), z being the
@@ -283,14 +284,14 @@ def _newton_correct(
         converged[live[done]] = True
         live = live[~done]
         if i < cfg.max_newton_iters and live.size:
-            f, jac = structure.eval_and_jac(coeffs[live], coeffs[live], z[live])
+            f, jac = structure.eval_and_jac(coeffs[:, live], coeffs[:, live], z[live])
     return z, converged, iters
 
 
 def _sharpen(target: InstantiatedSystem, z: np.ndarray):
     """Final Newton polish of each row on its target system; never raises.
 
-    ``target`` holds one row of coefficients per point.  Returns
+    ``target`` holds one column of coefficients per point.  Returns
     ``(points, converged)``.
     """
     structure, coeffs = target.structure, target.coeffs
@@ -300,7 +301,7 @@ def _sharpen(target: InstantiatedSystem, z: np.ndarray):
     for _ in range(SHARPEN_ITERS):
         if not live.size:
             break
-        f, jac = structure.eval_and_jac(coeffs[live], coeffs[live], z[live])
+        f, jac = structure.eval_and_jac(coeffs[:, live], coeffs[:, live], z[live])
         exact = _inf_norm(f) == 0.0
         converged[live[exact]] = True
         live, f, jac = live[~exact], f[~exact], jac[~exact]
@@ -359,7 +360,7 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> Paths:
         predicted, ok = _predict(h, z[act], t_a, t_next - t_a, point[act])
         rows = np.flatnonzero(ok)
         corrected, converged, iters = _newton_correct(
-            h.at(t_next[rows, None], point[act[rows]]), predicted[rows],
+            h.at(t_next[rows], point[act[rows]]), predicted[rows],
             t_next[rows], cfg,
         )
         newton_iters[act[rows]] += iters
@@ -398,7 +399,7 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> Paths:
     condition = np.full(n, np.inf)
     sharpened = np.zeros(n, dtype=bool)
     if done.size:
-        target = h.at(np.zeros((done.size, 1)), point[done])
+        target = h.at(np.zeros(done.size), point[done])
         z[done], sharpened[done] = _sharpen(target, z[done])
         f, jac = target.eval_and_jac(z[done])
         residual[done] = _inf_norm(f)

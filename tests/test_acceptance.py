@@ -29,7 +29,7 @@ from paramsweep.paramhom import (
 )
 from paramsweep.poly import parse_system, variable_degrees
 from paramsweep.scheduler import run_parallel
-from paramsweep.startsys import total_degree_start
+from paramsweep.startsys import random_gamma, total_degree_homotopy, total_degree_start
 from paramsweep.tracker import TrackerConfig
 from conftest import CUBE_TEXT, MONKS_TEXT, QUAD_TEXT, set_distance
 
@@ -42,12 +42,20 @@ def report(n, ok, detail):
 
 
 def test_criterion_1_total_degree_start():
-    """Degrees (2,3,3): 18 enumerated points, residual < 1e-12, < 1 s."""
+    """Degrees (2,3,3): 18 enumerated points, residual < 1e-12, < 1 s.
+
+    The residual is |H| on Step 1's homotopy at t = 1, where H = gamma*g
+    and |H| = |g|."""
     t0 = time.perf_counter()
+    sys = parse_system(
+        "variable x, y, w; parameter a; function f, g, h;"
+        "f = x^2 - a; g = y^3 + a*x - 2; h = w^3 - y;"
+    )
     ss = total_degree_start([2, 3, 3])
     sols = ss.solutions()
-    g = ss.as_instantiated()
-    worst = max(np.max(np.abs(g.eval_and_jac(z)[0])) for z in sols)
+    gamma = random_gamma(np.random.default_rng(1))
+    h = total_degree_homotopy(sys, ss, np.array([0.4 + 0.3j]), gamma)
+    worst = max(np.max(np.abs(h.at(1.0, [0]).eval_and_jac(z)[0])) for z in sols)
     elapsed = time.perf_counter() - t0
     report(
         1,

@@ -212,15 +212,15 @@ def test_instantiate_cube_at_ones():
 
 
 def test_instantiate_matches_evaluate_bitwise():
-    # 100 instantiations stacked into one evaluation, a row of coefficients
-    # per point, give each point bit for bit what it gets alone
+    # 100 instantiations stacked into one evaluation, a column of
+    # coefficients per point, give each point bit for bit what it gets alone
     rng = np.random.default_rng(11)
     sys = _random_system(rng, n_vars=2, n_params=3, degree=4, n_terms=10)
     zs, alone = [], []
     for _ in range(100):
         zs.append(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         alone.append(instantiate(sys, rng.standard_normal(3) + 1j * rng.standard_normal(3)))
-    stacked = InstantiatedSystem(alone[0].structure, np.array([a.coeffs for a in alone]))
+    stacked = InstantiatedSystem(alone[0].structure, np.hstack([a.coeffs for a in alone]))
     f, jac = stacked.eval_and_jac(np.array(zs))
     for k, (inst, z) in enumerate(zip(alone, zs)):
         f_k, jac_k = inst.eval_and_jac(z)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from paramsweep.poly import instantiate, parse_system
+from paramsweep.poly import instantiate, parse_system, variable_degrees
 from paramsweep.startsys import (
-    Homotopy,
     build_homotopy,
     random_gamma,
+    total_degree_homotopy,
     total_degree_start,
 )
 
@@ -35,12 +35,19 @@ def test_zero_degree_rejected():
 
 
 def test_start_points_satisfy_system():
+    # the start points solve Step 1's homotopy at t = 1, where H = gamma*g
+    # and |H| = |g|
+    sys = parse_system(
+        "variable x, y, w; parameter a; function f, g, h;"
+        "f = x^2 - a; g = y^3 + a*x - 2; h = w^3 - y;"
+    )
     ss = total_degree_start([2, 3, 3])
-    g = ss.as_instantiated()
+    gamma = random_gamma(np.random.default_rng(8))
+    h = total_degree_homotopy(sys, ss, np.array([0.4 + 0.3j]), gamma)
     sols = ss.solutions()
     assert len(sols) == 18
     for z in sols:
-        assert np.max(np.abs(_value(g, z))) < 1e-12
+        assert np.max(np.abs(_value(h.at(1.0, [0]), z))) < 1e-12
 
 
 def test_lexicographic_enumeration_order():
@@ -69,73 +76,109 @@ def test_random_gamma_seed_behaviour():
     assert g1 == g1_again
 
 
-def _quad_pair():
-    sys = parse_system("variable z; parameter p; function f; f = z^2 - p;")
-    target = instantiate(sys, np.array([4.0 + 0j]))
-    source = instantiate(sys, np.array([1.0 + 0j]))
-    return target, source
+QUAD = parse_system("variable z; parameter p; function f; f = z^2 - p;")
 
 
 def test_parameter_homotopy_hand_values():
-    target, source = _quad_pair()
-    h = build_homotopy(target, source, gamma=1.0)
+    h = build_homotopy(QUAD, [[4.0]], [1.0])
     z = np.array([1.0 + 0j])
     # H(1, 0.5) = 0.5*(1-4) + 0.5*(1-1) = -1.5
-    assert _value(h.at(0.5), z)[0] == pytest.approx(-1.5)
+    assert _value(h.at(0.5, [0]), z)[0] == pytest.approx(-1.5)
     # dH/dt = -(1-4) + (1-1) = 3
-    assert h.tangent_data(z, 0.5)[0][0] == pytest.approx(3.0)
+    assert h.tangent_data(z, 0.5, [0])[0][0] == pytest.approx(3.0)
 
 
-def test_parameter_homotopy_requires_unit_gamma():
-    target, source = _quad_pair()
-    with pytest.raises(ValueError, match="gamma"):
-        build_homotopy(target, source, gamma=0.5 + 0.5j)
+TWO_VARS = parse_system(
+    "variable u, v; parameter a; function f, g; f = u^2*v - a; g = v^3 + a*u - 2;"
+)
+# base coefficients that are not powers of two, on monomials of every
+# parameter degree up to 2
+ODD = parse_system(
+    "variable z; parameter p, q; function f; f = 3.5*z^2 - p*z - 1.25 + 0.3*q^2*z^3;"
+)
+
+
+def _start_value(start, z):
+    """g(z) = z_i^{d_i} - 1."""
+    return z ** np.array(start.degrees) - 1
 
 
 def test_endpoint_identities():
+    # Step 1's homotopy is F(., p0) at t = 0 and gamma*g at t = 1
     rng = np.random.default_rng(5)
-    sys = parse_system(
-        "variable u, v; parameter a; function f, g; f = u^2*v - a; g = v^3 + a*u - 2;"
-    )
-    target = instantiate(sys, np.array([1.3 - 0.2j]))
-    start = total_degree_start([3, 3])
-    gamma = random_gamma(rng)
-    h = build_homotopy(target, start, gamma)
-    g = start.as_instantiated()
-    for _ in range(20):
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert np.max(np.abs(_value(h.at(0.0), z) - _value(target, z))) < 1e-12
-        assert np.max(np.abs(_value(h.at(1.0), z) - gamma * _value(g, z))) < 1e-12
+    for sys in (TWO_VARS, ODD):
+        p0 = rng.standard_normal(sys.n_params) + 1j * rng.standard_normal(sys.n_params)
+        target = instantiate(sys, p0)
+        start = total_degree_start(variable_degrees(sys))
+        gamma = random_gamma(rng)
+        h = total_degree_homotopy(sys, start, p0, gamma)
+        for _ in range(20):
+            z = rng.standard_normal(sys.n_vars) + 1j * rng.standard_normal(sys.n_vars)
+            at_0, at_1 = _value(h.at(0.0, [0]), z), _value(h.at(1.0, [0]), z)
+            assert np.max(np.abs(at_0 - _value(target, z))) < 1e-12
+            assert np.max(np.abs(at_1 - gamma * _start_value(start, z))) < 1e-12
+
+
+def test_stacked_targets_instantiate_bitwise():
+    # at t = 0 each target's coefficients are instantiate's, bit for bit,
+    # though 3.5, 1.25 and 0.3 are no powers of two
+    rng = np.random.default_rng(6)
+    targets = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    h = build_homotopy(ODD, targets, np.array([0.3 - 0.8j, 1.1 + 0.2j]))
+    assert h.n_points == 5
+    for k, p in enumerate(targets):
+        assert np.array_equal(h.at(0.0, [k]).coeffs, instantiate(ODD, p).coeffs)
+
+
+def test_dh_dt_is_the_difference_of_the_endpoints():
+    # dH/dt = F(z; source) - F(z; target_k) on every target of a stack
+    rng = np.random.default_rng(7)
+    targets = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    source = np.array([0.3 - 0.8j, 1.1 + 0.2j])
+    h = build_homotopy(ODD, targets, source)
+    for _ in range(10):
+        z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
+        t = rng.uniform()
+        for k, p in enumerate(targets):
+            expected = _value(instantiate(ODD, source), z) - _value(instantiate(ODD, p), z)
+            assert np.max(np.abs(h.tangent_data(z, t, [k])[0] - expected)) < 1e-12
 
 
 def test_dt_matches_finite_differences():
     rng = np.random.default_rng(9)
-    sys = parse_system(
-        "variable u, v; parameter a; function f, g; f = u^2*v - a; g = v^3 + a*u - 2;"
+    h = total_degree_homotopy(
+        TWO_VARS, total_degree_start([3, 3]), np.array([0.7 + 0.4j]), random_gamma(rng)
     )
-    target = instantiate(sys, np.array([0.7 + 0.4j]))
-    h = build_homotopy(target, total_degree_start([3, 3]), random_gamma(rng))
     for _ in range(5):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         t = rng.uniform(0.1, 0.9)
         eps = 1e-7
-        fd = (_value(h.at(t + eps), z) - _value(h.at(t - eps), z)) / (2 * eps)
-        assert np.max(np.abs(h.tangent_data(z, t)[0] - fd)) < 1e-6
+        fd = (_value(h.at(t + eps, [0]), z) - _value(h.at(t - eps, [0]), z)) / (2 * eps)
+        assert np.max(np.abs(h.tangent_data(z, t, [0])[0] - fd)) < 1e-6
 
 
 def test_jacobian_blend():
-    target, source = _quad_pair()
-    h = build_homotopy(target, source, gamma=1.0)
+    h = build_homotopy(QUAD, [[4.0]], [1.0])
     z = np.array([2.0 + 1.0j])
     t = 0.3
     # both endpoint systems are z^2 - c, so J_H = 2z at any t
-    assert h.tangent_data(z, t)[1][0, 0] == pytest.approx(2 * (2.0 + 1.0j))
+    assert h.tangent_data(z, t, [0])[1][0, 0] == pytest.approx(2 * (2.0 + 1.0j))
 
 
-def test_homotopy_dimension_mismatch():
-    sys1 = parse_system("variable z; function f; f = z^2 - 1;")
-    sys2 = parse_system("variable u, v; function f, g; f = u; g = v;")
-    t1 = instantiate(sys1, np.zeros(0, dtype=complex))
-    t2 = instantiate(sys2, np.zeros(0, dtype=complex))
-    with pytest.raises(ValueError, match="dimension"):
-        Homotopy(t1, t2, 1.0)
+@pytest.mark.parametrize("targets", [
+    [[4.0, 1.0]],          # two values for the family's one parameter
+    [4.0],                 # one point, not a (k, 1) array
+    np.zeros((2, 0)),      # no value
+])
+def test_build_homotopy_refuses_targets_of_another_parameter_count(targets):
+    # the message names the family's parameter count and the shape given
+    with pytest.raises(ValueError, match=r"\(k, 1\) array for a family of 1 parameters") as err:
+        build_homotopy(QUAD, targets, [1.0])
+    assert f"got shape {np.shape(targets)}" in str(err.value)
+
+
+@pytest.mark.parametrize("source", [[1.0, 2.0], [[1.0]], []])
+def test_build_homotopy_refuses_a_source_of_another_parameter_count(source):
+    with pytest.raises(ValueError, match="must hold 1 parameter values") as err:
+        build_homotopy(QUAD, [[4.0]], source)
+    assert f"got shape {np.shape(source)}" in str(err.value)

@@ -5,7 +5,12 @@ import pytest
 
 from paramsweep.paramhom import step1
 from paramsweep.poly import InstantiatedSystem, instantiate, parse_system
-from paramsweep.startsys import build_homotopy, random_gamma, total_degree_start
+from paramsweep.startsys import (
+    build_homotopy,
+    random_gamma,
+    total_degree_homotopy,
+    total_degree_start,
+)
 from paramsweep import tracker
 from paramsweep.tracker import (
     DEDUP_TOL,
@@ -33,10 +38,7 @@ SUCCESS = PathStatus.SUCCESS.code
 
 
 def _quad_homotopy(p_target=4.0, p_source=1.0):
-    return build_homotopy(
-        instantiate(QUAD, np.array([complex(p_target)])),
-        instantiate(QUAD, np.array([complex(p_source)])),
-    )
+    return build_homotopy(QUAD, [[p_target]], [p_source])
 
 
 def _predict_one(h, z, t, dt):
@@ -48,7 +50,7 @@ def _predict_one(h, z, t, dt):
 
 def _correct_rows(sys, z, t, cfg):
     """The batched corrector on one row at z per time in ``t``."""
-    rows = InstantiatedSystem(sys.structure, np.tile(sys.coeffs, (len(t), 1)))
+    rows = InstantiatedSystem(sys.structure, np.tile(sys.coeffs, (1, len(t))))
     return _newton_correct(rows, np.tile(z, (len(t), 1)), np.array(t), cfg)
 
 
@@ -89,12 +91,9 @@ def test_predict_zero_dt():
 def test_predict_exact_for_linear_homotopy():
     # z - (4 - 3t) has a path linear in t, so the step is exact
     lin = parse_system("variable z; parameter p; function f; f = z - p;")
-    h = build_homotopy(
-        instantiate(lin, np.array([4.0 + 0j])),
-        instantiate(lin, np.array([1.0 + 0j])),
-    )
+    h = build_homotopy(lin, [[4.0]], [1.0])
     z, _ = _predict_one(h, np.array([1.0 + 0j]), t=1.0, dt=-0.4)
-    assert abs(h.at(0.6).eval_and_jac(z)[0][0]) < 1e-12
+    assert abs(h.at(0.6, [0]).eval_and_jac(z)[0][0]) < 1e-12
 
 
 def test_predict_exact_for_quadratic_path():
@@ -103,10 +102,7 @@ def test_predict_exact_for_quadratic_path():
     sq = parse_system(
         "variable z0, z1; parameter p; function f0, f1; f0 = z0 - p; f1 = z1 - z0^2;"
     )
-    h = build_homotopy(
-        instantiate(sq, np.array([4.0 + 0j])),
-        instantiate(sq, np.array([1.0 + 0j])),
-    )
+    h = build_homotopy(sq, [[4.0]], [1.0])
     z, ok = _predict_one(h, np.array([1.0 + 0j, 1.0 + 0j]), t=1.0, dt=-0.4)
     assert ok
     on_path = np.array([2.2, 2.2**2])  # p(0.6) = 4 - 3 * 0.6
@@ -173,10 +169,7 @@ def test_sextic_endpoints_match_closed_form_roots(c):
     x = 0.7
     y = np.sign(1 - x**6 - c) * abs(1 - x**6 - c) ** (1 / 6)
     c = 1 - x**6 - y**6
-    h = build_homotopy(
-        instantiate(cube, np.array([x, y], dtype=complex)),
-        instantiate(cube, r1.p0),
-    )
+    h = build_homotopy(cube, [[x, y]], r1.p0)
     paths = track_many(h, list(r1.solutions.distinct), cfg)
     assert (paths.status == SUCCESS).all()
     roots = complex(c) ** (1 / 6) * np.exp(2j * np.pi * np.arange(6) / 6)
@@ -213,10 +206,7 @@ def test_track_path_onto_discriminant_flags_singular():
 def test_track_path_divergence():
     # z*p - 1 at p=0 has no finite solution: the path blows up
     lin = parse_system("variable z; parameter p; function f; f = p*z - 1;")
-    h = build_homotopy(
-        instantiate(lin, np.array([0j])),
-        instantiate(lin, np.array([1.0 + 0j])),
-    )
+    h = build_homotopy(lin, [[0.0]], [1.0])
     res = _track_one(h, np.array([1.0 + 0j]), TrackerConfig())
     assert res.status in (PathStatus.DIVERGED.code, PathStatus.MIN_STEP.code)
     if res.status == PathStatus.DIVERGED.code:
@@ -242,7 +232,7 @@ def test_residual_bounded_after_corrections():
     cfg = TrackerConfig()
     res = _track_one(h, np.array([1.0 + 0j]), cfg)
     assert res.status == SUCCESS
-    at_boundary = h.at(ENDGAME_BOUNDARY).eval_and_jac(res.boundary)[0]
+    at_boundary = h.at(ENDGAME_BOUNDARY, [0]).eval_and_jac(res.boundary)[0]
     assert abs(at_boundary[0]) < 100 * NEWTON_TOL
 
 
@@ -271,10 +261,7 @@ CUBIC = parse_system("variable z; parameter p, q; function f; f = p*z^3 + z^2 - 
 
 def test_batch_invariance_mixed_batch(monkeypatch):
     p, q = 0.8 + 0.6j, 1.0 - 0.5j
-    h = build_homotopy(
-        instantiate(CUBIC, np.array([0j, 4.0 + 0j])),
-        instantiate(CUBIC, np.array([p, q])),
-    )
+    h = build_homotopy(CUBIC, [[0.0, 4.0]], [p, q])
     roots = np.roots([p, 1.0, 0.0, -q])
     starts = [np.array([r], dtype=complex) for r in roots] + [np.array([0j])]
     cfg = TrackerConfig()
@@ -311,10 +298,7 @@ def test_paths_record_invariants(monkeypatch, attempts):
 
     monkeypatch.setattr(tracker, "_predict", counted)
     p, q = 0.8 + 0.6j, 1.0 - 0.5j
-    h = build_homotopy(
-        [instantiate(CUBIC, np.array(t, dtype=complex)) for t in ((0, 4), (0.5, 2))],
-        instantiate(CUBIC, np.array([p, q])),
-    )
+    h = build_homotopy(CUBIC, [(0, 4), (0.5, 2)], [p, q])
     starts = [np.array([r]) for r in np.roots([p, 1.0, 0.0, -q])] + [np.array([0j])]
     paths = track_many(h, starts, TrackerConfig())
     for f in dataclasses.fields(paths):
@@ -339,10 +323,8 @@ def test_batch_order_invariance_wave_amplitude():
     sysm = parse_system(MONKS_TEXT)
     rng = np.random.default_rng(3)
     start = total_degree_start([3, 3, 3, 3])
-    h = build_homotopy(
-        instantiate(sysm, np.array([2.0 + 0.5j, 5.0 - 0.3j, 3.0 + 0.2j])),
-        start,
-        random_gamma(rng),
+    h = total_degree_homotopy(
+        sysm, start, np.array([2.0 + 0.5j, 5.0 - 0.3j, 3.0 + 0.2j]), random_gamma(rng)
     )
     starts = start.solutions()[::9]
     cfg = TrackerConfig()
@@ -375,10 +357,8 @@ def test_stack_invariance_wave_amplitude(wave_step1, monkeypatch, attempts):
     # the last start is no root of H(., 1): no correction from it converges,
     # so it ends in MIN_STEP on every target
     starts = list(r1.solutions.distinct) + [np.ones(4, dtype=complex)]
-    source = instantiate(sysm, r1.p0)
-    targets = [instantiate(sysm, np.array(p, dtype=complex)) for p in WAVE_POINTS]
-    stacked = track_many(build_homotopy(targets, source), starts, cfg)
-    assert stacked.status.shape == (len(targets), len(starts))
+    stacked = track_many(build_homotopy(sysm, WAVE_POINTS, r1.p0), starts, cfg)
+    assert stacked.status.shape == (len(WAVE_POINTS), len(starts))
     statuses = set(_statuses(stacked))
     assert PathStatus.SUCCESS in statuses
     if attempts == 70:
@@ -386,8 +366,8 @@ def test_stack_invariance_wave_amplitude(wave_step1, monkeypatch, attempts):
     else:
         kinds = {PathStatus.DIVERGED, PathStatus.MIN_STEP, PathStatus.NEWTON_FAILURE}
         assert kinds < statuses
-    for k, target in enumerate(targets):
-        alone = track_many(build_homotopy(target, source), starts, cfg)
+    for k, target in enumerate(WAVE_POINTS):
+        alone = track_many(build_homotopy(sysm, [target], r1.p0), starts, cfg)
         assert _same_result(stacked[k], alone[0])
 
 
@@ -432,13 +412,12 @@ def test_classify_matches_the_union_find_reference(wave_step1):
     # the wave-amplitude points hold clusters of 5 and 29 paths and
     # survivors of every flag
     sysm, r1 = wave_step1
-    targets = [instantiate(sysm, np.array(p, dtype=complex)) for p in WAVE_POINTS]
     paths = track_many(
-        build_homotopy(targets, instantiate(sysm, r1.p0)), list(r1.solutions.distinct),
+        build_homotopy(sysm, WAVE_POINTS, r1.p0), list(r1.solutions.distinct),
         TrackerConfig(),
     )
-    classes = [_classes(classify_endpoints(paths[k])) for k in range(len(targets))]
-    assert classes == [_classify_by_loop(paths[k]) for k in range(len(targets))]
+    classes = [_classes(classify_endpoints(paths[k])) for k in range(len(WAVE_POINTS))]
+    assert classes == [_classify_by_loop(paths[k]) for k in range(len(WAVE_POINTS))]
     assert {m for c in classes for *_, m in c} >= {1, 5, 29}
     assert {(sing, real) for c in classes for _, sing, real, *_ in c} == {
         (False, False), (False, True), (True, False), (True, True)
@@ -451,10 +430,7 @@ def test_generic_wave_amplitude_steps_per_path(wave_step1):
     # 17 accepted steps per path here, where a tangent predictor took about
     # 24, and a tangent predictor tracking at NEWTON_TOL about 61
     sysm, r1 = wave_step1
-    h = build_homotopy(
-        instantiate(sysm, np.array(WAVE_POINTS[0], dtype=complex)),
-        instantiate(sysm, r1.p0),
-    )
+    h = build_homotopy(sysm, [WAVE_POINTS[0]], r1.p0)
     paths = track_many(h, list(r1.solutions.distinct), TrackerConfig())
     assert paths.status.shape == (1, 81)
     assert (paths.status == SUCCESS).all()
@@ -474,10 +450,7 @@ def test_generic_wave_amplitude_keeps_every_root(seed, point):
     # 8 flagged singular)
     sysm = parse_system(MONKS_TEXT)
     r1 = step1(sysm, TrackerConfig(), np.random.default_rng(seed))
-    h = build_homotopy(
-        instantiate(sysm, np.array(point, dtype=complex)),
-        instantiate(sysm, r1.p0),
-    )
+    h = build_homotopy(sysm, [point], r1.p0)
     cls = classify_endpoints(track_many(h, list(r1.solutions.distinct), TrackerConfig()))
     assert len(cls) == 81
     assert not any(cls.singular_flags)
@@ -546,9 +519,8 @@ def test_univariate_total_degree_matches_polar_roots(d):
     rng = np.random.default_rng(100 + d)
     poly_d = parse_system(f"variable z; parameter p; function f; f = z^{d} - p;")
     c = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
-    target = instantiate(poly_d, np.array([c]))
     start = total_degree_start([d])
-    h = build_homotopy(target, start, random_gamma(rng))
+    h = total_degree_homotopy(poly_d, start, np.array([c]), random_gamma(rng))
     paths = track_many(h, start.solutions(), TrackerConfig())
     assert (paths.status == SUCCESS).all()
     got = paths.endpoint[0]
@@ -571,8 +543,7 @@ def test_crossing_check():
 def test_classified_solutions_are_arrays(stacked):
     # targets z^2 = 4, 2i and 0: two real roots, two nonreal ones and a
     # double root, whose two paths end on rows flagged singular
-    targets = [instantiate(QUAD, np.array([complex(p)])) for p in (4, 2j, 0)]
-    h = build_homotopy(targets, instantiate(QUAD, np.array([1 + 0j])))
+    h = build_homotopy(QUAD, [[4], [2j], [0]], [1])
     paths = track_many(h, np.array([[1 + 0j], [-1 + 0j]]), TrackerConfig())
     cls = classify_endpoints(paths if stacked else paths[0])
     n = 6 if stacked else 2
@@ -616,10 +587,7 @@ def test_classify_two_real_roots():
 def test_classify_sixth_roots_of_unity():
     sextic = parse_system("variable z; parameter p; function f; f = z^6 - p;")
     start = total_degree_start([6])
-    h = build_homotopy(
-        instantiate(sextic, np.array([1.0 + 0j])),
-        start.as_instantiated(),
-    )
+    h = total_degree_homotopy(sextic, start, np.array([1.0 + 0j]), 1.0)
     cls = classify_endpoints(track_many(h, start.solutions(), TrackerConfig()))
     assert len(cls) == 6
     assert cls.n_real == 2  # only +1 and -1 are real
