@@ -477,7 +477,8 @@ def cmd_solve(args) -> int:
     save_step1(os.path.join(out_dir, "step1.json"), r1)
 
     if inp.config.get("verify_step1", False):
-        failure = verify_step1(sysm, cfg, r1, rng)
+        # a generator of its own, so the check leaves the retry rounds' draws
+        failure = verify_step1(sysm, cfg, r1, np.random.default_rng([seed, 1]))
         if failure is not None:
             log.error("step1 verification failed: %s; re-run with a different "
                       "seed or supply p0", failure)

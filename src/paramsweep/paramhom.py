@@ -219,9 +219,9 @@ def step1(
     """
     p0, gamma = step1_draws(sys, rng, p0_override)
 
-    start = total_degree_start(variable_degrees(sys))
-    h = total_degree_homotopy(sys, start, p0, gamma)
-    paths = track_many(h, start.solutions(), cfg)
+    starts = total_degree_start(variable_degrees(sys))
+    h = total_degree_homotopy(sys, p0, gamma)
+    paths = track_many(h, starts, cfg)
 
     at_boundary = paths.boundary[~np.isnan(paths.boundary).any(axis=-1)]
     crossings = tuple(crossing_check(at_boundary, CROSSING_TOL))
@@ -237,7 +237,7 @@ def step1(
     if hard:
         log.warning(
             "step1: %d of %d paths succeeded and %d diverged; the other %d "
-            "failed (%s)", counts[PathStatus.SUCCESS.code], start.n_solutions,
+            "failed (%s)", counts[PathStatus.SUCCESS.code], len(starts),
             counts[PathStatus.DIVERGED.code], hard,
             ", ".join(f"{k}:{v}" for k, v in statuses),
         )
@@ -252,7 +252,7 @@ def step1(
     return Step1Result(
         p0=p0,
         solutions=solutions,
-        paths_tracked_step1=start.n_solutions,
+        paths_tracked_step1=len(starts),
         seed=seed,
         gamma=gamma,
         suspected_crossings=crossings,
@@ -268,7 +268,8 @@ def verify_step1(
 ) -> str | None:
     """Why the Step 1 result fails its check, or None: a hard path failure
     fails it, else a second generic solve from a fresh point must find as
-    many solutions."""
+    many solutions.  ``rng`` draws that point and its gamma; a sweep gives
+    the check a generator of its own, so its retry rounds draw the same p'."""
     hard = sum(n for k, n in r1.path_statuses if k in {s.value for s in HARD_FAILURES})
     if hard:
         counts = ", ".join(f"{k}:{n}" for k, n in r1.path_statuses)

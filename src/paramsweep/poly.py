@@ -392,13 +392,36 @@ def format_system(sys: ParamSystem) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _monomials(x: np.ndarray, exps: np.ndarray, max_deg: int) -> np.ndarray:
+    """(K, B) monomials of a (B, n) batch: row k holds x**exps[k] for every
+    point, multiplied out of one table of the powers x**0 .. x**max_deg."""
+    if x.shape[1] == 0:
+        return np.ones((len(exps), len(x)), dtype=complex)
+    pw = np.empty((max_deg + 1,) + x.shape, dtype=complex)
+    pw[0] = 1.0
+    for k in range(1, max_deg + 1):
+        pw[k] = pw[k - 1] * x
+    m = pw[exps[:, 0], :, 0]
+    for j in range(1, x.shape[1]):
+        m *= pw[exps[:, j], :, j]
+    return m
+
+
 class TermStructure:
     """Flat numpy views of a system's monomials, shared by instantiations.
 
     Holds exponent matrices and reduceat segment offsets so that repeated
     evaluation and differentiation need no per-call setup.  Summation is
     performed segment-by-segment in stored term order, which keeps results
-    deterministic.
+    deterministic.  Every monomial, of the variables and of the parameters
+    alike, comes from one kernel (``_monomials``).
+
+    The Jacobian tables are read off ``var_exps``: d/dz_j of term k of
+    function i contributes ``e * coeff[k] * z^(e_k - 1_j)`` to cell
+    i*N + j, with e = var_exps[k, j] > 0.  Ordered by cell and, within a
+    cell, by term, ``jac_src`` holds each contribution's term, ``jac_fac``
+    its e and ``jac_exps`` its exponents; each cell with a contribution is
+    one segment (``jac_cells``, ``jac_starts``).
 
     Every term has one parameter monomial.  The terms are grouped by it
     into blocks: ``block_exps`` (n_blocks, M) holds each distinct monomial's
@@ -428,68 +451,27 @@ class TermStructure:
         block_exps, block = np.unique(self.param_exps, axis=0, return_inverse=True)
         self.block_exps = block_exps
         self.block = block.reshape(self.n_terms)
+        # a derivative's exponents never exceed its term's
+        self.max_var_deg = int(self.var_exps.max(initial=0))
+        self.max_param_deg = int(self.param_exps.max(initial=0))
 
-        # evaluation segments: function i owns terms [fn_offsets[i], fn_offsets[i+1])
-        counts = [len(fn) for fn in functions]
-        offs = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        self.fn_offsets = offs
-        self.eval_fn_ids = np.array([i for i, c in enumerate(counts) if c > 0], dtype=np.intp)
-        self.eval_starts = offs[:-1][self.eval_fn_ids]
+        # evaluation segments: each function with terms sums its own run of terms
+        counts = np.array([len(fn) for fn in functions], dtype=np.intp)
+        self.eval_fn_ids = np.flatnonzero(counts)
+        self.eval_starts = (np.cumsum(counts) - counts)[self.eval_fn_ids]
 
-        # jacobian terms: d/dz_j of term k contributes e*coeff[k] at cell (i, j)
-        cells, srcs, facs, exps = [], [], [], []
-        for i, fn in enumerate(functions):
-            base = offs[i]
-            for k, t in enumerate(fn):
-                for j, e in enumerate(t.var_exps):
-                    if e > 0:
-                        drop = list(t.var_exps)
-                        drop[j] -= 1
-                        cells.append(i * n_vars + j)
-                        srcs.append(base + k)
-                        facs.append(float(e))
-                        exps.append(drop)
-        if cells:
-            order = np.argsort(np.array(cells), kind="stable")
-            self.jac_cells_all = np.array(cells, dtype=np.intp)[order]
-            self.jac_src = np.array(srcs, dtype=np.intp)[order]
-            self.jac_fac = np.array(facs, dtype=float)[order]
-            self.jac_exps = np.array(exps, dtype=np.intp)[order]
-            uniq, starts = np.unique(self.jac_cells_all, return_index=True)
-            self.jac_cells = uniq
-            self.jac_starts = starts.astype(np.intp)
-        else:
-            self.jac_cells_all = np.empty(0, dtype=np.intp)
-            self.jac_src = np.empty(0, dtype=np.intp)
-            self.jac_fac = np.empty(0, dtype=float)
-            self.jac_exps = np.empty((0, n_vars), dtype=np.intp)
-            self.jac_cells = np.empty(0, dtype=np.intp)
-            self.jac_starts = np.empty(0, dtype=np.intp)
-
-        md = 0
-        if self.n_terms:
-            md = int(self.var_exps.max())
-        if len(self.jac_exps):
-            md = max(md, int(self.jac_exps.max()))
-        self.max_var_deg = md
-        self.max_param_deg = int(self.param_exps.max()) if self.n_terms and n_params else 0
+        # Jacobian terms, in (term, variable) order, then stably by cell
+        term, var = np.nonzero(self.var_exps)
+        cells = np.repeat(np.arange(n_vars), counts)[term] * n_vars + var
+        order = np.argsort(cells, kind="stable")
+        term, var = term[order], var[order]
+        self.jac_src = term
+        self.jac_fac = self.var_exps[term, var].astype(float)
+        self.jac_exps = self.var_exps[term]
+        self.jac_exps[np.arange(len(term)), var] -= 1
+        self.jac_cells, self.jac_starts = np.unique(cells[order], return_index=True)
         # stacked exponents for the fused value+Jacobian pass
         self._all_exps = np.vstack([self.var_exps, self.jac_exps])
-
-    def _var_powers(self, z: np.ndarray) -> np.ndarray:
-        """(D+1, B, N) table of z**k for a (B, N) batch."""
-        pw = np.empty((self.max_var_deg + 1,) + z.shape, dtype=complex)
-        pw[0] = 1.0
-        for k in range(1, self.max_var_deg + 1):
-            pw[k] = pw[k - 1] * z
-        return pw
-
-    def _gather_prod(self, exps: np.ndarray, pw: np.ndarray) -> np.ndarray:
-        """(K, B) monomials: row k holds z**exps[k] for every point."""
-        m = pw[exps[:, 0], :, 0]
-        for j in range(1, self.n_vars):
-            m *= pw[exps[:, j], :, j]
-        return m
 
     def _values(self, coeffs: np.ndarray, mono: np.ndarray) -> np.ndarray:
         """(B, N) function values from (n_terms, B) monomials."""
@@ -510,26 +492,17 @@ class TermStructure:
 
     def param_monomials(self, points: np.ndarray) -> np.ndarray:
         """(n_blocks, k) parameter monomials p^block_exps of the (k, M) ``points``."""
-        if self.n_params == 0:
-            return np.ones((len(self.block_exps), len(points)), dtype=complex)
-        pw = np.empty((self.max_param_deg + 1,) + points.shape, dtype=complex)
-        pw[0] = 1.0
-        for k in range(1, self.max_param_deg + 1):
-            pw[k] = pw[k - 1] * points
-        m = pw[self.block_exps[:, 0], :, 0]
-        for j in range(1, self.n_params):
-            m *= pw[self.block_exps[:, j], :, j]
-        return m
+        return _monomials(points, self.block_exps, self.max_param_deg)
 
     # the value or the Jacobian alone; sweepbench/tracer.py wraps both by name
     def evaluate(self, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
         zb = z.reshape(-1, self.n_vars)
-        out = self._values(coeffs, self._gather_prod(self.var_exps, self._var_powers(zb)))
+        out = self._values(coeffs, _monomials(zb, self.var_exps, self.max_var_deg))
         return out[0] if z.ndim == 1 else out
 
     def jacobian(self, coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
         zb = z.reshape(-1, self.n_vars)
-        jac = self._jac_values(coeffs, self._gather_prod(self.jac_exps, self._var_powers(zb)))
+        jac = self._jac_values(coeffs, _monomials(zb, self.jac_exps, self.max_var_deg))
         return jac[0] if z.ndim == 1 else jac
 
     def eval_and_jac(
@@ -547,7 +520,7 @@ class TermStructure:
                 f"got {z.shape}"
             )
         zb = z.reshape(-1, self.n_vars)
-        mono = self._gather_prod(self._all_exps, self._var_powers(zb))
+        mono = _monomials(zb, self._all_exps, self.max_var_deg)
         out = self._values(eval_coeffs, mono[: self.n_terms])
         jac = self._jac_values(jac_coeffs, mono[self.n_terms :])
         return (out[0], jac[0]) if z.ndim == 1 else (out, jac)

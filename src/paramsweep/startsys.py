@@ -1,7 +1,9 @@
 """Total-degree start systems and the parameter homotopy of both steps.
 
-The start system g_i(z) = z_i^{d_i} - 1 has prod(d_i) trivially enumerable
-solutions (tuples of roots of unity).
+The start system g_i(z) = z_i^{d_i} - 1, d_i the degree of F's function i
+in the variables, has prod(d_i) trivially enumerable solutions (tuples of
+roots of unity); ``total_degree_start`` returns them as the
+(prod(d_i), N) array that ``tracker.track_many`` takes.
 
 Every homotopy here is a parameter homotopy of one family F(z; p): it
 moves the parameters from a source point (t = 1) to a target point
@@ -30,14 +32,19 @@ H = F(., p0).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from paramsweep.poly import InstantiatedSystem, ParamSystem, Term, TermStructure, term_structure
+from paramsweep.poly import (
+    InstantiatedSystem,
+    ParamSystem,
+    Term,
+    TermStructure,
+    term_structure,
+    variable_degrees,
+)
 
 __all__ = [
-    "StartSystem",
     "Homotopy",
     "total_degree_start",
     "random_gamma",
@@ -46,37 +53,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StartSystem:
-    """g_i(z) = z_i^{d_i} - 1 for the given degree vector."""
-
-    degrees: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d < 1 for d in self.degrees):
-            raise ValueError(f"start system needs degrees >= 1, got {self.degrees}")
-
-    @property
-    def n_solutions(self) -> int:
-        out = 1
-        for d in self.degrees:
-            out *= d
-        return out
-
-    def solutions(self) -> list[np.ndarray]:
-        """All root-of-unity tuples, in lexicographic index order."""
-        roots = [
-            np.exp(2j * np.pi * np.arange(d) / d) for d in self.degrees
-        ]
-        return [
-            np.array(combo, dtype=complex)
-            for combo in itertools.product(*roots)
-        ]
-
-
-def total_degree_start(degrees) -> StartSystem:
-    """Start system for the given per-function variable degrees."""
-    return StartSystem(tuple(int(d) for d in degrees))
+def total_degree_start(degrees) -> np.ndarray:
+    """The (prod(d_i), N) solutions of g_i(z) = z_i^{d_i} - 1 for the given
+    per-function variable degrees: all root-of-unity tuples, in
+    lexicographic index order."""
+    degrees = tuple(int(d) for d in degrees)
+    if any(d < 1 for d in degrees):
+        raise ValueError(f"start system needs degrees >= 1, got {degrees}")
+    roots = [np.exp(2j * np.pi * np.arange(d) / d) for d in degrees]
+    return np.array(list(itertools.product(*roots)), dtype=complex)
 
 
 def random_gamma(rng: np.random.Generator) -> complex:
@@ -150,10 +135,9 @@ def build_homotopy(sys: ParamSystem, targets, source) -> Homotopy:
     return Homotopy(st, st.param_monomials(targets), st.param_monomials(source[None])[:, 0])
 
 
-def total_degree_homotopy(
-    sys: ParamSystem, start: StartSystem, p0: np.ndarray, gamma: complex
-) -> Homotopy:
-    """Step 1's homotopy from gamma*g at t = 1 to F(., p0) at t = 0.
+def total_degree_homotopy(sys: ParamSystem, p0: np.ndarray, gamma: complex) -> Homotopy:
+    """Step 1's homotopy from gamma*g at t = 1 to F(., p0) at t = 0, g the
+    start system of ``sys``'s variable degrees.
 
     It is the parameter homotopy of a*F(z; p) + s*g(z), the family with
     two parameters more, from (0, 0, gamma) to (p0, 1, 0).
@@ -162,7 +146,7 @@ def total_degree_homotopy(
     # exponents of (a, s): F's terms carry a, the start terms s
     of_f, of_g = (1, 0), (0, 1)
     functions = []
-    for i, (terms, d) in enumerate(zip(sys.functions, start.degrees, strict=True)):
+    for i, (terms, d) in enumerate(zip(sys.functions, variable_degrees(sys))):
         z_d = tuple(d if j == i else 0 for j in range(n))
         functions.append(
             tuple(Term(t.coeff, t.var_exps, t.param_exps + of_f) for t in terms)

@@ -71,6 +71,7 @@ real flags, and indexing a record indexes every field, so
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -141,7 +142,7 @@ class PathStatus(Enum):
     NEWTON_FAILURE = "newton_failure"
     MAX_STEPS = "max_steps"
 
-    @property
+    @functools.cached_property
     def code(self) -> int:
         """The status's code in a ``Paths`` record: its index in ``tuple(PathStatus)``."""
         return tuple(PathStatus).index(self)

@@ -51,10 +51,9 @@ def test_criterion_1_total_degree_start():
         "variable x, y, w; parameter a; function f, g, h;"
         "f = x^2 - a; g = y^3 + a*x - 2; h = w^3 - y;"
     )
-    ss = total_degree_start([2, 3, 3])
-    sols = ss.solutions()
+    sols = total_degree_start([2, 3, 3])
     gamma = random_gamma(np.random.default_rng(1))
-    h = total_degree_homotopy(sys, ss, np.array([0.4 + 0.3j]), gamma)
+    h = total_degree_homotopy(sys, np.array([0.4 + 0.3j]), gamma)
     worst = max(np.max(np.abs(h.at(1.0, [0]).eval_and_jac(z)[0])) for z in sols)
     elapsed = time.perf_counter() - t0
     report(

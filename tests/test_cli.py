@@ -384,6 +384,22 @@ def test_reused_step1_reproduces_a_run_that_retried(tmp_path, p0):
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
+def test_verify_step1_leaves_a_run_that_retried_unchanged(tmp_path):
+    # the check's second generic solve draws from a generator of its own,
+    # so the retry rounds draw the p' values of a run without the check
+    plain = _write_input(tmp_path)
+    verified = _write_input(
+        tmp_path, CUBE_INPUT.replace("seed: 7;", "seed: 7;\n  verify_step1: 1;"), "verified.input"
+    )
+    first, checked = tmp_path / "first", tmp_path / "checked"
+    flags = ["--inject-failure-at", "3"]
+    assert main(["solve", plain, "--out", str(first), *flags]) == 0
+    assert main(["solve", verified, "--out", str(checked), *flags]) == 0
+    assert "points resolved after retries:" in (first / "failure_report.txt").read_text()
+    for name in ("collected.dat", "solutions.json", "failure_report.txt", "step1.json"):
+        assert (checked / name).read_bytes() == (first / name).read_bytes(), name
+
+
 def test_step1_artifact_round_trips_the_solutions(tmp_path, cube_system):
     r1 = step1(cube_system, TrackerConfig(), np.random.default_rng(7))
     save_step1(tmp_path / "step1.json", r1)

@@ -201,6 +201,37 @@ def test_instantiate_quadratic():
     f, jac = inst.eval_and_jac(np.array([3.0 + 0j]))
     assert f[0] == 5.0 + 0j
     assert jac[0, 0] == 6.0 + 0j
+    # a function with no terms, and one constant in z: no Jacobian term
+    for definition, value in (("0", 0j), ("p", 4.0 + 0j)):
+        sys = parse_system(f"variable z; parameter p; function f; f = {definition};")
+        f, jac = instantiate(sys, np.array([4.0 + 0j])).eval_and_jac(np.array([3.0 + 0j]))
+        assert f[0] == value
+        assert jac[0, 0] == 0
+
+
+def test_functions_without_variable_terms_next_to_an_ordinary_one():
+    # f has no terms and g is constant in the variables: their values are
+    # 0 and p*q^2, their Jacobian rows all zero, at one point and in a batch
+    sys = parse_system(
+        "variable x, y, w; parameter p, q; function f, g, h;"
+        "f = 0; g = p*q^2; h = x*y^2*w - q*x^3 + 2;"
+    )
+    rng = np.random.default_rng(4)
+    p, q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    inst = instantiate(sys, np.array([p, q]))
+    zs = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    f, jac = inst.eval_and_jac(zs)
+    st = inst.structure
+    assert np.array_equal(st.evaluate(inst.coeffs, zs), f)
+    assert np.array_equal(st.jacobian(inst.coeffs, zs), jac)
+    for k, (x, y, w) in enumerate(zs):
+        expected = [0, p * q**2, x * y**2 * w - q * x**3 + 2]
+        assert np.allclose(f[k], expected, rtol=1e-14, atol=0)
+        assert not jac[k, :2].any()
+        row = [y**2 * w - 3 * q * x**2, 2 * x * y * w, x * y**2]
+        assert np.allclose(jac[k, 2], row, rtol=1e-14, atol=0)
+        f_k, jac_k = inst.eval_and_jac(zs[k])
+        assert np.array_equal(f_k, f[k]) and np.array_equal(jac_k, jac[k])
 
 
 def test_instantiate_cube_at_ones():

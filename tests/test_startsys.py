@@ -16,17 +16,15 @@ def _value(system, z):
 
 
 def test_degree_two_roots():
-    ss = total_degree_start([2])
-    sols = ss.solutions()
-    assert len(sols) == 2
-    vals = sorted(complex(s[0]).real for s in sols)
-    assert np.allclose(vals, [-1.0, 1.0], atol=1e-15)
+    sols = total_degree_start([2])
+    assert sols.shape == (2, 1)
+    assert np.allclose(sorted(sols[:, 0].real), [-1.0, 1.0], atol=1e-15)
 
 
 def test_solution_count_product():
-    assert total_degree_start([2, 3]).n_solutions == 6
-    assert len(total_degree_start([2, 3]).solutions()) == 6
-    assert total_degree_start([3, 3, 3, 3]).n_solutions == 81
+    # one row per start solution, one column per variable
+    assert total_degree_start([2, 3]).shape == (6, 2)
+    assert total_degree_start([3, 3, 3, 3]).shape == (81, 4)
 
 
 def test_zero_degree_rejected():
@@ -41,25 +39,22 @@ def test_start_points_satisfy_system():
         "variable x, y, w; parameter a; function f, g, h;"
         "f = x^2 - a; g = y^3 + a*x - 2; h = w^3 - y;"
     )
-    ss = total_degree_start([2, 3, 3])
+    sols = total_degree_start(variable_degrees(sys))
     gamma = random_gamma(np.random.default_rng(8))
-    h = total_degree_homotopy(sys, ss, np.array([0.4 + 0.3j]), gamma)
-    sols = ss.solutions()
-    assert len(sols) == 18
+    h = total_degree_homotopy(sys, np.array([0.4 + 0.3j]), gamma)
+    assert sols.shape == (18, 3)
     for z in sols:
         assert np.max(np.abs(_value(h.at(1.0, [0]), z))) < 1e-12
 
 
 def test_lexicographic_enumeration_order():
-    ss = total_degree_start([2, 3])
-    sols = ss.solutions()
+    sols = total_degree_start([2, 3])
     w = np.exp(2j * np.pi / 3)
     expected = [
         (1, 1), (1, w), (1, w**2),
         (-1, 1), (-1, w), (-1, w**2),
     ]
-    for got, exp in zip(sols, expected):
-        assert np.allclose(got, np.array(exp), atol=1e-15)
+    assert np.allclose(sols, np.array(expected), atol=1e-15)
 
 
 def test_random_gamma_unit_modulus():
@@ -98,9 +93,9 @@ ODD = parse_system(
 )
 
 
-def _start_value(start, z):
-    """g(z) = z_i^{d_i} - 1."""
-    return z ** np.array(start.degrees) - 1
+def _start_value(sys, z):
+    """g(z) = z_i^{d_i} - 1, d_i the variable degree of ``sys``'s function i."""
+    return z ** np.array(variable_degrees(sys)) - 1
 
 
 def test_endpoint_identities():
@@ -109,14 +104,13 @@ def test_endpoint_identities():
     for sys in (TWO_VARS, ODD):
         p0 = rng.standard_normal(sys.n_params) + 1j * rng.standard_normal(sys.n_params)
         target = instantiate(sys, p0)
-        start = total_degree_start(variable_degrees(sys))
         gamma = random_gamma(rng)
-        h = total_degree_homotopy(sys, start, p0, gamma)
+        h = total_degree_homotopy(sys, p0, gamma)
         for _ in range(20):
             z = rng.standard_normal(sys.n_vars) + 1j * rng.standard_normal(sys.n_vars)
             at_0, at_1 = _value(h.at(0.0, [0]), z), _value(h.at(1.0, [0]), z)
             assert np.max(np.abs(at_0 - _value(target, z))) < 1e-12
-            assert np.max(np.abs(at_1 - gamma * _start_value(start, z))) < 1e-12
+            assert np.max(np.abs(at_1 - gamma * _start_value(sys, z))) < 1e-12
 
 
 def test_stacked_targets_instantiate_bitwise():
@@ -146,9 +140,7 @@ def test_dh_dt_is_the_difference_of_the_endpoints():
 
 def test_dt_matches_finite_differences():
     rng = np.random.default_rng(9)
-    h = total_degree_homotopy(
-        TWO_VARS, total_degree_start([3, 3]), np.array([0.7 + 0.4j]), random_gamma(rng)
-    )
+    h = total_degree_homotopy(TWO_VARS, np.array([0.7 + 0.4j]), random_gamma(rng))
     for _ in range(5):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         t = rng.uniform(0.1, 0.9)

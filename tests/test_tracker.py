@@ -322,11 +322,10 @@ def test_paths_record_invariants(monkeypatch, attempts):
 def test_batch_order_invariance_wave_amplitude():
     sysm = parse_system(MONKS_TEXT)
     rng = np.random.default_rng(3)
-    start = total_degree_start([3, 3, 3, 3])
     h = total_degree_homotopy(
-        sysm, start, np.array([2.0 + 0.5j, 5.0 - 0.3j, 3.0 + 0.2j]), random_gamma(rng)
+        sysm, np.array([2.0 + 0.5j, 5.0 - 0.3j, 3.0 + 0.2j]), random_gamma(rng)
     )
-    starts = start.solutions()[::9]
+    starts = total_degree_start([3, 3, 3, 3])[::9]
     cfg = TrackerConfig()
     forward = track_many(h, starts, cfg)
     backward = track_many(h, starts[::-1], cfg)[:, ::-1]
@@ -519,9 +518,8 @@ def test_univariate_total_degree_matches_polar_roots(d):
     rng = np.random.default_rng(100 + d)
     poly_d = parse_system(f"variable z; parameter p; function f; f = z^{d} - p;")
     c = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
-    start = total_degree_start([d])
-    h = total_degree_homotopy(poly_d, start, np.array([c]), random_gamma(rng))
-    paths = track_many(h, start.solutions(), TrackerConfig())
+    h = total_degree_homotopy(poly_d, np.array([c]), random_gamma(rng))
+    paths = track_many(h, total_degree_start([d]), TrackerConfig())
     assert (paths.status == SUCCESS).all()
     got = paths.endpoint[0]
     r, phi = abs(c), np.angle(c)
@@ -586,9 +584,8 @@ def test_classify_two_real_roots():
 
 def test_classify_sixth_roots_of_unity():
     sextic = parse_system("variable z; parameter p; function f; f = z^6 - p;")
-    start = total_degree_start([6])
-    h = total_degree_homotopy(sextic, start, np.array([1.0 + 0j]), 1.0)
-    cls = classify_endpoints(track_many(h, start.solutions(), TrackerConfig()))
+    h = total_degree_homotopy(sextic, np.array([1.0 + 0j]), 1.0)
+    cls = classify_endpoints(track_many(h, total_degree_start([6]), TrackerConfig()))
     assert len(cls) == 6
     assert cls.n_real == 2  # only +1 and -1 are real
 
