@@ -242,7 +242,7 @@ def step1(
             ", ".join(f"{k}:{v}" for k, v in statuses),
         )
 
-    sols = classify_endpoints(paths)
+    sols, _ = classify_endpoints(paths)  # the one target's
     solutions = sols[~sols.singular_flags]
     if len(solutions) == 0:
         raise Step1Empty(
@@ -294,8 +294,8 @@ def step2(
     """Parameter homotopies from_point -> each target, one path per row of
     the (l, N) array ``starts``.
 
-    The paths of every target are tracked in one lock-step call, each with
-    the result it gets when its target is solved alone.  Returns one
+    The paths of every target are tracked in one lock-step call and
+    classified in one pass, each with the result it gets alone.  Returns one
     attempt per target, in order, with its status; its index is its
     position in ``targets`` and its round 0, for the caller to replace.
     ``force_first_failure`` (test hook) holds positions in ``targets``
@@ -305,23 +305,22 @@ def step2(
     paths = track_many(h, starts, cfg)
     paths.status[list(force_first_failure), :1] = PathStatus.MIN_STEP.code
     counts = _status_counts(paths)
-    attempts = []
-    for k, target in enumerate(targets):
-        diverged = int(counts[k, PathStatus.DIVERGED.code])
-        failures = int(counts[k, _HARD_CODES].sum())
-        attempts.append(
-            PointResult(
-                index=k,
-                p=target,
-                solutions=classify_endpoints(paths[k]),
-                status=attempt_status(failures, diverged),
-                retries_used=0,
-                path_failures=failures,
-                diverged_paths=diverged,
-                failure_kinds=_by_value(counts[k], (PathStatus.DIVERGED, *HARD_FAILURES)),
-            )
+    sols, bounds = classify_endpoints(paths)
+    diverged = counts[:, PathStatus.DIVERGED.code].tolist()
+    failures = counts[:, _HARD_CODES].sum(axis=1).tolist()
+    return [
+        PointResult(
+            index=k,
+            p=target,
+            solutions=sols[bounds[k] : bounds[k + 1]],
+            status=attempt_status(failures[k], diverged[k]),
+            retries_used=0,
+            path_failures=failures[k],
+            diverged_paths=diverged[k],
+            failure_kinds=_by_value(counts[k], (PathStatus.DIVERGED, *HARD_FAILURES)),
         )
-    return attempts
+        for k, target in enumerate(targets)
+    ]
 
 
 # A round runner solves a set of targets from a common start point and

@@ -4,15 +4,17 @@ A single coordinator hands batches of parameter points to worker
 processes on demand (a worker asks for more by reporting its finished
 batch), each batch with its round's start point and its (l, N) array of
 start solutions, and sends each worker a stop message once the queue
-drains.  Each worker has one duplex pipe of its own, which carries its
-batches in and its reports out.  Workers solve all points of a batch in
-one ``step2`` call, which returns each attempt as a ``PointResult`` with
-its status; the report is those attempts, stamped with their point index
-and round, and the batch's tracking time.  The retry policy
-(``paramhom.sweep_with_runner``) keeps the newest attempt per point, and
-after the sweep the coordinator writes them to the collected data file.
-With one worker no process is started, and the coordinator runs each
-batch itself through the same batch function.
+drains.  A round is cut into as few batches as the batch size allows,
+their sizes differing by at most one; ``default_batch_size`` counts
+Jacobian entries, not points.  Each worker has one duplex pipe of its
+own, which carries its batches in and its reports out.  Workers solve all
+points of a batch in one ``step2`` call, which returns each attempt as a
+``PointResult`` with its status; the report is those attempts, stamped
+with their point index and round, and the batch's tracking time.  The
+retry policy (``paramhom.sweep_with_runner``) keeps the newest attempt per
+point, and after the sweep the coordinator writes them to the collected
+data file.  With one worker no process is started, and the coordinator
+runs each batch itself through the same batch function.
 
 A worker that dies is seen from its process sentinel, after any report
 already in its pipe is read, or when it is found dead as it is due a
@@ -56,6 +58,9 @@ __all__ = [
 
 COLLECTED_NAME = "collected.dat"
 PARTIAL_MARKER = "PARTIAL_OUTPUT"
+# Jacobian entries of a lock-step stage that outweigh its numpy dispatch,
+# about 0.4 ms whatever its row count: a default batch fills this many
+JAC_ENTRIES_PER_BATCH = 1024
 
 _blas_limiter = None
 
@@ -91,8 +96,11 @@ class WorkBatch:
             raise ValueError("batch indices and points differ in length")
 
 
-def default_batch_size(n_points: int, workers: int) -> int:
-    return max(1, n_points // (8 * workers))
+def default_batch_size(n_points: int, n_paths: int, n_vars: int, workers: int) -> int:
+    """Points per batch: enough that their paths' N x N Jacobians fill
+    ``JAC_ENTRIES_PER_BATCH``, but few enough to give each worker two batches."""
+    fill = -(-JAC_ENTRIES_PER_BATCH // (n_paths * n_vars**2))
+    return max(1, min(fill, -(-n_points // (2 * workers))))
 
 
 def check_sweep_settings(workers: int, max_retries: int, batch_size: int | None) -> None:
@@ -184,15 +192,18 @@ class _Pool:
         return wid
 
     def run_round(self, round_no, indices, from_point, starts) -> dict:
-        size = self._batch_size or default_batch_size(len(indices), self._n_target)
-        indices = list(indices)
+        n = len(indices)
+        size = self._batch_size or default_batch_size(n, *starts.shape, self._n_target)
+        # as few batches as ``size`` allows, their sizes differing by at most one
+        n_batches = -(-n // size)
+        cuts = [n * b // n_batches for b in range(n_batches + 1)]
         batches: deque[WorkBatch] = deque(
             WorkBatch(
                 round_no,
-                tuple(indices[lo : lo + size]),
-                tuple(self._points[i] for i in indices[lo : lo + size]),
+                tuple(indices[lo:hi]),
+                tuple(self._points[i] for i in indices[lo:hi]),
             )
-            for lo in range(0, len(indices), size)
+            for lo, hi in zip(cuts, cuts[1:])
         )
         results: dict[int, tuple[PointResult, float] | str] = {}
 

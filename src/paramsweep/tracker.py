@@ -61,12 +61,12 @@ order.  It is bit-for-bit identical to tracking that start alone in a
 batch of one on a homotopy of its target alone, and identical inputs give
 identical results.
 
-``classify_endpoints`` merges the successful endpoints of one target, or
-of a whole stack, into a ``ClassifiedSolutions`` record, also one array
-per field: the (n, N) distinct roots, and their singular and real flags,
-residuals and multiplicities, each (n,).  ``n_real`` is derived from the
-real flags, and indexing a record indexes every field, so
-``sols[~sols.singular_flags]`` keeps the nonsingular roots.
+``classify_endpoints`` merges the successful endpoints of each target of a
+stack in one pass, never across targets, into one ``ClassifiedSolutions``
+record, also one array per field: the (n, N) distinct roots, target after
+target, and their singular and real flags, residuals and multiplicities,
+each (n,).  Indexing a record indexes every field, so target k's roots are
+a slice, and ``sols[~sols.singular_flags]`` keeps the nonsingular roots.
 """
 
 from __future__ import annotations
@@ -418,11 +418,11 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> Paths:
 
 
 def _close(p: np.ndarray, tol: float) -> np.ndarray:
-    """(n, n) mask of the rows of the (n, N) array ``p`` within ``tol`` of
-    each other in the inf-norm."""
-    dist = np.zeros((len(p), len(p)))
-    for k in range(p.shape[1]):
-        np.maximum(dist, np.abs(p[:, None, k] - p[None, :, k]), out=dist)
+    """(..., n, n) mask of the rows of each (n, N) array of ``p`` within
+    ``tol`` of each other in the inf-norm."""
+    dist = np.zeros(p.shape[:-1] + p.shape[-2:-1])
+    for k in range(p.shape[-1]):
+        np.maximum(dist, np.abs(p[..., :, None, k] - p[..., None, :, k]), out=dist)
     return dist < tol
 
 
@@ -470,40 +470,40 @@ class ClassifiedSolutions:
         return int(self.real_flags.sum())
 
 
-def classify_endpoints(paths: Paths) -> ClassifiedSolutions:
-    """Merge the successful endpoints of ``paths`` and flag each survivor.
+def classify_endpoints(paths: Paths) -> tuple[ClassifiedSolutions, np.ndarray]:
+    """Merge the successful endpoints of each target of the stack ``paths``
+    and flag each survivor.
 
-    ``paths`` holds one target's paths, or a whole stack whose successful
-    paths are then one set, in row-major order.  Endpoints joined by a
-    chain of endpoints within ``DEDUP_TOL`` (inf-norm) of each other
-    collapse to the smallest-residual representative; survivors keep the
-    order of their clusters' first paths.  A survivor is singular if its
-    condition estimate exceeds ``SINGULAR_CONDITION``, if more than one
-    path landed on it, or if endpoint sharpening failed to converge
-    (covers multiple roots, whose Jacobian-based condition stays finite
-    in low dimensions).  It is real when every coordinate's imaginary
-    part is below ``REAL_TOL``.
+    Returns one record of every target's survivors, target after target, and
+    the (targets + 1,) bounds of target k's, ``sols[bounds[k]:bounds[k + 1]]``.
+    Endpoints of one target joined by a chain of endpoints within
+    ``DEDUP_TOL`` (inf-norm) of each other collapse to the smallest-residual
+    representative; endpoints of different targets never merge.  Survivors
+    keep the order of their clusters' first paths.  A survivor is singular if
+    its condition estimate exceeds ``SINGULAR_CONDITION``, if more than one
+    path landed on it, or if endpoint sharpening failed to converge (covers
+    multiple roots, whose Jacobian-based condition stays finite in low
+    dimensions).  It is real when every imaginary part is below ``REAL_TOL``.
     """
-    good = paths[paths.status == PathStatus.SUCCESS.code]
-    endpoint, residual = good.endpoint, good.residual
-    # each endpoint takes the smallest index it is chained to: its cluster's
-    # first path
-    n = len(endpoint)
-    close = _close(endpoint, DEDUP_TOL)
-    label = np.arange(n)
+    n_targets, n_starts = paths.status.shape
+    ok = paths.status == PathStatus.SUCCESS.code
+    close = _close(paths.endpoint, DEDUP_TOL) & ok[:, None, :]
+    # each endpoint takes the smallest row-major index it is chained to
+    # within its target: its cluster's first path
+    n = ok.size
+    label = np.arange(n).reshape(ok.shape)
     while True:
-        merged = np.where(close, label, n).min(axis=1, initial=n)
+        merged = np.where(close, label[:, None, :], n).min(axis=2, initial=n)
         if np.array_equal(merged, label):
             break
         label = merged
-    # by cluster, then residual, then index: a cluster's first row is its
-    # representative
-    order = np.lexsort((residual, label))
+    good, label = paths[ok], label[ok]
+    # by cluster, residual, index: a cluster's first row is its representative
+    order = np.lexsort((good.residual, label))
     first = np.flatnonzero(np.diff(label[order], prepend=-1))
     rep = order[first]
-    mult = np.diff(np.r_[first, n])
-    singular = (
-        (mult > 1) | (good.condition[rep] > SINGULAR_CONDITION) | ~good.sharpened[rep]
-    )
-    real = np.abs(endpoint[rep].imag).max(axis=1, initial=0.0) < REAL_TOL
-    return ClassifiedSolutions(endpoint[rep], singular, real, residual[rep], mult)
+    mult = np.diff(np.r_[first, len(label)])
+    singular = (mult > 1) | (good.condition[rep] > SINGULAR_CONDITION) | ~good.sharpened[rep]
+    real = np.abs(good.endpoint[rep].imag).max(axis=1, initial=0.0) < REAL_TOL
+    bounds = np.searchsorted(label[rep] // n_starts, np.arange(n_targets + 1))
+    return ClassifiedSolutions(good.endpoint[rep], singular, real, good.residual[rep], mult), bounds

@@ -115,7 +115,8 @@ def test_step1_keeps_only_the_nonsingular_solutions(monkeypatch):
 
     monkeypatch.setattr(paramhom, "classify_endpoints", spy)
     r1 = step1(sysm, CFG, np.random.default_rng(3))
-    (sols,) = classified
+    ((sols, bounds),) = classified
+    assert bounds.tolist() == [0, len(sols)]
     assert sols.singular_flags.sum() == 2
     assert not r1.solutions.singular_flags.any()
     assert r1.solutions.distinct.shape == (1, 1)

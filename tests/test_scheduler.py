@@ -107,8 +107,8 @@ def test_collected_file_deterministic_for_single_worker(quad_setup, tmp_path):
 def test_collected_file_matches_across_worker_counts(quad_setup, tmp_path, batch_size, fault):
     # points of a batch are tracked as one stack, so the output must not
     # depend on how many share a batch; the reference solves one per batch.
-    # With 40 points a default batch holds 5 points at 1 worker, 2 at 2
-    # and 1 at 4.
+    # With 40 points of 2 paths in 1 variable a default batch holds 20
+    # points at 1 worker, 10 at 2 and 5 at 4.
     sysq, r1, _ = quad_setup
     points = list(generate_mesh(MeshSpec((Range(0.5, 3.0, 40),))).points)
     blobs = {}
@@ -496,5 +496,45 @@ def test_work_batch_validation():
         WorkBatch(0, (), ())
     with pytest.raises(ValueError):
         WorkBatch(0, (1,), ())
-    assert default_batch_size(100, 2) == 6
-    assert default_batch_size(3, 8) == 1
+
+
+def test_default_batch_size_counts_jacobian_entries():
+    # the benchmark's workloads: cube-mesh's 625 points of 6 paths in 1
+    # variable at 2 workers fill batches of 157; one point of 81 paths in 4
+    # variables, monks-generic's at 2 workers and monks-g0's at 1, already
+    # holds more than JAC_ENTRIES_PER_BATCH entries
+    assert default_batch_size(625, 6, 1, 2) == 157
+    assert default_batch_size(8, 81, 4, 2) == 1
+    assert default_batch_size(2, 81, 4, 1) == 1
+    # every worker gets at least two batches, and a batch at least a point
+    assert default_batch_size(40, 2, 1, 2) == 10
+    assert default_batch_size(1, 6, 1, 2) == 1
+
+
+@pytest.mark.parametrize("n_points, batch_size, n_paths, n_vars, n_batches", [
+    (625, None, 6, 1, 4),     # cube-mesh's shape, here at 1 worker
+    (8, None, 81, 4, 8),      # monks': one point per batch
+    (625, 39, 6, 1, 17),      # not 16 of 39 and one of 1
+    (40, 16, 2, 1, 3),
+    (7, 7, 2, 1, 1),
+    (1, None, 6, 1, 1),
+    (1, 5, 6, 1, 1),
+])
+def test_round_is_cut_evenly(monkeypatch, n_points, batch_size, n_paths, n_vars, n_batches):
+    import paramsweep.scheduler as sched
+
+    batches = []
+
+    def record(job, batch, from_point, starts):
+        batches.append(batch.indices)
+        return [], 0.0
+
+    monkeypatch.setattr(sched, "_run_batch", record)
+    points = [np.zeros(1)] * n_points
+    pool = sched._Pool(None, 1, batch_size, points)
+    pool.run_round(0, list(range(n_points)), np.zeros(1), np.zeros((n_paths, n_vars)))
+    sizes = [len(b) for b in batches]
+    assert [i for b in batches for i in b] == list(range(n_points))
+    assert len(sizes) == n_batches
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= (batch_size or default_batch_size(n_points, n_paths, n_vars, 1))

@@ -175,7 +175,7 @@ def test_sextic_endpoints_match_closed_form_roots(c):
     roots = complex(c) ** (1 / 6) * np.exp(2j * np.pi * np.arange(6) / 6)
     expected = [np.array([r]) for r in roots]
     assert set_distance(paths.endpoint[0], expected) < 1e-12
-    assert not any(classify_endpoints(paths).singular_flags)
+    assert not any(classify_endpoints(paths)[0].singular_flags)
 
 
 def test_track_path_both_roots():
@@ -199,7 +199,7 @@ def test_track_path_onto_discriminant_flags_singular():
     paths = track_many(h, [np.array([1.0 + 0j]), np.array([-1.0 + 0j])], cfg)
     assert (paths.status == SUCCESS).all()
     assert (np.abs(paths.endpoint) < 1e-3).all()
-    cls = classify_endpoints(paths)
+    cls, _ = classify_endpoints(paths)
     assert all(cls.singular_flags)
 
 
@@ -407,20 +407,49 @@ def _classify_by_loop(paths):
     return out
 
 
+def _per_target(paths):
+    """The classification of the stack ``paths`` in one call, cut into
+    one list of survivors per target."""
+    cls, bounds = classify_endpoints(paths)
+    assert bounds.shape == (len(paths.status) + 1,)
+    assert bounds[0] == 0 and bounds[-1] == len(cls)
+    return [_classes(cls[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def test_classify_matches_the_union_find_reference(wave_step1):
     # the wave-amplitude points hold clusters of 5 and 29 paths and
-    # survivors of every flag
+    # survivors of every flag; the whole stack is classified in one call
     sysm, r1 = wave_step1
     paths = track_many(
         build_homotopy(sysm, WAVE_POINTS, r1.p0), list(r1.solutions.distinct),
         TrackerConfig(),
     )
-    classes = [_classes(classify_endpoints(paths[k])) for k in range(len(WAVE_POINTS))]
+    classes = _per_target(paths)
     assert classes == [_classify_by_loop(paths[k]) for k in range(len(WAVE_POINTS))]
     assert {m for c in classes for *_, m in c} >= {1, 5, 29}
     assert {(sing, real) for c in classes for _, sing, real, *_ in c} == {
         (False, False), (False, True), (True, False), (True, True)
     }
+    # a target whose paths all failed has no survivors, and the others keep
+    # theirs; its endpoints stay finite here, so only the status drops them
+    failed = dataclasses.replace(paths, status=paths.status.copy())
+    failed.status[2] = PathStatus.MIN_STEP.code
+    cls, bounds = classify_endpoints(failed)
+    assert cls[bounds[2] : bounds[3]].distinct.shape == (0, 4)
+    assert _per_target(failed) == classes[:2] + [[]] + classes[3:]
+
+
+def test_classify_keeps_identical_targets_apart():
+    # one target twice in a stack: each keeps its own two roots, with
+    # multiplicity 1, though the other target's endpoints are equal to them
+    h = build_homotopy(QUAD, [[4.0], [4.0]], [1.0])
+    paths = track_many(h, np.array([[1 + 0j], [-1 + 0j]]), TrackerConfig())
+    assert np.array_equal(paths.endpoint[0], paths.endpoint[1])
+    cls, bounds = classify_endpoints(paths)
+    assert bounds.tolist() == [0, 2, 4]
+    assert cls.multiplicities.tolist() == [1, 1, 1, 1]
+    assert cls.singular_flags.tolist() == [False] * 4
+    assert _classes(cls[:2]) == _classes(cls[2:]) == _classify_by_loop(paths[0])
 
 
 def test_generic_wave_amplitude_steps_per_path(wave_step1):
@@ -450,7 +479,7 @@ def test_generic_wave_amplitude_keeps_every_root(seed, point):
     sysm = parse_system(MONKS_TEXT)
     r1 = step1(sysm, TrackerConfig(), np.random.default_rng(seed))
     h = build_homotopy(sysm, [point], r1.p0)
-    cls = classify_endpoints(track_many(h, list(r1.solutions.distinct), TrackerConfig()))
+    cls, _ = classify_endpoints(track_many(h, list(r1.solutions.distinct), TrackerConfig()))
     assert len(cls) == 81
     assert not any(cls.singular_flags)
 
@@ -543,8 +572,9 @@ def test_classified_solutions_are_arrays(stacked):
     # double root, whose two paths end on rows flagged singular
     h = build_homotopy(QUAD, [[4], [2j], [0]], [1])
     paths = track_many(h, np.array([[1 + 0j], [-1 + 0j]]), TrackerConfig())
-    cls = classify_endpoints(paths if stacked else paths[0])
+    cls, bounds = classify_endpoints(paths if stacked else paths[:1])
     n = 6 if stacked else 2
+    assert bounds.tolist() == list(range(0, n + 1, 2))
     expected = {
         "distinct": ((n, 1), np.complexfloating),
         "singular_flags": ((n,), np.bool_),
@@ -573,57 +603,74 @@ def test_classified_solutions_are_arrays(stacked):
 def test_classify_two_real_roots():
     h = _quad_homotopy()
     paths = track_many(h, [np.array([1.0 + 0j]), np.array([-1.0 + 0j])], TrackerConfig())
-    cls = classify_endpoints(paths)
+    cls, bounds = classify_endpoints(paths)
+    assert bounds.tolist() == [0, 2]
     assert len(cls) == 2
     assert cls.singular_flags.tolist() == [False, False]
     assert cls.real_flags.tolist() == [True, True]
     assert cls.n_real == 2
-    # the arrays of the one target classify as the whole stack does
-    assert _classes(classify_endpoints(paths[0])) == _classes(cls)
+    assert _classes(cls) == _classify_by_loop(paths[0])
 
 
 def test_classify_sixth_roots_of_unity():
     sextic = parse_system("variable z; parameter p; function f; f = z^6 - p;")
     h = total_degree_homotopy(sextic, np.array([1.0 + 0j]), 1.0)
-    cls = classify_endpoints(track_many(h, total_degree_start([6]), TrackerConfig()))
+    cls, _ = classify_endpoints(track_many(h, total_degree_start([6]), TrackerConfig()))
     assert len(cls) == 6
     assert cls.n_real == 2  # only +1 and -1 are real
 
 
-def test_classify_merges_transitive_chain():
-    # a~b and b~c within DEDUP_TOL, a and c not: union-find merges all three
-    h = _quad_homotopy()
-    # one start tracked three times: three identical successful paths
-    base = track_many(h, [np.array([1.0 + 0j])] * 3, TrackerConfig())[0]
-    chain = dataclasses.replace(
-        base,
-        endpoint=base.endpoint + np.array([[0.0], [0.7e-6], [1.4e-6]]),
-        residual=np.array([3e-16, 1e-16, 2e-16]),
+def _in_stack(paths, endpoint, **changes):
+    """``paths``, a stack of 3 targets, with target 1's ``endpoint`` and
+    other fields replaced by ``changes``: each an array per path of target 1."""
+    fields = {"endpoint": endpoint, **changes}
+    stack = dataclasses.replace(
+        paths, **{name: getattr(paths, name).copy() for name in fields}
     )
-    assert crossing_check(chain.endpoint, 1e-6) == [(0, 1), (1, 2)]
-    cls = classify_endpoints(chain)
-    assert len(cls) == 1
-    assert cls.multiplicities.tolist() == [3]
-    assert cls.singular_flags.tolist() == [True]
-    assert np.array_equal(cls.distinct[0], chain.endpoint[1])
+    for name, value in fields.items():
+        getattr(stack, name)[1] = value
+    return stack
+
+
+def test_classify_merges_transitive_chain():
+    # a~b and b~c within DEDUP_TOL, a and c not: union-find merges all three.
+    # Target 1 of a stack of 3 holds the chain; its neighbours, whose roots
+    # lie within DEDUP_TOL of it, keep their own clusters
+    h = build_homotopy(QUAD, [[4.0], [4.0], [9.0]], [1.0])
+    base = track_many(h, np.array([[1 + 0j], [1 + 0j], [-1 + 0j]]), TrackerConfig())
+    chain = _in_stack(
+        base,
+        base.endpoint[1, 0] + np.array([[0.0], [0.7e-6], [1.4e-6]]),
+        residual=np.array([3e-16, 1e-16, 2e-16]),
+        sharpened=np.ones(3, dtype=bool),
+    )
+    assert crossing_check(chain.endpoint[1], 1e-6) == [(0, 1), (1, 2)]
+    cls, bounds = classify_endpoints(chain)
+    assert bounds.tolist() == [0, 2, 3, 5]
+    assert _per_target(chain) == [_classify_by_loop(chain[k]) for k in range(3)]
+    assert cls.multiplicities.tolist() == [2, 1, 3, 2, 1]
+    assert cls.singular_flags.tolist() == [True, False, True, True, False]
+    assert np.array_equal(cls.distinct[2], chain.endpoint[1, 1])
 
 
 def test_classify_merges_nearby_endpoints():
-    h = _quad_homotopy()
-    base = track_many(h, [np.array([1.0 + 0j])] * 2, TrackerConfig())[0]
-    # the second path lands 1e-10 away, with twice the residual
-    pair = dataclasses.replace(
+    h = build_homotopy(QUAD, [[4.0], [4.0], [2j]], [1.0])
+    base = track_many(h, np.array([[1 + 0j], [-1 + 0j]]), TrackerConfig())
+    # target 1's second path lands 1e-10 away from its first, with twice the
+    # residual
+    pair = _in_stack(
         base,
-        endpoint=base.endpoint + np.array([[0.0], [1e-10]]),
-        residual=base.residual * np.array([1.0, 2.0]),
-        sharpened=np.array([base.sharpened[0], True]),
+        base.endpoint[1, 0] + np.array([[0.0], [1e-10]]),
+        residual=base.residual[1, 0] * np.array([1.0, 2.0]),
+        sharpened=np.array([base.sharpened[1, 0], True]),
     )
-    cls = classify_endpoints(pair)
-    assert len(cls) == 1
-    assert cls.multiplicities.tolist() == [2]
-    assert cls.singular_flags.tolist() == [True]
+    cls, bounds = classify_endpoints(pair)
+    assert bounds.tolist() == [0, 2, 3, 5]
+    assert _per_target(pair) == [_classify_by_loop(pair[k]) for k in range(3)]
+    assert cls.multiplicities.tolist() == [1, 1, 2, 1, 1]
+    assert cls.singular_flags.tolist() == [False, False, True, False, False]
     # representative is the smaller-residual endpoint
-    assert np.array_equal(cls.distinct[0], base.endpoint[0])
+    assert np.array_equal(cls.distinct[2], base.endpoint[1, 0])
 
 
 def test_config_validation():
