@@ -98,9 +98,9 @@ class WorkBatch:
 
 def default_batch_size(n_points: int, n_paths: int, n_vars: int, workers: int) -> int:
     """Points per batch: enough that their paths' N x N Jacobians fill
-    ``JAC_ENTRIES_PER_BATCH``, but few enough to give each worker two batches."""
+    ``JAC_ENTRIES_PER_BATCH``, leaving each worker two to about eight batches."""
     fill = -(-JAC_ENTRIES_PER_BATCH // (n_paths * n_vars**2))
-    return max(1, min(fill, -(-n_points // (2 * workers))))
+    return max(1, n_points // (8 * workers), min(fill, -(-n_points // (2 * workers))))
 
 
 def check_sweep_settings(workers: int, max_retries: int, batch_size: int | None) -> None:

@@ -509,6 +509,10 @@ def test_default_batch_size_counts_jacobian_entries():
     # every worker gets at least two batches, and a batch at least a point
     assert default_batch_size(40, 2, 1, 2) == 10
     assert default_batch_size(1, 6, 1, 2) == 1
+    # and no worker more than about eight: 216 wave-amplitude points run as
+    # batches of 27 at 1 worker and of 6 at 4, not 216 batches of 1
+    assert default_batch_size(216, 81, 4, 1) == 27
+    assert default_batch_size(216, 81, 4, 4) == 6
 
 
 @pytest.mark.parametrize("n_points, batch_size, n_paths, n_vars, n_batches", [
