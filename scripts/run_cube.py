@@ -43,7 +43,7 @@ def main():
     points = generate_mesh(spec)
     t0 = time.perf_counter()
     sweep = run_parallel(
-        sysm, r1, list(points.points), cfg, max_retries=2,
+        sysm, r1, points.points, cfg, max_retries=2,
         workers=args.workers, rng=rng, out_dir=args.out,
     )
     dt = time.perf_counter() - t0

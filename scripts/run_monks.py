@@ -54,7 +54,7 @@ def main():
     points = generate_mesh(spec)
     t0 = time.perf_counter()
     sweep = run_parallel(
-        sysm, r1, list(points.points), cfg, max_retries=2,
+        sysm, r1, points.points, cfg, max_retries=2,
         workers=args.workers, rng=rng,
     )
     dt = time.perf_counter() - t0

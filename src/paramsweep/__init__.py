@@ -8,13 +8,10 @@ paths fail.
 
 from paramsweep.poly import (
     ParamSystem,
-    InstantiatedSystem,
     Term,
     ParseError,
     parse_system,
-    format_system,
     variable_degrees,
-    instantiate,
 )
 
 __version__ = "0.1.0"

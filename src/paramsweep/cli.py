@@ -444,7 +444,7 @@ def cmd_solve(args) -> int:
     # a bad point file, Step 1 artifact, fault index or setting fails here,
     # before the generic solve and before the run directory is made
     points = _load_points(inp, base_dir)
-    fault = _parse_fault(args.inject_failure_at, len(points.points))
+    fault = _parse_fault(args.inject_failure_at, len(points))
 
     cfg = _build_tracker_config(inp.config)
     seed = inp.config.get("seed", 0)
@@ -490,7 +490,7 @@ def cmd_solve(args) -> int:
         return 0
 
     sweep = run_parallel(
-        sysm, r1, list(points.points), cfg, max_retries, args.workers, rng,
+        sysm, r1, points.points, cfg, max_retries, args.workers, rng,
         batch_size=batch_size, out_dir=out_dir, fault_injection=fault,
         source=points.source,
     )

@@ -86,7 +86,7 @@ class MeshSpec:
 
 @dataclass(frozen=True)
 class PointList:
-    points: tuple[np.ndarray, ...]
+    points: np.ndarray  # (n, M) complex, one row per point
     source: str  # "mesh" or "file"
 
     def __len__(self) -> int:
@@ -97,7 +97,7 @@ def generate_mesh(spec: MeshSpec) -> PointList:
     """Cartesian product of the axis grids, first parameter fastest."""
     axes = np.meshgrid(*(ax.grid() for ax in spec.axes), indexing="ij")
     points = np.stack([a.ravel(order="F") for a in axes], axis=1)
-    return PointList(points=tuple(points), source="mesh")
+    return PointList(points=points, source="mesh")
 
 
 def finite_float(tok: str) -> float:
@@ -135,4 +135,4 @@ def load_param_file(text: str, n_params: int | None = None) -> PointList:
         points.append(np.array(vals).view(complex))
     if not points:
         raise ValueError("parameter file contains no points")
-    return PointList(points=tuple(points), source="file")
+    return PointList(points=np.stack(points), source="file")

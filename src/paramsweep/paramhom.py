@@ -30,7 +30,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Collection, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, NamedTuple
 
 import numpy as np
 
@@ -223,8 +223,10 @@ def step1(
     h = total_degree_homotopy(sys, p0, gamma)
     paths = track_many(h, starts, cfg)
 
-    at_boundary = paths.boundary[~np.isnan(paths.boundary).any(axis=-1)]
-    crossings = tuple(crossing_check(at_boundary, CROSSING_TOL))
+    boundary = paths.boundary[0]  # the one target's; pairs name Step 1's paths
+    reached = np.flatnonzero(~np.isnan(boundary).any(axis=1))
+    crossings = tuple((int(reached[i]), int(reached[j]))
+                      for i, j in crossing_check(boundary[reached], CROSSING_TOL))
     if crossings:
         log.warning(
             "step1: %d suspected path crossings at t=%g; consider re-running "
@@ -287,12 +289,12 @@ def step2(
     sys: ParamSystem,
     from_point: np.ndarray,
     starts: np.ndarray,
-    targets: Sequence[np.ndarray],
+    targets: np.ndarray,
     cfg: TrackerConfig,
     force_first_failure: Collection[int] = (),
 ) -> list[PointResult]:
-    """Parameter homotopies from_point -> each target, one path per row of
-    the (l, N) array ``starts``.
+    """Parameter homotopies from_point -> each row of the (k, M) array
+    ``targets``, one path per row of the (l, N) array ``starts``.
 
     The paths of every target are tracked in one lock-step call and
     classified in one pass, each with the result it gets alone.  Returns one
@@ -333,7 +335,7 @@ RoundRunner = Callable[[int, list[int], np.ndarray, np.ndarray], dict]
 def sweep_with_runner(
     sys: ParamSystem,
     r1: Step1Result,
-    points: Sequence[np.ndarray],
+    points: np.ndarray,
     cfg: TrackerConfig,
     max_retries: int,
     rng: np.random.Generator,
@@ -393,7 +395,7 @@ def sweep_with_runner(
     k = 0
     while targets and k < max_retries:
         p_prime = random_parameter_point(sys.n_params, rng)
-        prime = step2(sys, r1.p0, r1.solutions.distinct, [p_prime], cfg)[0]
+        prime = step2(sys, r1.p0, r1.solutions.distinct, p_prime[None], cfg)[0]
         total_paths += n_starts
         k += 1
         s_prime = prime.solutions[~prime.solutions.singular_flags]

@@ -2,8 +2,9 @@
 
 A system F(z, p) of N polynomials in N variables z and M parameters p is
 stored fully expanded as lists of :class:`Term` (sparse monomial form).
-Expansion happens at parse time, which makes differentiation and repeated
-instantiation trivial.
+Expansion happens at parse time, which makes differentiation trivial and
+lets one compiled term structure (``term_structure``) serve every
+parameter point: a point only changes the (n_terms, B) coefficients.
 
 The input grammar is Bertini-style declarations and definitions::
 
@@ -34,11 +35,8 @@ __all__ = [
     "strip_comment",
     "Term",
     "ParamSystem",
-    "InstantiatedSystem",
     "parse_system",
-    "format_system",
     "variable_degrees",
-    "instantiate",
 ]
 
 
@@ -344,49 +342,6 @@ def parse_system(text: str) -> ParamSystem:
     return _Parser(text).parse()
 
 
-def _fmt_num(x: float) -> str:
-    return repr(x)
-
-
-def _fmt_coeff(c: complex) -> str:
-    if c.imag == 0:
-        return _fmt_num(c.real)
-    if c.real == 0:
-        return f"{_fmt_num(c.imag)}*I"
-    sign = "+" if c.imag >= 0 else "-"
-    return f"({_fmt_num(c.real)}{sign}{_fmt_num(abs(c.imag))}*I)"
-
-
-def format_system(sys: ParamSystem) -> str:
-    """Canonical emitter; ``parse_system(format_system(s))`` == ``s``."""
-    lines = [
-        "variable " + ", ".join(sys.var_names) + ";",
-        "function " + ", ".join(f"f{i}" for i in range(sys.n_vars)) + ";",
-    ]
-    if sys.param_names:
-        lines.insert(1, "parameter " + ", ".join(sys.param_names) + ";")
-    for i, terms in enumerate(sys.functions):
-        if not terms:
-            lines.append(f"f{i} = 0;")
-            continue
-        parts = []
-        for t in terms:
-            factors = [_fmt_coeff(t.coeff)]
-            for name, e in zip(sys.var_names, t.var_exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            for name, e in zip(sys.param_names, t.param_exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            parts.append("*".join(factors))
-        lines.append(f"f{i} = " + " + ".join(parts) + ";")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Compiled term structure for fast evaluation
 # ---------------------------------------------------------------------------
@@ -408,7 +363,8 @@ def _monomials(x: np.ndarray, exps: np.ndarray, max_deg: int) -> np.ndarray:
 
 
 class TermStructure:
-    """Flat numpy views of a system's monomials, shared by instantiations.
+    """Flat numpy views of a system's monomials, shared by every parameter
+    point and homotopy of the family.
 
     Holds exponent matrices and reduceat segment offsets so that repeated
     evaluation and differentiation need no per-call setup.  Summation is
@@ -530,36 +486,6 @@ class TermStructure:
 def term_structure(sys: ParamSystem) -> TermStructure:
     """The term structure of ``sys``, built once per family."""
     return TermStructure(sys.n_vars, sys.n_params, sys.functions)
-
-
-class InstantiatedSystem:
-    """F(z, p) with p fixed: a closed polynomial system in z alone.
-
-    Shares the parent's TermStructure, so building one is a single
-    coefficient computation, not a re-parse.  ``coeffs`` is term-major,
-    (n_terms, B): one column, or one per point of a batch.
-    """
-
-    def __init__(self, structure: TermStructure, coeffs: np.ndarray):
-        self.structure = structure
-        self.coeffs = coeffs
-
-    def eval_and_jac(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.structure.eval_and_jac(self.coeffs, self.coeffs, z)
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
-
-
-def instantiate(sys: ParamSystem, p: np.ndarray) -> InstantiatedSystem:
-    """Fix the parameters, yielding a closed system in the variables."""
-    p = np.asarray(p, dtype=complex)
-    if p.shape != (sys.n_params,):
-        raise ValueError(f"expected {sys.n_params} parameter values, got {p.shape}")
-    st = term_structure(sys)
-    return InstantiatedSystem(st, st.base_coeffs[:, None] * st.param_monomials(p[None])[st.block])
 
 
 def variable_degrees(sys: ParamSystem) -> tuple[int, ...]:

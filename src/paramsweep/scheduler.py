@@ -4,17 +4,19 @@ A single coordinator hands batches of parameter points to worker
 processes on demand (a worker asks for more by reporting its finished
 batch), each batch with its round's start point and its (l, N) array of
 start solutions, and sends each worker a stop message once the queue
-drains.  A round is cut into as few batches as the batch size allows,
-their sizes differing by at most one; ``default_batch_size`` counts
-Jacobian entries, not points.  Each worker has one duplex pipe of its
-own, which carries its batches in and its reports out.  Workers solve all
-points of a batch in one ``step2`` call, which returns each attempt as a
-``PointResult`` with its status; the report is those attempts, stamped
-with their point index and round, and the batch's tracking time.  The
-retry policy (``paramhom.sweep_with_runner``) keeps the newest attempt per
-point, and after the sweep the coordinator writes them to the collected
-data file.  With one worker no process is started, and the coordinator
-runs each batch itself through the same batch function.
+drains.  A batch is its round and its points' rows in the sweep's (n, M)
+array of points, which every worker holds from its start.  A round is cut
+into as few batches as the batch size allows, their sizes differing by at
+most one; ``default_batch_size`` counts Jacobian entries, not points.
+Each worker has one duplex pipe of its own, which carries its batches in
+and its reports out.  Workers solve all points of a batch in one
+``step2`` call, which returns each attempt as a ``PointResult`` with its
+status; the report is those attempts, stamped with their point index and
+round, and the batch's tracking time.  The retry policy
+(``paramhom.sweep_with_runner``) keeps the newest attempt per point, and
+after the sweep the coordinator writes them to the collected data file.
+With one worker no process is started, and the coordinator runs each
+batch itself through the same batch function.
 
 A worker that dies is seen from its process sentinel, after any report
 already in its pipe is read, or when it is found dead as it is due a
@@ -86,14 +88,11 @@ def _limit_blas_threads() -> None:
 @dataclass(frozen=True)
 class WorkBatch:
     round_no: int
-    indices: tuple[int, ...]
-    points: tuple[np.ndarray, ...]
+    indices: tuple[int, ...]  # rows of the sweep's points
 
     def __post_init__(self):
         if not self.indices:
             raise ValueError("empty work batch")
-        if len(self.indices) != len(self.points):
-            raise ValueError("batch indices and points differ in length")
 
 
 def default_batch_size(n_points: int, n_paths: int, n_vars: int, workers: int) -> int:
@@ -118,6 +117,7 @@ class _Job:
     """What solving any batch of the sweep needs, besides its round's start."""
 
     sysm: ParamSystem
+    points: np.ndarray  # (n, M): the sweep's points, a batch's rows among them
     cfg: TrackerConfig
     fault: FaultInjection | None
     crash_indices: frozenset
@@ -136,7 +136,8 @@ def _run_batch(
     inject = [k for k, idx in enumerate(batch.indices) if idx in faulty]
     t0 = time.perf_counter()
     attempts = step2(
-        job.sysm, from_point, starts, batch.points, job.cfg, force_first_failure=inject
+        job.sysm, from_point, starts, job.points[list(batch.indices)], job.cfg,
+        force_first_failure=inject,
     )
     t_track = (time.perf_counter() - t0) / len(attempts)
     if first and not job.crash_indices.isdisjoint(batch.indices):
@@ -164,10 +165,9 @@ class _Pool:
     the same ``_run_batch``.
     """
 
-    def __init__(self, job, n_workers, batch_size, points):
+    def __init__(self, job, n_workers, batch_size):
         self._job = job
         self._batch_size = batch_size
-        self._points = points
         self._n_target = n_workers
         self._workers: dict[int, tuple] = {}  # wid -> (process, pipe end)
         self._next_wid = 0
@@ -198,12 +198,7 @@ class _Pool:
         n_batches = -(-n // size)
         cuts = [n * b // n_batches for b in range(n_batches + 1)]
         batches: deque[WorkBatch] = deque(
-            WorkBatch(
-                round_no,
-                tuple(indices[lo:hi]),
-                tuple(self._points[i] for i in indices[lo:hi]),
-            )
-            for lo, hi in zip(cuts, cuts[1:])
+            WorkBatch(round_no, tuple(indices[lo:hi])) for lo, hi in zip(cuts, cuts[1:])
         )
         results: dict[int, tuple[PointResult, float] | str] = {}
 
@@ -315,9 +310,9 @@ def run_parallel(
     crash_injection: frozenset = frozenset(),
     source: str = "mesh",
 ) -> SweepResult:
-    """Step 2 sweep over the given parameter points, with ``workers``
-    processes, but no more than there are points, or in this process when
-    that is 1.
+    """Step 2 sweep over the given parameter points, an (n, M) array or n
+    rows of M values, with ``workers`` processes, but no more than there
+    are points, or in this process when that is 1.
 
     ``SweepResult.header`` is the header of the collected data file, which
     is written to ``out_dir`` when that is given, and ``.records`` its
@@ -326,7 +321,7 @@ def run_parallel(
     point indices and requires at least two workers and two points.
     """
     check_sweep_settings(workers, max_retries, batch_size)
-    points = [np.asarray(p, dtype=complex) for p in points]
+    points = np.asarray(points, dtype=complex)
     # no process without a point; never 0, since the batch size divides by it
     workers = max(1, min(workers, len(points)))
     if crash_injection and workers < 2:
@@ -351,8 +346,8 @@ def run_parallel(
         param_names=sysm.param_names,
     )
 
-    job = _Job(sysm, cfg, fault_injection, crash_injection)
-    pool = _Pool(job, workers, batch_size, points)
+    job = _Job(sysm, points, cfg, fault_injection, crash_injection)
+    pool = _Pool(job, workers, batch_size)
     records = []
     try:
         try:

@@ -36,7 +36,6 @@ import itertools
 import numpy as np
 
 from paramsweep.poly import (
-    InstantiatedSystem,
     ParamSystem,
     Term,
     TermStructure,
@@ -74,22 +73,23 @@ class Homotopy:
     """H_b(z, t) = sum_k base_k * w_{q_k}(b, t) * z^{e_k} on one term structure.
 
     ``w_target`` (n_blocks, k) holds the parameter monomials of each
-    target of the stack, ``w_source`` (n_blocks,) those of the source.  The
-    evaluations take a batch of rows, each row's t and ``point``, the index
-    of its target; each row is computed exactly as it would be in a
-    homotopy of its target alone.
+    target of the stack, ``w_source`` (n_blocks,) those of the source, and
+    ``structure`` the family's term structure, which evaluates any
+    coefficients.  The evaluations take a batch of rows, each row's t and
+    ``point``, the index of its target; each row is computed exactly as it
+    would be in a homotopy of its target alone.
 
     Immutable after construction; safe to share across workers.
     """
 
     def __init__(self, structure: TermStructure, w_target: np.ndarray, w_source: np.ndarray):
-        self._struct = structure
+        self.structure = structure
         self._w_target = w_target
         self._w_dt = w_source[:, None] - w_target
 
     @property
     def n_vars(self) -> int:
-        return self._struct.n_vars
+        return self.structure.n_vars
 
     @property
     def n_points(self) -> int:
@@ -98,19 +98,19 @@ class Homotopy:
 
     def _coeffs(self, w: np.ndarray) -> np.ndarray:
         """(n_terms, B) coefficients base * w[block] of (n_blocks, B) weights."""
-        c = w[self._struct.block]
-        c *= self._struct.base_coeffs[:, None]  # in place: one (n_terms, B) array, not two
+        c = w[self.structure.block]
+        c *= self.structure.base_coeffs[:, None]  # in place: one (n_terms, B) array, not two
         return c
 
-    def at(self, t, point) -> InstantiatedSystem:
-        """The frozen systems H(., t), one column of coefficients per row."""
+    def at(self, t, point) -> np.ndarray:
+        """The (n_terms, B) coefficients of H(., t), one column per row."""
         w = self._w_target[:, point] + t * self._w_dt[:, point]
-        return InstantiatedSystem(self._struct, self._coeffs(w))
+        return self._coeffs(w)
 
     def tangent_data(self, z: np.ndarray, t, point) -> tuple[np.ndarray, np.ndarray]:
         """(dH/dt, J_z) at (z, t) in a single fused evaluation."""
         w_dt = self._w_dt[:, point]
-        return self._struct.eval_and_jac(
+        return self.structure.eval_and_jac(
             self._coeffs(w_dt), self._coeffs(self._w_target[:, point] + t * w_dt), z
         )
 

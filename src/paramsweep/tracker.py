@@ -77,7 +77,7 @@ from enum import Enum
 
 import numpy as np
 
-from paramsweep.poly import InstantiatedSystem
+from paramsweep.poly import TermStructure
 from paramsweep.startsys import Homotopy
 
 __all__ = [
@@ -244,21 +244,21 @@ def _predict(
 
 
 def _newton_correct(
-    sys_at_t: InstantiatedSystem, z: np.ndarray, t: np.ndarray, cfg: TrackerConfig
+    structure: TermStructure, coeffs: np.ndarray, z: np.ndarray, t: np.ndarray,
+    cfg: TrackerConfig,
 ):
     """Newton iteration per row until the update norm drops below the row's
     tolerance.
 
-    ``sys_at_t`` holds one column of coefficients per point, at the rows' times
-    ``t``.  A row with t above ``ENDGAME_BOUNDARY`` has tolerance TRACK_TOL,
-    any other row NEWTON_TOL.  A row above the boundary also fails when its
-    first update exceeds PREDICT_TOL * (1 + |z|_inf), z being the
-    prediction: a path jump.  Returns ``(points, converged, iterations)``.
+    ``coeffs`` (n_terms, B) holds one column of coefficients per row, those
+    of H(., t) at the row's time ``t``.  A row with t above
+    ``ENDGAME_BOUNDARY`` has tolerance TRACK_TOL, any other row NEWTON_TOL.
+    A row above the boundary also fails when its first update exceeds
+    PREDICT_TOL * (1 + |z|_inf), z being the prediction: a path jump.  Returns ``(points, converged, iterations)``.
     A row whose residual is already below its tolerance is returned
     unchanged with zero iterations; a singular Jacobian stops a row without
     counting that iteration.
     """
-    structure, coeffs = sys_at_t.structure, sys_at_t.coeffs
     tracking = t > ENDGAME_BOUNDARY
     tol = np.where(tracking, TRACK_TOL, NEWTON_TOL)
     z = z.copy()
@@ -289,13 +289,12 @@ def _newton_correct(
     return z, converged, iters
 
 
-def _sharpen(target: InstantiatedSystem, z: np.ndarray):
+def _sharpen(structure: TermStructure, coeffs: np.ndarray, z: np.ndarray):
     """Final Newton polish of each row on its target system; never raises.
 
-    ``target`` holds one column of coefficients per point.  Returns
-    ``(points, converged)``.
+    ``coeffs`` (n_terms, B) holds one column of coefficients per row, those
+    of its target.  Returns ``(points, converged)``.
     """
-    structure, coeffs = target.structure, target.coeffs
     z = z.copy()
     converged = np.zeros(len(z), dtype=bool)
     live = np.arange(len(z))
@@ -361,7 +360,7 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> Paths:
         predicted, ok = _predict(h, z[act], t_a, t_next - t_a, point[act])
         rows = np.flatnonzero(ok)
         corrected, converged, iters = _newton_correct(
-            h.at(t_next[rows], point[act[rows]]), predicted[rows],
+            h.structure, h.at(t_next[rows], point[act[rows]]), predicted[rows],
             t_next[rows], cfg,
         )
         newton_iters[act[rows]] += iters
@@ -400,9 +399,9 @@ def track_many(h: Homotopy, starts, cfg: TrackerConfig) -> Paths:
     condition = np.full(n, np.inf)
     sharpened = np.zeros(n, dtype=bool)
     if done.size:
-        target = h.at(np.zeros(done.size), point[done])
-        z[done], sharpened[done] = _sharpen(target, z[done])
-        f, jac = target.eval_and_jac(z[done])
+        c = h.at(np.zeros(done.size), point[done])
+        z[done], sharpened[done] = _sharpen(h.structure, c, z[done])
+        f, jac = h.structure.eval_and_jac(c, c, z[done])
         residual[done] = _inf_norm(f)
         passed = np.isfinite(z[done]).all(axis=1) & (residual[done] < 10 * NEWTON_TOL)
         status[done[~passed]] = PathStatus.NEWTON_FAILURE.code

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from paramsweep.poly import parse_system
+from paramsweep.poly import parse_system, term_structure
 
 # Sextic surface slice: z is the only variable, x and y act as parameters.
 CUBE_TEXT = """
@@ -45,6 +45,23 @@ def monks_system():
 @pytest.fixture(scope="session")
 def quad_system():
     return parse_system(QUAD_TEXT)
+
+
+def instantiate(sys, p):
+    """F(., p) as ``(structure, coeffs)``: the term structure of ``sys`` and
+    its (n_terms, 1) coefficients at the parameter point ``p``, the
+    reference the homotopies' coefficients are checked against."""
+    p = np.asarray(p, dtype=complex)
+    if p.shape != (sys.n_params,):
+        raise ValueError(f"expected {sys.n_params} parameter values, got {p.shape}")
+    st = term_structure(sys)
+    return st, st.base_coeffs[:, None] * st.param_monomials(p[None])[st.block]
+
+
+def value_at(h, t, z):
+    """H(z, t) on the first target of the homotopy ``h``."""
+    c = h.at(t, [0])
+    return h.structure.eval_and_jac(c, c, z)[0]
 
 
 def set_distance(a, b):

@@ -31,7 +31,7 @@ from paramsweep.poly import parse_system, variable_degrees
 from paramsweep.scheduler import run_parallel
 from paramsweep.startsys import random_gamma, total_degree_homotopy, total_degree_start
 from paramsweep.tracker import TrackerConfig
-from conftest import CUBE_TEXT, MONKS_TEXT, QUAD_TEXT, set_distance
+from conftest import CUBE_TEXT, MONKS_TEXT, QUAD_TEXT, set_distance, value_at
 
 CFG = TrackerConfig()
 
@@ -54,7 +54,7 @@ def test_criterion_1_total_degree_start():
     sols = total_degree_start([2, 3, 3])
     gamma = random_gamma(np.random.default_rng(1))
     h = total_degree_homotopy(sys, np.array([0.4 + 0.3j]), gamma)
-    worst = max(np.max(np.abs(h.at(1.0, [0]).eval_and_jac(z)[0])) for z in sols)
+    worst = max(np.max(np.abs(value_at(h, 1.0, z))) for z in sols)
     elapsed = time.perf_counter() - t0
     report(
         1,

@@ -94,6 +94,24 @@ def test_step1_warns_on_unexplained_shortfall(quad_system, caplog, monkeypatch):
     assert "max_steps:2" in caplog.text
 
 
+def test_step1_crossings_name_step1_paths(cube_system, monkeypatch):
+    # path 0 stops before the boundary and path 3 lands on path 2's
+    # boundary point: the pair names paths 2 and 3, not their places 1 and
+    # 2 among the paths that reached the boundary
+    track_many = paramhom.track_many
+
+    def tampered(h, starts, cfg):
+        paths = track_many(h, starts, cfg)
+        paths.boundary[0, 0] = np.nan
+        paths.boundary[0, 3] = paths.boundary[0, 2]
+        return paths
+
+    monkeypatch.setattr(paramhom, "track_many", tampered)
+    r1 = step1(cube_system, CFG, np.random.default_rng(23), seed=23)
+    assert r1.paths_tracked_step1 == 6
+    assert r1.suspected_crossings == ((2, 3),)
+
+
 def test_step1_user_supplied_p0(quad_system):
     rng = np.random.default_rng(2)
     p0 = np.array([2.0 + 1.0j])

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from paramsweep.poly import instantiate, parse_system, variable_degrees
+from paramsweep.poly import parse_system, variable_degrees
 from paramsweep.startsys import (
     build_homotopy,
     random_gamma,
     total_degree_homotopy,
     total_degree_start,
 )
+from conftest import instantiate, value_at
 
 
-def _value(system, z):
-    """The value of an instantiated system at z."""
-    return system.eval_and_jac(z)[0]
+def _value(structure, coeffs, z):
+    """The value at z of the system with these coefficients."""
+    return structure.eval_and_jac(coeffs, coeffs, z)[0]
 
 
 def test_degree_two_roots():
@@ -44,7 +45,7 @@ def test_start_points_satisfy_system():
     h = total_degree_homotopy(sys, np.array([0.4 + 0.3j]), gamma)
     assert sols.shape == (18, 3)
     for z in sols:
-        assert np.max(np.abs(_value(h.at(1.0, [0]), z))) < 1e-12
+        assert np.max(np.abs(value_at(h, 1.0, z))) < 1e-12
 
 
 def test_lexicographic_enumeration_order():
@@ -78,7 +79,7 @@ def test_parameter_homotopy_hand_values():
     h = build_homotopy(QUAD, [[4.0]], [1.0])
     z = np.array([1.0 + 0j])
     # H(1, 0.5) = 0.5*(1-4) + 0.5*(1-1) = -1.5
-    assert _value(h.at(0.5, [0]), z)[0] == pytest.approx(-1.5)
+    assert value_at(h, 0.5, z)[0] == pytest.approx(-1.5)
     # dH/dt = -(1-4) + (1-1) = 3
     assert h.tangent_data(z, 0.5, [0])[0][0] == pytest.approx(3.0)
 
@@ -108,8 +109,8 @@ def test_endpoint_identities():
         h = total_degree_homotopy(sys, p0, gamma)
         for _ in range(20):
             z = rng.standard_normal(sys.n_vars) + 1j * rng.standard_normal(sys.n_vars)
-            at_0, at_1 = _value(h.at(0.0, [0]), z), _value(h.at(1.0, [0]), z)
-            assert np.max(np.abs(at_0 - _value(target, z))) < 1e-12
+            at_0, at_1 = value_at(h, 0.0, z), value_at(h, 1.0, z)
+            assert np.max(np.abs(at_0 - _value(*target, z))) < 1e-12
             assert np.max(np.abs(at_1 - gamma * _start_value(sys, z))) < 1e-12
 
 
@@ -121,7 +122,7 @@ def test_stacked_targets_instantiate_bitwise():
     h = build_homotopy(ODD, targets, np.array([0.3 - 0.8j, 1.1 + 0.2j]))
     assert h.n_points == 5
     for k, p in enumerate(targets):
-        assert np.array_equal(h.at(0.0, [k]).coeffs, instantiate(ODD, p).coeffs)
+        assert np.array_equal(h.at(0.0, [k]), instantiate(ODD, p)[1])
 
 
 def test_dh_dt_is_the_difference_of_the_endpoints():
@@ -134,7 +135,7 @@ def test_dh_dt_is_the_difference_of_the_endpoints():
         z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
         t = rng.uniform()
         for k, p in enumerate(targets):
-            expected = _value(instantiate(ODD, source), z) - _value(instantiate(ODD, p), z)
+            expected = _value(*instantiate(ODD, source), z) - _value(*instantiate(ODD, p), z)
             assert np.max(np.abs(h.tangent_data(z, t, [k])[0] - expected)) < 1e-12
 
 
@@ -145,7 +146,7 @@ def test_dt_matches_finite_differences():
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         t = rng.uniform(0.1, 0.9)
         eps = 1e-7
-        fd = (_value(h.at(t + eps, [0]), z) - _value(h.at(t - eps, [0]), z)) / (2 * eps)
+        fd = (value_at(h, t + eps, z) - value_at(h, t - eps, z)) / (2 * eps)
         assert np.max(np.abs(h.tangent_data(z, t, [0])[0] - fd)) < 1e-6
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paramsweep.paramhom import step1
-from paramsweep.poly import InstantiatedSystem, instantiate, parse_system
+from paramsweep.poly import parse_system
 from paramsweep.startsys import (
     build_homotopy,
     random_gamma,
@@ -31,7 +31,7 @@ from paramsweep.tracker import (
     crossing_check,
     track_many,
 )
-from conftest import CUBE_TEXT, MONKS_TEXT, set_distance
+from conftest import CUBE_TEXT, MONKS_TEXT, instantiate, set_distance, value_at
 
 QUAD = parse_system("variable z; parameter p; function f; f = z^2 - p;")
 SUCCESS = PathStatus.SUCCESS.code
@@ -48,16 +48,18 @@ def _predict_one(h, z, t, dt):
     return z[0], bool(ok[0])
 
 
-def _correct_rows(sys, z, t, cfg):
-    """The batched corrector on one row at z per time in ``t``."""
-    rows = InstantiatedSystem(sys.structure, np.tile(sys.coeffs, (1, len(t))))
-    return _newton_correct(rows, np.tile(z, (len(t), 1)), np.array(t), cfg)
+def _correct_rows(target, z, t, cfg):
+    """The batched corrector on one row at z per time in ``t``, each on the
+    ``(structure, coeffs)`` of ``target``."""
+    structure, coeffs = target
+    rows = np.tile(coeffs, (1, len(t)))
+    return _newton_correct(structure, rows, np.tile(z, (len(t), 1)), np.array(t), cfg)
 
 
-def _correct(sys, z, cfg):
+def _correct(target, z, cfg):
     """The batched corrector on a batch of one point at t = 0, where the
     tolerance is NEWTON_TOL."""
-    z, converged, iters = _correct_rows(sys, z, [0.0], cfg)
+    z, converged, iters = _correct_rows(target, z, [0.0], cfg)
     return z[0], bool(converged[0]), int(iters[0])
 
 
@@ -93,7 +95,7 @@ def test_predict_exact_for_linear_homotopy():
     lin = parse_system("variable z; parameter p; function f; f = z - p;")
     h = build_homotopy(lin, [[4.0]], [1.0])
     z, _ = _predict_one(h, np.array([1.0 + 0j]), t=1.0, dt=-0.4)
-    assert abs(h.at(0.6, [0]).eval_and_jac(z)[0][0]) < 1e-12
+    assert abs(value_at(h, 0.6, z)[0]) < 1e-12
 
 
 def test_predict_exact_for_quadratic_path():
@@ -232,7 +234,7 @@ def test_residual_bounded_after_corrections():
     cfg = TrackerConfig()
     res = _track_one(h, np.array([1.0 + 0j]), cfg)
     assert res.status == SUCCESS
-    at_boundary = h.at(ENDGAME_BOUNDARY, [0]).eval_and_jac(res.boundary)[0]
+    at_boundary = value_at(h, ENDGAME_BOUNDARY, res.boundary)
     assert abs(at_boundary[0]) < 100 * NEWTON_TOL
 
 
