@@ -44,10 +44,10 @@ A run directory receives::
     real_counts.csv     grid export (mesh runs with --export-csv)
 
 ``datafile`` owns the JSON layout of every file here but the CSV and
-the two text reports.  ``solve`` builds ``solutions.json`` from the record
-lines it wrote to ``collected.dat``, so each record is encoded once;
-``export`` builds it from the lines it reads back, and writes the same
-bytes.
+the two text reports.  ``solve`` writes ``collected.dat`` and
+``solutions.json`` from the record lines its workers encoded, and the
+CSV and the failure report from those lines parsed, as ``export`` does
+from the lines it reads back, so the two write the same bytes.
 
 Exit codes: 0 success, 2 when any point is Unresolved, 1 on fatal errors,
 usage errors of the command line included.
@@ -78,14 +78,13 @@ from paramsweep.paramhom import (
     FaultInjection,
     PointResult,
     PointStatus,
-    SweepResult,
     Step1Empty,
     step1,
     step1_draws,
     verify_step1,
 )
 from paramsweep.poly import ParamSystem, ParseError, parse_system, strip_comment
-from paramsweep.scheduler import COLLECTED_NAME, check_sweep_settings, run_parallel
+from paramsweep.scheduler import COLLECTED_NAME, PointSummary, check_sweep_settings, run_parallel
 from paramsweep.tracker import TrackerConfig
 
 __all__ = [
@@ -125,9 +124,16 @@ def _parse_int(value: str) -> int:
         raise ValueError(f"must be an integer, got {value!r}") from None
 
 
+def _parse_seed(value: str) -> int:
+    seed = _parse_int(value)
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ValueError(f"must be >= 0, got {seed}")
+    return seed
+
+
 _CONFIG_KEYS = {
     "max_newton_iters": _parse_int,
-    "seed": _parse_int,
+    "seed": _parse_seed,
     "max_retries": _parse_int,
     "batch_size": _parse_int,
     "verify_step1": _parse_bool,
@@ -330,18 +336,18 @@ def _fmt_point(p: np.ndarray) -> str:
     return "(" + ", ".join(f"{c.real:g}{c.imag:+g}j" for c in p) + ")"
 
 
-def write_failure_report(sweep: SweepResult) -> str:
+def write_failure_report(results: list[PointResult]) -> str:
     """Human-readable summary of failed, retried, and degenerate points."""
-    unresolved = [pr for pr in sweep.point_results if pr.status is PointStatus.UNRESOLVED]
+    unresolved = [pr for pr in results if pr.status is PointStatus.UNRESOLVED]
     retried = [
-        pr for pr in sweep.point_results
+        pr for pr in results
         if pr.retries_used > 0 and pr.status is not PointStatus.UNRESOLVED
     ]
     diverged = [
-        pr for pr in sweep.point_results
+        pr for pr in results
         if pr.diverged_paths > 0 and pr.status is not PointStatus.UNRESOLVED
     ]
-    singular = [pr for pr in sweep.point_results if pr.solutions.singular_flags.any()]
+    singular = [pr for pr in results if pr.solutions.singular_flags.any()]
     n_failed = len(unresolved) + len(retried)
     lines = [f"{n_failed} failed points "
              f"({len(unresolved)} unresolved, {len(retried)} resolved by retry)"]
@@ -383,13 +389,13 @@ def write_failure_report(sweep: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_timing_summary(sweep: SweepResult) -> str:
+def write_timing_summary(timings: list[PointSummary]) -> str:
     lines = ["index track_seconds"]
     # stable: the retry rounds of one index stay in round order
-    for rec in sorted(sweep.timings, key=lambda r: r.index):
+    for rec in sorted(timings, key=lambda r: r.index):
         lines.append(f"{rec.index} {rec.track_seconds:.6f}")
-    total_track = sum(r.track_seconds for r in sweep.timings)
-    lines.append(f"# totals: points={len(sweep.timings)} track={total_track:.3f}s")
+    total_track = sum(r.track_seconds for r in timings)
+    lines.append(f"# totals: attempts={len(timings)} track={total_track:.3f}s")
     return "\n".join(lines) + "\n"
 
 
@@ -498,9 +504,9 @@ def cmd_solve(args) -> int:
     with open(os.path.join(out_dir, "solutions.json"), "w") as f:
         f.write(export_solutions_json(sweep.header, sweep.records))
     with open(os.path.join(out_dir, "failure_report.txt"), "w") as f:
-        f.write(write_failure_report(sweep))
+        f.write(write_failure_report(sweep.point_results))
     with open(os.path.join(out_dir, "timing_summary.txt"), "w") as f:
-        f.write(write_timing_summary(sweep))
+        f.write(write_timing_summary(sweep.timings))
     if args.export_csv:
         with open(os.path.join(out_dir, "real_counts.csv"), "w") as f:
             f.write(export_real_count_grid(sweep.header, sweep.point_results, inp.mesh))

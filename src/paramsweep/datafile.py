@@ -20,8 +20,8 @@ coordinate count is not ``n_vars``, and reads no roots as (0, n_vars).
 The collected file (``write_collected``, ``read_collected``) is the line
 ``# paramsweep collected v2``, one JSON line with the header
 (``CollectedHeader.doc``), then one self-delimiting record per line.
-``write_collected`` returns its record lines, from which ``solutions.json``
-is built, so no record is encoded twice.
+A sweep's workers encode its records; ``write_collected`` writes the
+lines it is given, and ``solutions.json`` is built from the same lines.
 """
 
 from __future__ import annotations
@@ -138,10 +138,10 @@ def _parse_record(line: str, lineno: int, n_vars: int) -> PointResult:
         raise ValueError(f"line {lineno}: malformed point record: {exc}") from None
 
 
-def parse_records(text: str, n_vars: int) -> list[PointResult]:
-    """Parse one record of ``n_vars`` variables per line; a ValueError
-    names the line at fault."""
-    return [_parse_record(line, n, n_vars) for n, line in enumerate(text.splitlines(), start=1)]
+def parse_records(lines: list[str], n_vars: int) -> list[PointResult]:
+    """Parse one record of ``n_vars`` variables from each of the ``lines``;
+    a ValueError names the line at fault, counting from 1."""
+    return [_parse_record(line, n, n_vars) for n, line in enumerate(lines, start=1)]
 
 
 @dataclass(frozen=True)
@@ -172,10 +172,9 @@ class CollectedHeader:
         }
 
 
-def write_collected(path, header: CollectedHeader, results: list[PointResult]) -> list[str]:
-    """Write the version line and the header, then one record per result;
-    return the record lines, without their newlines."""
-    lines = [serialize_record(pr) for pr in results]
+def write_collected(path, header: CollectedHeader, lines: list[str]) -> None:
+    """Write the version line and the header, then the record ``lines``,
+    each given without its newline."""
     with open(path, "w") as f:
         f.write(f"{FORMAT_HEADER}\n{json.dumps(header.doc())}\n")
         f.writelines(line + "\n" for line in lines)

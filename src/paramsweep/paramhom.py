@@ -14,23 +14,22 @@ The path accounting is the whole economy of the method: a sweep of k
 points costs m + k*l paths (one generic solve of m paths plus l paths per
 point) instead of k*m for repeated one-off solves.
 
-A solved point is a ``PointResult`` from ``step2`` to the exports: the
-worker's report, the collected data file and the sweep's results all
-hold it, and ``step2`` gives each attempt its status (``attempt_status``).
-The retry policy, ``sweep_with_runner``, keeps the newest attempt per
-point and adds what no attempt knows: its retries, or the Unresolved
-record of a point whose worker crashed.  ``scheduler.run_parallel`` is
-the sweep entry point: it supplies the round runner and writes the
-results to the collected data file.  ``verify_step1`` is the one check
-of a Step 1 result, fresh or read back by ``datafile.load_step1``.
+A solved point is a ``PointResult`` only in the process that tracked
+it: ``step2`` gives each attempt its status (``attempt_status``), and the
+worker encodes the attempt as its record line
+(``datafile.serialize_record``), the one form the point takes from the
+worker's report to ``collected.dat``.  The retry policy
+(``sweep_with_runner``) and the sweep entry point (``run_parallel``) are
+in ``scheduler``.  ``verify_step1`` is the one check of a Step 1 result,
+fresh or read back by ``datafile.load_step1``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Collection, NamedTuple
+from typing import Collection
 
 import numpy as np
 
@@ -53,17 +52,12 @@ from paramsweep.tracker import (
     track_many,
 )
 
-if TYPE_CHECKING:
-    from paramsweep.datafile import CollectedHeader
-
 __all__ = [
     "Step1Empty",
     "Step1Result",
     "PointStatus",
     "PointResult",
     "attempt_status",
-    "PointSummary",
-    "SweepResult",
     "FaultInjection",
     "random_parameter_point",
     "step1_draws",
@@ -130,28 +124,6 @@ def attempt_status(failures: int, diverged: int) -> PointStatus:
     if diverged > 0:
         return PointStatus.HAD_FAILURES
     return PointStatus.COMPLETE
-
-
-class PointSummary(NamedTuple):
-    """The sweep's timing record of one attempt.
-
-    ``track_seconds`` is the point's equal share of its batch's tracking
-    time, since every point of a batch is tracked in one call.
-    """
-
-    index: int
-    status: PointStatus
-    track_seconds: float
-
-
-@dataclass
-class SweepResult:
-    point_results: list[PointResult]
-    total_paths_tracked: int
-    unresolved_indices: list[int]
-    header: CollectedHeader  # of the collected data file
-    timings: list[PointSummary] = field(default_factory=list)
-    records: list[str] = field(default_factory=list)  # collected.dat's lines, if written
 
 
 @dataclass(frozen=True)
@@ -299,7 +271,8 @@ def step2(
     The paths of every target are tracked in one lock-step call and
     classified in one pass, each with the result it gets alone.  Returns one
     attempt per target, in order, with its status; its index is its
-    position in ``targets`` and its round 0, for the caller to replace.
+    position in ``targets`` and its round and retries are 0, for the
+    caller to replace.
     ``force_first_failure`` (test hook) holds positions in ``targets``
     whose first path's status is set to MIN_STEP.
     """
@@ -323,93 +296,6 @@ def step2(
         )
         for k, target in enumerate(targets)
     ]
-
-
-# A round runner solves a set of targets from a common start point and
-# its (l, N) array of start solutions.  It maps each index to its attempt,
-# stamped with the index and the round, and the attempt's tracking
-# seconds, or to a diagnostic string when the worker solving it crashed.
-RoundRunner = Callable[[int, list[int], np.ndarray, np.ndarray], dict]
-
-
-def sweep_with_runner(
-    sys: ParamSystem,
-    r1: Step1Result,
-    points: np.ndarray,
-    cfg: TrackerConfig,
-    max_retries: int,
-    rng: np.random.Generator,
-    round_runner: RoundRunner,
-) -> tuple[list[PointResult], int, list[PointSummary]]:
-    """The retry policy: the initial pass plus the mitigation loop.
-
-    The random p' draws happen here, on the coordinating side, so the
-    result is independent of how the round runner schedules its work.
-    Returns the result per point, in index order, the total path count and
-    the timings, one ``PointSummary`` per attempt.  A point's result is
-    its newest attempt with its retries; a point whose worker crashed is
-    Unresolved, with no solutions, all paths failed and the crash note,
-    in the round whose batch crashed.
-    """
-    n_points = len(points)
-    n_starts = len(r1.solutions)
-    total_paths = r1.paths_tracked_step1
-    standing: dict[int, PointResult] = {}
-    retries = dict.fromkeys(range(n_points), 0)
-    timings: list[PointSummary] = []
-
-    def absorb(round_no: int, indices: list[int], result_map: dict) -> list[int]:
-        """Record one round's reports; return the indices to retry."""
-        nonlocal total_paths
-        again = []
-        for idx in indices:
-            res = result_map[idx]
-            if isinstance(res, str):  # crash diagnostic: reported, not retried
-                standing[idx] = PointResult(
-                    index=idx,
-                    p=points[idx],
-                    solutions=ClassifiedSolutions.empty(sys.n_vars),
-                    status=PointStatus.UNRESOLVED,
-                    retries_used=retries[idx],
-                    path_failures=n_starts,
-                    diverged_paths=0,
-                    note=res,
-                    round=round_no,
-                )
-                timings.append(PointSummary(idx, PointStatus.UNRESOLVED, 0.0))
-                continue
-            attempt, track_seconds = res
-            # its retries are final: they grow only before a round that retries it
-            if retries[idx]:
-                attempt = replace(attempt, retries_used=retries[idx])
-            standing[idx] = attempt
-            total_paths += n_starts
-            timings.append(PointSummary(idx, attempt.status, track_seconds))
-            if attempt.status is PointStatus.UNRESOLVED:
-                again.append(idx)
-        return again
-
-    targets = list(range(n_points))
-    targets = absorb(0, targets, round_runner(0, targets, r1.p0, r1.solutions.distinct))
-
-    k = 0
-    while targets and k < max_retries:
-        p_prime = random_parameter_point(sys.n_params, rng)
-        prime = step2(sys, r1.p0, r1.solutions.distinct, p_prime[None], cfg)[0]
-        total_paths += n_starts
-        k += 1
-        s_prime = prime.solutions[~prime.solutions.singular_flags]
-        if prime.status is not PointStatus.COMPLETE or len(s_prime) < n_starts:
-            log.warning(
-                "mitigation round %d: solve at fresh start point lost paths; skipped",
-                k,
-            )
-            continue
-        for idx in targets:
-            retries[idx] += 1
-        targets = absorb(k, targets, round_runner(k, targets, p_prime, s_prime.distinct))
-
-    return [standing[i] for i in range(n_points)], total_paths, timings
 
 
 def parameter_sweep_path_count(m: int, k: int, l: int) -> int:

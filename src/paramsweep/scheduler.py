@@ -4,19 +4,21 @@ A single coordinator hands batches of parameter points to worker
 processes on demand (a worker asks for more by reporting its finished
 batch), each batch with its round's start point and its (l, N) array of
 start solutions, and sends each worker a stop message once the queue
-drains.  A batch is its round and its points' rows in the sweep's (n, M)
-array of points, which every worker holds from its start.  A round is cut
-into as few batches as the batch size allows, their sizes differing by at
-most one; ``default_batch_size`` counts Jacobian entries, not points.
-Each worker has one duplex pipe of its own, which carries its batches in
-and its reports out.  Workers solve all points of a batch in one
-``step2`` call, which returns each attempt as a ``PointResult`` with its
-status; the report is those attempts, stamped with their point index and
-round, and the batch's tracking time.  The retry policy
-(``paramhom.sweep_with_runner``) keeps the newest attempt per point, and
-after the sweep the coordinator writes them to the collected data file.
-With one worker no process is started, and the coordinator runs each
-batch itself through the same batch function.
+drains.  A batch is its round, the round's retries and its points' rows
+in the sweep's (n, M) array of points, which every worker holds from its
+start.  A round is cut into as few batches as the batch size allows,
+their sizes differing by at most one; ``default_batch_size`` counts
+Jacobian entries, not points.  Each worker has one duplex pipe of its
+own, which carries its batches in and its reports out.  Workers solve all
+points of a batch in one ``step2`` call and encode each attempt, stamped
+with its point index and the batch's round and retries, as its record
+line (``datafile.serialize_record``): a report is the index, status and
+line of each attempt and the batch's tracking time.  The retry policy
+(``sweep_with_runner``) keeps the newest line per point; the coordinator
+encodes only the record of a point whose batch crashed twice.  After the
+sweep it writes the lines to the collected data file and parses them
+once into the sweep's results.  With one worker no process is started:
+the coordinator runs each batch through the same batch function.
 
 A worker that dies is seen from its process sentinel, after any report
 already in its pipe is read, or when it is found dead as it is due a
@@ -29,34 +31,39 @@ scheduling order.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing as mp
 import os
 import time
 from collections import deque
 from dataclasses import dataclass, replace
 from multiprocessing.connection import wait
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from paramsweep.datafile import CollectedHeader, write_collected
+from paramsweep.datafile import CollectedHeader, parse_records, serialize_record, write_collected
 from paramsweep.paramhom import (
     FaultInjection,
     PointResult,
     PointStatus,
     Step1Result,
-    SweepResult,
+    random_parameter_point,
     step2,
-    sweep_with_runner,
 )
 from paramsweep.poly import ParamSystem
-from paramsweep.tracker import TrackerConfig
+from paramsweep.tracker import ClassifiedSolutions, TrackerConfig
 
 __all__ = [
+    "PointSummary",
+    "SweepResult",
     "WorkBatch",
     "check_sweep_settings",
     "default_batch_size",
     "run_parallel",
 ]
+
+log = logging.getLogger(__name__)
 
 COLLECTED_NAME = "collected.dat"
 PARTIAL_MARKER = "PARTIAL_OUTPUT"
@@ -85,9 +92,32 @@ def _limit_blas_threads() -> None:
         _blas_limiter = False
 
 
+class PointSummary(NamedTuple):
+    """The sweep's timing record of one attempt.
+
+    ``track_seconds`` is the point's equal share of its batch's tracking
+    time, since every point of a batch is tracked in one call.
+    """
+
+    index: int
+    status: PointStatus
+    track_seconds: float
+
+
+@dataclass
+class SweepResult:
+    point_results: list[PointResult]  # ``records`` parsed
+    total_paths_tracked: int
+    unresolved_indices: list[int]
+    header: CollectedHeader  # of the collected data file
+    timings: list[PointSummary]  # one per attempt, in the order they came
+    records: list[str]  # collected.dat's record lines, in index order
+
+
 @dataclass(frozen=True)
 class WorkBatch:
     round_no: int
+    retries: int  # of every point in the round
     indices: tuple[int, ...]  # rows of the sweep's points
 
     def __post_init__(self):
@@ -128,9 +158,10 @@ def _run_batch(
     batch: WorkBatch,
     from_point: np.ndarray,
     starts: np.ndarray,
-) -> tuple[list[PointResult], float]:
-    """Solve one batch: its attempts, stamped with their point index and
-    round, and each point's equal share of the tracking time."""
+) -> tuple[list[tuple[int, PointStatus, str]], float]:
+    """Solve one batch: per attempt its point index, its status and its
+    record line, stamped with the index and the batch's round and retries,
+    and each point's equal share of the tracking time."""
     first = batch.round_no == 0
     faulty = job.fault.indices if first and job.fault is not None else ()
     inject = [k for k, idx in enumerate(batch.indices) if idx in faulty]
@@ -142,11 +173,12 @@ def _run_batch(
     t_track = (time.perf_counter() - t0) / len(attempts)
     if first and not job.crash_indices.isdisjoint(batch.indices):
         os._exit(13)  # test hook: simulated worker crash
-    stamped = [
-        replace(attempt, index=idx, round=batch.round_no)
+    return [
+        (idx, attempt.status, serialize_record(replace(
+            attempt, index=idx, round=batch.round_no, retries_used=batch.retries
+        )))
         for idx, attempt in zip(batch.indices, attempts)
-    ]
-    return stamped, t_track
+    ], t_track
 
 
 def _worker_main(job: _Job, conn) -> None:
@@ -191,21 +223,22 @@ class _Pool:
         self._workers[wid] = (proc, conn)
         return wid
 
-    def run_round(self, round_no, indices, from_point, starts) -> dict:
+    def run_round(self, round_no, retries, indices, from_point, starts) -> dict:
         n = len(indices)
         size = self._batch_size or default_batch_size(n, *starts.shape, self._n_target)
         # as few batches as ``size`` allows, their sizes differing by at most one
         n_batches = -(-n // size)
         cuts = [n * b // n_batches for b in range(n_batches + 1)]
         batches: deque[WorkBatch] = deque(
-            WorkBatch(round_no, tuple(indices[lo:hi])) for lo, hi in zip(cuts, cuts[1:])
+            WorkBatch(round_no, retries, tuple(indices[lo:hi]))
+            for lo, hi in zip(cuts, cuts[1:])
         )
-        results: dict[int, tuple[PointResult, float] | str] = {}
+        results: dict[int, tuple[PointStatus, str, float] | str] = {}
 
         def take(report):
             attempts, t_track = report
-            for attempt in attempts:
-                results[attempt.index] = (attempt, t_track)
+            for idx, status, line in attempts:
+                results[idx] = (status, line, t_track)
 
         if not self._workers:
             for batch in batches:
@@ -286,14 +319,89 @@ class _Pool:
             conn.close()
 
 
-def _merge_part_files(path: str, header: CollectedHeader, results: list[PointResult]) -> list:
-    """Write the sweep's results to the collected data file at ``path``;
-    return its record lines.
+# A round runner solves a round's points from the round, its retries, the
+# points' indices, their start point and its (l, N) array of start
+# solutions.  It maps each index to its attempt's status, record line and
+# tracking seconds, or to a diagnostic string when its worker crashed.
+RoundRunner = Callable[[int, int, list[int], np.ndarray, np.ndarray], dict]
+
+
+def sweep_with_runner(
+    sys: ParamSystem,
+    r1: Step1Result,
+    points: np.ndarray,
+    cfg: TrackerConfig,
+    max_retries: int,
+    rng: np.random.Generator,
+    round_runner: RoundRunner,
+) -> tuple[list[str], int, list[PointSummary]]:
+    """The retry policy: the initial pass plus the mitigation loop.
+
+    The random p' draws happen here, on the coordinating side, so the
+    result is independent of how the round runner schedules its work.  A
+    point is in a round only if it was Unresolved in every round before,
+    so a round's attempts share its retries: the mitigation rounds run so
+    far, less any skipped because its p' solve lost paths.  Returns each
+    point's record line in index order (its newest attempt's, or for a
+    crashed worker's point an Unresolved record with no solutions, all
+    paths failed and the crash note, in the round that crashed), the total
+    path count and the timings, one ``PointSummary`` per attempt.
+    """
+    n_starts = len(r1.solutions)
+    total_paths = r1.paths_tracked_step1
+    standing: dict[int, str] = {}
+    timings: list[PointSummary] = []
+
+    def run(round_no: int, retries: int, indices: list[int], from_point, starts) -> list[int]:
+        """Run one round and record its reports; return the indices to retry."""
+        nonlocal total_paths
+        result_map = round_runner(round_no, retries, indices, from_point, starts)
+        again = []
+        for idx in indices:
+            res = result_map[idx]
+            if isinstance(res, str):  # crash diagnostic: reported, not retried
+                standing[idx] = serialize_record(PointResult(
+                    index=idx, p=points[idx], solutions=ClassifiedSolutions.empty(sys.n_vars),
+                    status=PointStatus.UNRESOLVED, retries_used=retries, path_failures=n_starts,
+                    diverged_paths=0, note=res, round=round_no,
+                ))
+                timings.append(PointSummary(idx, PointStatus.UNRESOLVED, 0.0))
+                continue
+            status, standing[idx], track_seconds = res
+            total_paths += n_starts
+            timings.append(PointSummary(idx, status, track_seconds))
+            if status is PointStatus.UNRESOLVED:
+                again.append(idx)
+        return again
+
+    targets = run(0, 0, list(range(len(points))), r1.p0, r1.solutions.distinct)
+
+    k = retries = 0
+    while targets and k < max_retries:
+        p_prime = random_parameter_point(sys.n_params, rng)
+        prime = step2(sys, r1.p0, r1.solutions.distinct, p_prime[None], cfg)[0]
+        total_paths += n_starts
+        k += 1
+        s_prime = prime.solutions[~prime.solutions.singular_flags]
+        if prime.status is not PointStatus.COMPLETE or len(s_prime) < n_starts:
+            log.warning(
+                "mitigation round %d: solve at fresh start point lost paths; skipped",
+                k,
+            )
+            continue
+        retries += 1
+        targets = run(k, retries, targets, p_prime, s_prime.distinct)
+
+    return [standing[i] for i in range(len(points))], total_paths, timings
+
+
+def _merge_part_files(path: str, header: CollectedHeader, records: list[str]) -> None:
+    """Write the sweep's record lines to the collected data file at ``path``.
 
     The benchmark's tracer (``sweepbench/tracer.py``) times this step by
     this name.
     """
-    return write_collected(path, header, results)
+    write_collected(path, header, records)
 
 
 def run_parallel(
@@ -315,8 +423,9 @@ def run_parallel(
     are points, or in this process when that is 1.
 
     ``SweepResult.header`` is the header of the collected data file, which
-    is written to ``out_dir`` when that is given, and ``.records`` its
-    record lines; without ``out_dir`` nothing is encoded or written.
+    is written to ``out_dir`` when that is given, ``.records`` its record
+    lines, as the workers encoded them, and ``.point_results`` those lines
+    parsed; without ``out_dir`` no file is written.
     ``crash_injection`` (test hook) simulates a worker crash at the given
     point indices and requires at least two workers and two points.
     """
@@ -348,22 +457,21 @@ def run_parallel(
 
     job = _Job(sysm, points, cfg, fault_injection, crash_injection)
     pool = _Pool(job, workers, batch_size)
-    records = []
     try:
         try:
-            point_results, total_paths, timings = sweep_with_runner(
+            records, total_paths, timings = sweep_with_runner(
                 sysm, r1, points, cfg, max_retries, rng, pool.run_round
             )
         finally:
             pool.shutdown()
         if out_dir is not None:
-            path = os.path.join(out_dir, COLLECTED_NAME)
-            records = _merge_part_files(path, header, point_results)
+            _merge_part_files(os.path.join(out_dir, COLLECTED_NAME), header, records)
     except Exception as exc:
         if marker is not None:
             with open(marker, "w") as f:
                 f.write(f"sweep aborted: {exc}\n")
         raise
+    point_results = parse_records(records, sysm.n_vars)
     return SweepResult(
         point_results=point_results,
         total_paths_tracked=total_paths,

@@ -316,7 +316,7 @@ def test_criterion_9_gamma_zero_slice(tmp_path):
     # reported without failing the run
     total_diverged = sum(pr.diverged_paths for pr in sweep.point_results)
     assert total_diverged > 0
-    rep = write_failure_report(sweep)
+    rep = write_failure_report(sweep.point_results)
     assert "divergent paths" in rep
     assert len(sweep.point_results) == 100
 

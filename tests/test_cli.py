@@ -8,6 +8,7 @@ import pytest
 
 import paramsweep.cli as cli
 import paramsweep.datafile as datafile
+import paramsweep.scheduler as scheduler
 from paramsweep.cli import (
     InputError,
     _parse_bool,
@@ -27,8 +28,8 @@ from paramsweep.datafile import (
     write_collected,
 )
 from paramsweep.mesh import MeshSpec, Range
-from paramsweep.paramhom import PointResult, PointStatus, PointSummary, SweepResult, step1
-from paramsweep.scheduler import run_parallel
+from paramsweep.paramhom import PointResult, PointStatus, step1
+from paramsweep.scheduler import PointSummary, run_parallel
 from paramsweep.tracker import ClassifiedSolutions, TrackerConfig
 from conftest import MONKS_TEXT
 
@@ -152,6 +153,18 @@ def test_solve_refuses_removed_tracker_keys(tmp_path, caplog, key):
         code = main(["solve", _write_input(tmp_path, text), "--out", str(out)])
     assert code == 1
     assert f"line 5: unknown config key {key!r}" in caplog.text
+    assert not out.exists()
+
+
+def test_solve_refuses_a_negative_seed_before_the_run_directory(tmp_path, caplog):
+    # numpy's generator would refuse it after the run directory is made,
+    # naming no setting
+    text = CUBE_INPUT.replace("seed: 7;", "seed: -1;")
+    out = tmp_path / "run"
+    with caplog.at_level(logging.ERROR, logger="paramsweep"):
+        code = main(["solve", _write_input(tmp_path, text), "--out", str(out)])
+    assert code == 1
+    assert "line 4: config key 'seed': must be >= 0, got -1" in caplog.text
     assert not out.exists()
 
 
@@ -425,8 +438,9 @@ def test_load_step1_without_path_statuses(tmp_path):
 
 
 def test_solve_encodes_each_record_once(tmp_path, monkeypatch):
-    # solutions.json is built from the record lines of collected.dat, so a
-    # solve encodes each point once, retried points included
+    # each attempt is encoded once, by the process that tracked it, and
+    # collected.dat and solutions.json are those lines; the coordinator
+    # encodes only the record of a point whose batch crashed twice
     calls = []
     encode = datafile.serialize_record
 
@@ -434,17 +448,30 @@ def test_solve_encodes_each_record_once(tmp_path, monkeypatch):
         calls.append(pr.index)
         return encode(pr)
 
-    # an encoding through either module's name counts
-    monkeypatch.setattr(datafile, "serialize_record", counted)
-    monkeypatch.setattr(cli, "serialize_record", counted, raising=False)
+    # an encoding through any module's name counts
+    for module in (datafile, scheduler, cli):
+        monkeypatch.setattr(module, "serialize_record", counted, raising=False)
     out = tmp_path / "run"
     assert main(["solve", _write_input(tmp_path), "--out", str(out),
                  "--inject-failure-at", "3,7"]) == 0
-    assert sorted(calls) == list(range(25))
+    # one worker tracks in this process: 25 first attempts, 2 retries
+    assert sorted(calls) == sorted([*range(25), 3, 7])
     lines = (out / "collected.dat").read_text().splitlines()[2:]
     assert (out / "solutions.json").read_text().splitlines()[1:-1] == [
         line + "," for line in lines[:-1]
     ] + lines[-1:]
+
+    # two workers track in their own processes, whose calls this list
+    # never sees: here only the crash records of the batch of point 3
+    calls.clear()
+    sysm = parse_input_file(CUBE_INPUT).system
+    r1 = step1(sysm, TrackerConfig(), np.random.default_rng(7))
+    points = np.array([[x, 0.5] for x in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)], dtype=complex)
+    sweep = run_parallel(
+        sysm, r1, points, TrackerConfig(), 0, workers=2, rng=np.random.default_rng(7),
+        batch_size=2, crash_injection=frozenset({3}),
+    )
+    assert sorted(calls) == [2, 3] == sweep.unresolved_indices
 
 
 def test_solve_reads_stdin(tmp_path, monkeypatch):
@@ -665,8 +692,7 @@ def test_timing_summary_rows_sorted_by_index():
     timings = [PointSummary(i, PointStatus.UNRESOLVED if i == 2 else done, 0.5 + i)
                for i in (2, 3, 0, 1)]
     timings.append(PointSummary(2, done, 9.0))
-    sweep = SweepResult([], 0, [], None, timings)
-    lines = write_timing_summary(sweep).splitlines()
+    lines = write_timing_summary(timings).splitlines()
     assert lines[0] == "index track_seconds"
     assert lines[1:-1] == [
         "0 0.500000",
@@ -675,7 +701,8 @@ def test_timing_summary_rows_sorted_by_index():
         "2 9.000000",
         "3 3.500000",
     ]
-    assert lines[-1] == "# totals: points=5 track=17.000s"
+    # four points, five attempts
+    assert lines[-1] == "# totals: attempts=5 track=17.000s"
 
 
 def test_export_subcommand(tmp_path):
@@ -823,9 +850,8 @@ def test_solutions_json_is_what_json_dumps_writes(tmp_path, seed, names):
             status=PointStatus.COMPLETE, retries_used=0, path_failures=0, diverged_paths=0,
         ),
     ]
-    in_order = sorted(results, key=lambda r: r.index)
-    records = write_collected(tmp_path / "collected.dat", header, in_order)
-    assert records == [serialize_record(pr) for pr in in_order]
+    records = [serialize_record(pr) for pr in sorted(results, key=lambda r: r.index)]
+    write_collected(tmp_path / "collected.dat", header, records)
     text = export_solutions_json(header, records)
     assert _bits(json.loads(text)) == _bits(_reference_doc(header, results))
     # one point per line, each its collected.dat record
@@ -848,7 +874,7 @@ def test_failure_report_lists_singular_endpoint_without_retry(tmp_path, quad_sys
     )
     pr = sweep.point_results[0]
     assert pr.retries_used == 0
-    report = write_failure_report(sweep)
+    report = write_failure_report(sweep.point_results)
     assert "singular" in report
     assert "0 failed points" in report
 
@@ -864,6 +890,6 @@ def test_cube_discriminant_target_reported_not_retried(cube_system, tmp_path):
     assert pr.retries_used == 0
     assert pr.status in (PointStatus.COMPLETE, PointStatus.HAD_FAILURES)
     assert any(pr.solutions.singular_flags)
-    report = write_failure_report(sweep)
+    report = write_failure_report(sweep.point_results)
     assert "singular endpoints" in report
     assert "point 0" in report

@@ -50,7 +50,7 @@ def _sample_record(idx=3, note=""):
 
 def test_record_roundtrip_exact():
     rec = _sample_record(note="requeued once")
-    back = parse_records(serialize_record(rec), 1)
+    back = parse_records([serialize_record(rec)], 1)
     assert len(back) == 1
     b = back[0]
     assert (b.index, b.round, b.status, b.note) == (rec.index, rec.round, rec.status, rec.note)
@@ -72,7 +72,7 @@ def test_complex_values_roundtrip_bit_for_bit():
         status=PointStatus.COMPLETE, retries_used=0, path_failures=0, diverged_paths=0,
     )
     text = serialize_record(rec)
-    back = parse_records(text, 3)[0]
+    back = parse_records([text], 3)[0]
     assert serialize_record(back) == text
     assert np.signbit(back.p[0].imag)
     assert np.isinf(back.solutions.distinct[0][1].imag)
@@ -89,11 +89,11 @@ def test_collected_file_roundtrip(tmp_path):
         p0=np.array([0.25 + 0.5j, 0.75 + 0.125j]),
     )
     records = [
-        parse_records(serialize_record(_sample_record(0)), 1)[0],
-        parse_records(serialize_record(_sample_record(1)), 1)[0],
+        parse_records([serialize_record(_sample_record(0))], 1)[0],
+        parse_records([serialize_record(_sample_record(1))], 1)[0],
     ]
     path = tmp_path / "collected.dat"
-    write_collected(path, header, records)
+    write_collected(path, header, list(map(serialize_record, records)))
     h2, r2, _ = read_collected(path)
     assert (h2.n_vars, h2.n_params, h2.n_points) == (1, 2, 2)
     assert (h2.step1_paths, h2.seed, h2.max_retries) == (6, 7, 3)
@@ -103,7 +103,7 @@ def test_collected_file_roundtrip(tmp_path):
     assert [r.index for r in r2] == [0, 1]
     # byte-for-byte identical when rewritten
     path2 = tmp_path / "again.dat"
-    write_collected(path2, h2, r2)
+    write_collected(path2, h2, list(map(serialize_record, r2)))
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -147,7 +147,7 @@ def test_read_collected_names_what_is_wrong(tmp_path, old, new, message):
         p0=np.array([0.25 + 0.5j, 0.75 + 0.125j]),
     )
     path = tmp_path / "collected.dat"
-    write_collected(path, header, [_sample_record(k) for k in (0, 1)])
+    write_collected(path, header, [serialize_record(_sample_record(k)) for k in (0, 1)])
     text = path.read_text()
     assert old in text
     path.write_text(text.replace(old, new, 1))
@@ -160,7 +160,7 @@ def _write_header(path, records):
         n_vars=1, n_params=2, n_points=len(records), step1_paths=6, seed=None,
         max_retries=3, p0=np.array([0.25 + 0.5j, 0.75 + 0.125j]),
     )
-    write_collected(path, header, records)
+    write_collected(path, header, list(map(serialize_record, records)))
 
 
 def test_notes_land_on_their_records(tmp_path):
@@ -185,7 +185,7 @@ def test_many_notes_parse_as_before():
     text = "".join(
         serialize_record(_sample_record(k, note=f"note {k}")) + "\n" for k in range(2000)
     )
-    back = parse_records(text, 1)
+    back = parse_records(text.splitlines(), 1)
     assert [r.index for r in back] == list(range(2000))
     assert [r.note for r in back] == [f"note {k}" for k in range(2000)]
     assert "".join(serialize_record(r) + "\n" for r in back) == text
@@ -194,7 +194,7 @@ def test_many_notes_parse_as_before():
 def test_a_record_without_roots_keeps_its_dimension(tmp_path):
     # a point with no roots reads back as (0, n_vars), as the sweep holds it
     rec = dataclasses.replace(_sample_record(0), solutions=ClassifiedSolutions.empty(1))
-    (back,) = parse_records(serialize_record(rec), 1)
+    (back,) = parse_records([serialize_record(rec)], 1)
     assert back.solutions.distinct.shape == (0, 1)
     _write_header(tmp_path / "collected.dat", [rec])
     _, (back,), _ = read_collected(tmp_path / "collected.dat")

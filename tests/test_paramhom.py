@@ -1,3 +1,4 @@
+import json
 import logging
 from dataclasses import replace
 
@@ -9,7 +10,6 @@ from paramsweep.paramhom import (
     FaultInjection,
     PointResult,
     PointStatus,
-    PointSummary,
     Step1Empty,
     parameter_sweep_path_count,
     random_parameter_point,
@@ -17,12 +17,12 @@ from paramsweep.paramhom import (
     step1,
     step1_draws,
     step2,
-    sweep_with_runner,
     verify_step1,
 )
+from paramsweep import scheduler
 from paramsweep.datafile import serialize_record
 from paramsweep.poly import parse_system
-from paramsweep.scheduler import run_parallel
+from paramsweep.scheduler import PointSummary, run_parallel, sweep_with_runner
 from paramsweep.startsys import random_gamma
 from paramsweep.tracker import ClassifiedSolutions, TrackerConfig, classify_endpoints
 from conftest import set_distance
@@ -348,40 +348,42 @@ def test_retry_policy_against_a_scripted_round_runner(quad_system):
     points = [np.array([complex(v)]) for v in range(1, 7)]
     calls = []
 
-    def attempt(i, round_no, status, **kw):
+    def attempt(i, round_no, status, retries=0):
         return PointResult(
             index=i, p=points[i], solutions=ClassifiedSolutions.empty(1), status=status,
-            retries_used=0, path_failures=int(status is U), diverged_paths=0,
-            round=round_no, **kw,
+            retries_used=retries, path_failures=int(status is U), diverged_paths=0,
+            round=round_no,
         )
 
-    def runner(round_no, indices, from_point, starts):
-        calls.append(round_no)
+    def runner(round_no, retries, indices, from_point, starts):
+        calls.append((round_no, retries))
         assert indices == list(script[round_no])
         assert len(starts) == l
         if round_no == 0:
             assert from_point is r1.p0 and starts is r1.solutions.distinct
         return {
-            i: res if isinstance(res, str) else (attempt(i, round_no, res), 0.5)
+            i: res if isinstance(res, str)
+            else (res, serialize_record(attempt(i, round_no, res, retries)), 0.5)
             for i, res in script[round_no].items()
         }
 
-    results, total_paths, timings = sweep_with_runner(
+    records, total_paths, timings = sweep_with_runner(
         quad_system, r1, points, CFG, 2, np.random.default_rng(5), runner
     )
-    assert calls == [0, 1, 2]
-    # the newest attempt under its retries; a crashed point is Unresolved,
-    # all paths failed, in the round whose batch crashed
+    # every point of a round shares its retries
+    assert calls == [(0, 0), (1, 1), (2, 2)]
+    # the newest attempt's line; a crashed point is Unresolved, all paths
+    # failed, in the round whose batch crashed, under that round's retries
     crashed = dict(path_failures=l, note="crashed")
     expected = [
-        replace(attempt(0, 1, C), retries_used=1),
+        attempt(0, 1, C, 1),
         attempt(1, 0, H),
         replace(attempt(2, 0, U), **crashed),
-        replace(attempt(3, 2, U), retries_used=2),
+        attempt(3, 2, U, 2),
         attempt(4, 0, C),
-        replace(attempt(5, 1, U), retries_used=1, **crashed),
+        replace(attempt(5, 1, U, 1), **crashed),
     ]
-    assert list(map(serialize_record, results)) == list(map(serialize_record, expected))
+    assert records == list(map(serialize_record, expected))
     reported = sum(not isinstance(res, str) for rnd in script.values() for res in rnd.values())
     assert total_paths == m + l * reported + l * 2  # two p' solves
     # one timing record per attempt, in round order
@@ -389,6 +391,44 @@ def test_retry_policy_against_a_scripted_round_runner(quad_system):
         PointSummary(i, U, 0.0) if isinstance(res, str) else PointSummary(i, res, 0.5)
         for rnd in script.values() for i, res in rnd.items()
     ]
+
+
+def test_skipped_mitigation_round_advances_the_round_not_the_retries(quad_system, monkeypatch):
+    # the first p' solve loses a path, so mitigation round 1 is skipped:
+    # the retried point's attempt is in round 2 with one retry, and both
+    # p' solves count their paths
+    U, C = PointStatus.UNRESOLVED, PointStatus.COMPLETE
+    r1 = step1(quad_system, CFG, np.random.default_rng(43))
+    m, l = r1.paths_tracked_step1, len(r1.solutions)
+    points = [np.array([complex(v)]) for v in (1.0, 2.0)]
+    real_step2, primes = scheduler.step2, []
+
+    def losing_first_prime(*args):
+        primes.append(args[3])
+        return real_step2(*args, force_first_failure=[0] if len(primes) == 1 else [])
+
+    monkeypatch.setattr(scheduler, "step2", losing_first_prime)
+    script = {0: {0: C, 1: U}, 2: {1: C}}
+
+    def runner(round_no, retries, indices, from_point, starts):
+        assert indices == list(script[round_no])
+        return {
+            i: (status, serialize_record(PointResult(
+                index=i, p=points[i], solutions=ClassifiedSolutions.empty(1), status=status,
+                retries_used=retries, path_failures=int(status is U), diverged_paths=0,
+                round=round_no,
+            )), 0.5)
+            for i, status in script[round_no].items()
+        }
+
+    records, total_paths, _ = sweep_with_runner(
+        quad_system, r1, points, CFG, 2, np.random.default_rng(5), runner
+    )
+    assert len(primes) == 2
+    retried = json.loads(records[1])
+    assert (retried["round"], retried["retries"], retried["status"]) == (2, 1, "Complete")
+    assert json.loads(records[0])["retries"] == 0
+    assert total_paths == m + l * 3 + l * 2  # three attempts, two p' solves
 
 
 def test_path_count_formulas():

@@ -20,13 +20,13 @@ from paramsweep.paramhom import (
     PointResult,
     PointStatus,
     step1,
-    sweep_with_runner,
 )
 from paramsweep.scheduler import (
     WorkBatch,
     _merge_part_files,
     default_batch_size,
     run_parallel,
+    sweep_with_runner,
 )
 from paramsweep.tracker import ClassifiedSolutions, TrackerConfig
 from conftest import set_distance
@@ -314,7 +314,7 @@ def test_crash_of_an_idle_worker_charges_no_batch(quad_setup, tmp_path, monkeypa
         for proc, _ in pool._workers.values():
             proc.kill()
             proc.join()
-        results = pool.run_round(0, range(len(points)), r1.p0, r1.solutions.distinct)
+        results = pool.run_round(0, 0, range(len(points)), r1.p0, r1.solutions.distinct)
     finally:
         pool.shutdown()
     assert os.path.exists(marker)
@@ -325,8 +325,8 @@ def test_crash_of_an_idle_worker_charges_no_batch(quad_setup, tmp_path, monkeypa
 @pytest.mark.parametrize("sweep_kind", ["clean", "retry", "crash-requeued", "crash-twice"])
 def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, monkeypatch, sweep_kind):
     # collected.dat must read back into the sweep's own results, which
-    # write_collected turns into the same bytes, and a crash the requeue
-    # recovers from must leave no trace
+    # encode into the same bytes, and a crash the requeue recovers from
+    # must leave no trace
     sysq, r1, points = quad_setup
     marker = str(tmp_path / "crashed")
     if sweep_kind == "crash-requeued":
@@ -343,7 +343,7 @@ def test_merged_file_is_its_records_rewritten(quad_setup, tmp_path, monkeypatch,
     merged = (out / "collected.dat").read_bytes()
     header, records, lines = read_collected(out / "collected.dat")
     assert sweep.records == lines
-    write_collected(tmp_path / "again.dat", header, records)
+    write_collected(tmp_path / "again.dat", header, list(map(serialize_record, records)))
     assert (tmp_path / "again.dat").read_bytes() == merged
     assert list(map(serialize_record, sweep.point_results)) == list(map(serialize_record, records))
     retried = {pr.index: pr.retries_used for pr in records if pr.retries_used}
@@ -381,18 +381,27 @@ def test_collected_file_holds_the_standing_results(quad_setup, tmp_path):
     a0, a1, a1_retry, a2 = _attempt(0, 0), _attempt(1, 0, 1), _attempt(1, 1), _attempt(2, 0)
     points = [a.p for a in (a0, a1, a2)] + [np.array([3.5 + 0j])]
     reports = {
-        0: {0: (a0, 0.5), 1: (a1, 0.5), 2: (a2, 0.5), 3: "worker crashed twice"},
-        1: {1: (a1_retry, 0.5)},
+        0: {0: a0, 1: a1, 2: a2, 3: "worker crashed twice"},
+        1: {1: a1_retry},
     }
-    results, _, _ = sweep_with_runner(
-        sysq, r1, points, CFG, 2, np.random.default_rng(5),
-        lambda round_no, indices, from_point, starts: reports[round_no],
+
+    def runner(round_no, retries, indices, from_point, starts):
+        # a worker stamps each attempt with its round's retries
+        return {
+            idx: res if isinstance(res, str) else (
+                res.status, serialize_record(dataclasses.replace(res, retries_used=retries)), 0.5
+            )
+            for idx, res in reports[round_no].items()
+        }
+
+    records, _, _ = sweep_with_runner(
+        sysq, r1, points, CFG, 2, np.random.default_rng(5), runner
     )
     header = CollectedHeader(
         n_vars=1, n_params=1, n_points=4, step1_paths=2, seed=None, max_retries=2,
         p0=np.array([0.25 + 0.5j]), param_names=("q",),
     )
-    _merge_part_files(str(tmp_path / "collected.dat"), header, results)
+    _merge_part_files(str(tmp_path / "collected.dat"), header, records)
     expected = [
         a0,
         dataclasses.replace(a1_retry, retries_used=1),
@@ -403,9 +412,9 @@ def test_collected_file_holds_the_standing_results(quad_setup, tmp_path):
             diverged_paths=0, note="worker crashed twice",
         ),
     ]
-    write_collected(tmp_path / "expected.dat", header, expected)
+    write_collected(tmp_path / "expected.dat", header, list(map(serialize_record, expected)))
     assert (tmp_path / "collected.dat").read_bytes() == (tmp_path / "expected.dat").read_bytes()
-    assert list(map(serialize_record, results)) == list(map(serialize_record, expected))
+    assert records == list(map(serialize_record, expected))
 
 
 def test_crash_injection_needs_two_workers(quad_setup):
@@ -509,7 +518,7 @@ def test_aborted_sweep_leaves_its_marker(quad_setup, tmp_path, monkeypatch):
 
 def test_work_batch_validation():
     with pytest.raises(ValueError):
-        WorkBatch(0, ())
+        WorkBatch(0, 0, ())
 
 
 def test_default_batch_size_counts_jacobian_entries():
@@ -549,7 +558,7 @@ def test_round_is_cut_evenly(monkeypatch, n_points, batch_size, n_paths, n_vars,
 
     monkeypatch.setattr(sched, "_run_batch", record)
     pool = sched._Pool(None, 1, batch_size)
-    pool.run_round(0, list(range(n_points)), np.zeros(1), np.zeros((n_paths, n_vars)))
+    pool.run_round(0, 0, list(range(n_points)), np.zeros(1), np.zeros((n_paths, n_vars)))
     sizes = [len(b) for b in batches]
     assert [i for b in batches for i in b] == list(range(n_points))
     assert len(sizes) == n_batches
